@@ -57,7 +57,6 @@ from .limbs import (
     decompose,
     limb_count,
     reconstruct,
-    system_from_two_limbs,
     system_support,
     system_violations,
     two_limb_check,
@@ -120,7 +119,6 @@ __all__ = [
     "validate_system",
     "system_violations",
     "system_support",
-    "system_from_two_limbs",
     "decompose",
     "reconstruct",
     "limb_count",

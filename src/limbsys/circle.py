@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .errors import LimbsysError
 from .extremality import ExtremalityCertificate, is_extremal, support_graph
 from .limbs import two_limb_check
@@ -124,18 +122,14 @@ def build_peaked_density(grid: CircleGrid, center: float, kappa: float) -> Discr
     return DiscreteMarginal(tuple(w / total for w in raw))
 
 
-def _cyclic_sign_changes(diffs, zero_tol):
+def _sign_changes(diffs, zero_tol, periodic):
+    """Sign changes along ``diffs`` (wrapping around when periodic), entries
+    within ``zero_tol`` of zero skipped; None when every entry is skipped."""
     signs = [1 if d > zero_tol else -1 for d in diffs if abs(d) > zero_tol]
     if not signs:
         return None
-    return sum(1 for a, b in zip(signs, signs[1:] + signs[:1]) if a != b)
-
-
-def _line_sign_changes(diffs, zero_tol):
-    signs = [1 if d > zero_tol else -1 for d in diffs if abs(d) > zero_tol]
-    if not signs:
-        return None
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    following = signs[1:] + signs[:1] if periodic else signs[1:]
+    return sum(1 for a, b in zip(signs, following) if a != b)
 
 
 def subtwist_check(
@@ -152,49 +146,19 @@ def subtwist_check(
     Differences within ``eps_cost`` of zero count as zero for float data;
     exact data is compared exactly.
     """
-    m, n = c.m, c.n
-    exact = not any(isinstance(v, float) for row in c.rows for v in row)
-    zero_tol = 0 if exact else tol.eps_cost
-    count = _cyclic_sign_changes if periodic else _line_sign_changes
-
+    _, zero_tol = tol.thresholds(*c.rows)
+    cols = [[row[j] for row in c.rows] for j in range(c.n)]
     violations = []
     degenerate = []
-    if exact:
-        cols = [[c.rows[i][j] for i in range(m)] for j in range(n)]
-        for j1 in range(n):
-            for j2 in range(j1 + 1, n):
-                d = [a - b for a, b in zip(cols[j1], cols[j2])]
-                if periodic:
-                    diffs = [d[(i + 1) % m] - d[i] for i in range(m)]
-                else:
-                    diffs = [d[i + 1] - d[i] for i in range(m - 1)]
-                changes = count(diffs, zero_tol)
-                if changes is None:
-                    degenerate.append((j1, j2))
-                elif (periodic and changes != 2) or (not periodic and changes > 2):
-                    violations.append((j1, j2))
-    else:
-        arr = np.asarray(c.rows, dtype=float)
-        for j1 in range(n):
-            d_all = arr[:, j1][:, None] - arr[:, j1 + 1 :]
-            if periodic:
-                diffs_all = np.roll(d_all, -1, axis=0) - d_all
-            else:
-                diffs_all = d_all[1:] - d_all[:-1]
-            for offset in range(d_all.shape[1]):
-                j2 = j1 + 1 + offset
-                diffs = diffs_all[:, offset]
-                live = diffs[np.abs(diffs) > zero_tol]
-                if live.size == 0:
-                    degenerate.append((j1, j2))
-                    continue
-                signs = np.sign(live)
-                if periodic:
-                    changes = int(np.count_nonzero(signs != np.roll(signs, -1)))
-                else:
-                    changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
-                if (periodic and changes != 2) or (not periodic and changes > 2):
-                    violations.append((j1, j2))
+    for j1 in range(c.n):
+        for j2 in range(j1 + 1, c.n):
+            d = [a - b for a, b in zip(cols[j1], cols[j2])]
+            following = d[1:] + d[:1] if periodic else d[1:]
+            changes = _sign_changes([b - a for a, b in zip(d, following)], zero_tol, periodic)
+            if changes is None:
+                degenerate.append((j1, j2))
+            elif (periodic and changes != 2) or (not periodic and changes > 2):
+                violations.append((j1, j2))
 
     return SubtwistReport(not violations, tuple(violations), tuple(degenerate))
 

@@ -63,16 +63,6 @@ def _cmd_check_extremal(args) -> int:
     return 3
 
 
-def _cmd_witness(args) -> int:
-    gamma = load_coupling(args.coupling, args.rational)
-    certificate = is_extremal(gamma, _tolerances(args))
-    print(certificate.verdict)
-    if certificate.extremal:
-        return 0
-    write_json(args.out, witness_payload(certificate.cycle, *certificate.split))
-    return 3
-
-
 def _cmd_decompose(args) -> int:
     gamma = load_coupling(args.coupling, args.rational)
     system = decompose(support_graph(gamma, _tolerances(args)))
@@ -163,11 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("coupling")
     p.add_argument("--witness", help="write cycle and convex split when non-extremal")
     p.set_defaults(fn=_cmd_check_extremal)
-
-    p = sub.add_parser("witness", parents=[common], help="write a non-extremality witness")
-    p.add_argument("coupling")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_witness)
 
     p = sub.add_parser("decompose", parents=[common], help="split an acyclic support into limbs")
     p.add_argument("coupling")

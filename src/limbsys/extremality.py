@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ._forest import find, tree_path
 from .errors import CycleError, SizeLimitError
 from .measures import DEFAULT_TOL, Coupling, ToleranceConfig
 
@@ -102,9 +103,11 @@ class ExtremalityCertificate:
 
 def support_graph(gamma: Coupling, tol: ToleranceConfig = DEFAULT_TOL) -> SupportGraph:
     """Edges are exactly the cells with mass above ``eps_mass``; smaller
-    masses are solver dust and do not count as support."""
+    masses are solver dust and do not count as support.  With exact masses
+    every stored cell is support."""
+    eps, _ = tol.thresholds(w for _, _, w in gamma.entries)
     return SupportGraph(
-        gamma.m, gamma.n, frozenset((i, j) for i, j, w in gamma.entries if w > tol.eps_mass)
+        gamma.m, gamma.n, frozenset((i, j) for i, j, w in gamma.entries if w > eps)
     )
 
 
@@ -131,49 +134,19 @@ def is_acyclic(graph: SupportGraph) -> tuple[bool, Optional[CycleWitness]]:
     fundamental cycle, which is traced back through the forest and returned
     as a witness.  Deterministic by the canonical ordering.
     """
-    parent = {}
-
-    def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
+    m = graph.m
+    parent = list(range(m + graph.n))  # rows 0..m-1, columns m..m+n-1
     adjacency: dict = {}
     for i, j in graph.sorted_edges():
-        u, v = ("r", i), ("c", j)
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
+        u, v = i, m + j
+        ru, rv = find(parent, u), find(parent, v)
         if ru == rv:
-            path = _forest_path(adjacency, u, v)
-            return False, _witness_from_node_cycle([node[1] for node in path])
+            path = tree_path(adjacency, u, v)
+            return False, _witness_from_node_cycle([x if x < m else x - m for x in path])
         parent[ru] = rv
         adjacency.setdefault(u, []).append(v)
         adjacency.setdefault(v, []).append(u)
     return True, None
-
-
-def _forest_path(adjacency: dict, start, goal) -> list:
-    # Depth-first walk through the accepted forest edges; the path between
-    # two nodes of one tree is unique.
-    stack = [(start, None)]
-    trail = {start: None}
-    while stack:
-        node, prev = stack.pop()
-        if node == goal:
-            path = [node]
-            while trail[node] is not None:
-                node = trail[node]
-                path.append(node)
-            return path[::-1]
-        for nxt in adjacency.get(node, ()):
-            if nxt != prev and nxt not in trail:
-                trail[nxt] = node
-                stack.append((nxt, node))
-    raise AssertionError("endpoints reported connected but no forest path found")
 
 
 def _integer_rank(matrix: list) -> int:
@@ -247,7 +220,8 @@ def split_witness(
     for edge in cycle.edges:
         if edge not in support:
             raise CycleError(f"cycle edge {edge} is not in the coupling support")
-    eps = min(gamma.mass_at(i, j) for i, j in cycle.edges)
+    mass = {(i, j): w for i, j, w in gamma.entries}
+    eps = min(mass[edge] for edge in cycle.edges)
     sigma = {edge: (1 if t % 2 == 0 else -1) for t, edge in enumerate(cycle.edges)}
     plus, minus = [], []
     for i, j, w in gamma.entries:

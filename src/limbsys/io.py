@@ -65,28 +65,53 @@ def write_json(path, payload):
         fh.write(canonical_json(payload))
 
 
-def _load_json(path, rational: bool):
+def _load(path, rational: bool, build):
+    """Parse a JSON file and build a value from it.  A file whose layout
+    does not fit (a list where an object belongs, a short entry, a missing
+    key) raises ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        if rational:
-            return json.load(fh, parse_float=Fraction)
-        return json.load(fh)
+        data = json.load(fh, parse_float=Fraction) if rational else json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: top level is a JSON {type(data).__name__}, not an object")
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"{path}: unexpected layout: {exc}") from None
 
 
-def load_problem(path, rational: bool = False):
-    """Read {"mu": [...], "nu": [...], "cost": [[...]]}; cost may be absent
-    for operations that only need the marginals."""
-    data = _load_json(path, rational)
+def _problem(data):
     mu = DiscreteMarginal(tuple(data["mu"]))
     nu = DiscreteMarginal(tuple(data["nu"]))
     cost = CostMatrix(tuple(tuple(row) for row in data["cost"])) if "cost" in data else None
     return mu, nu, cost
 
 
-def load_coupling(path, rational: bool = False) -> Coupling:
-    data = _load_json(path, rational)
+def _coupling(data):
     return Coupling.from_entries(
         int(data["m"]), int(data["n"]), [(e[0], e[1], e[2]) for e in data["entries"]]
     )
+
+
+def _system(data):
+    limbs = tuple(
+        Limb(int(item["k"]), item["kind"], tuple((p[0], p[1]) for p in item["map"]))
+        for item in data["limbs"]
+    )
+    return NumberedLimbSystem(
+        int(data["m"]), int(data["n"]), limbs, tuple(data["I_odd"]), tuple(data["I_even"])
+    )
+
+
+def load_problem(path, rational: bool = False):
+    """Read {"mu": [...], "nu": [...], "cost": [[...]]}; cost may be absent
+    for operations that only need the marginals."""
+    return _load(path, rational, _problem)
+
+
+def load_coupling(path, rational: bool = False) -> Coupling:
+    return _load(path, rational, _coupling)
 
 
 def coupling_payload(gamma: Coupling) -> dict:
@@ -98,14 +123,7 @@ def duals_payload(p: DualPotentials, value) -> dict:
 
 
 def load_system(path, rational: bool = False) -> NumberedLimbSystem:
-    data = _load_json(path, rational)
-    limbs = tuple(
-        Limb(int(item["k"]), item["kind"], tuple((p[0], p[1]) for p in item["map"]))
-        for item in data["limbs"]
-    )
-    return NumberedLimbSystem(
-        int(data["m"]), int(data["n"]), limbs, tuple(data["I_odd"]), tuple(data["I_even"])
-    )
+    return _load(path, rational, _system)
 
 
 def system_payload(system: NumberedLimbSystem) -> dict:

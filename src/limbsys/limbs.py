@@ -35,7 +35,6 @@ __all__ = [
     "validate_system",
     "system_violations",
     "system_support",
-    "system_from_two_limbs",
     "decompose",
     "reconstruct",
     "limb_count",
@@ -116,12 +115,6 @@ class NumberedLimbSystem:
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("limb indices must be strictly increasing")
 
-    def limb_at(self, k: int) -> Optional[Limb]:
-        for limb in self.limbs:
-            if limb.k == k:
-                return limb
-        return None
-
 
 @dataclass(frozen=True)
 class ReconstructionReport:
@@ -185,59 +178,68 @@ def limb_count(system: NumberedLimbSystem) -> int:
 
 
 def decompose(support: SupportGraph) -> NumberedLimbSystem:
-    """Level an acyclic support into limbs by rooted breadth-first search.
+    """Level an acyclic support into the fewest limbs, by a search from the
+    centre of each tree.
 
-    Each tree of the forest is rooted at its column node of highest degree
-    (ties to the lowest index); a node at BFS depth d contributes its parent
-    edge to limb d, and joins index set I_d.  Points without support edges
-    go to I_1 (rows) and I_0 (columns).  Cyclic input raises, carrying the
-    cycle witness.
+    In a limb system every point has at most one neighbour on a lower level,
+    so each tree has a single root and its levels are depths from that root:
+    a column root sits in I_0, a row root in I_1, one level more.  The fewest
+    limbs therefore come from rooting each tree at its centre, taking the
+    column when the two centres of an odd-diameter tree are a row and a
+    column.  A node on level d contributes its parent edge to limb d.  Points
+    without support edges go to I_1 (rows) and I_0 (columns).  Cyclic input
+    raises, carrying the cycle witness.
     """
-    acyclic, witness = is_acyclic(support)
-    if not acyclic:
-        raise CyclicSupportError("support contains an alternating cycle", witness)
-
     m, n = support.m, support.n
-    adjacency = {v: [] for v in range(m + n)}
-    degree_col = [0] * n
-    for i, j in support.sorted_edges():
+    adjacency = [[] for _ in range(m + n)]  # rows 0..m-1, columns m..m+n-1
+    for i, j in support.edges:
         adjacency[i].append(m + j)
         adjacency[m + j].append(i)
-        degree_col[j] += 1
 
-    x_levels = [1] * m
-    y_levels = [0] * n
+    # Peel leaves in rounds.  A point falls once at most one neighbour is
+    # left standing; a tree's centre is what falls last, with no neighbour
+    # standing.  Points on a cycle never fall.
+    degree = [len(nbrs) for nbrs in adjacency]
+    standing = [d > 0 for d in degree]
+    falling = [v for v in range(m + n) if degree[v] == 1]
+    roots = []
+    while falling:
+        for v in falling:
+            standing[v] = False
+        peeled = set(falling)
+        upcoming = []
+        for v in falling:
+            alive = False
+            for u in adjacency[v]:
+                if standing[u]:
+                    alive = True
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        upcoming.append(u)
+            # A lone centre, or the column of two centres falling together.
+            if not alive and (v >= m or not any(u in peeled for u in adjacency[v])):
+                roots.append(v)
+        falling = upcoming
+    if any(standing):
+        raise CyclicSupportError("support contains an alternating cycle", is_acyclic(support)[1])
+
+    level = [1] * m + [0] * n
     limb_pairs: dict = {}
-    visited = [False] * (m + n)
-
-    for j in sorted(range(n), key=lambda jj: (-degree_col[jj], jj)):
-        root = m + j
-        if visited[root] or degree_col[j] == 0:
-            continue
-        visited[root] = True
-        frontier = [(root, 0)]
-        while frontier:
-            nxt = []
-            for node, depth in frontier:
-                for nb in sorted(adjacency[node]):
-                    if visited[nb]:
-                        continue
-                    visited[nb] = True
-                    d = depth + 1
-                    if nb < m:
-                        x_levels[nb] = d
-                        limb_pairs.setdefault(d, []).append((nb, node - m))
-                    else:
-                        y_levels[nb - m] = d
-                        limb_pairs.setdefault(d, []).append((nb - m, node))
-                    nxt.append((nb, d))
-            frontier = nxt
+    for root in roots:
+        stack = [(root, None)]
+        while stack:
+            u, above = stack.pop()
+            for v in adjacency[u]:
+                if v != above:
+                    d = level[v] = level[u] + 1
+                    limb_pairs.setdefault(d, []).append((v, u - m) if v < m else (v - m, u))
+                    stack.append((v, u))
 
     limbs = tuple(
         Limb(k, "graph" if k % 2 == 1 else "antigraph", tuple(limb_pairs[k]))
         for k in sorted(limb_pairs)
     )
-    return NumberedLimbSystem(m, n, limbs, tuple(x_levels), tuple(y_levels))
+    return NumberedLimbSystem(m, n, limbs, tuple(level[:m]), tuple(level[m:]))
 
 
 def _as_map_array(limb: Limb, size: int) -> list:
@@ -275,9 +277,7 @@ def reconstruct(
         )
 
     m, n = system.m, system.n
-    eps = tol.eps_mass
-    exact = not any(isinstance(w, float) for w in mu.weights + nu.weights)
-    cutoff = 0 if exact else -eps
+    eps, _ = tol.thresholds(mu.weights, nu.weights)
 
     gamma_above: Optional[Coupling] = None  # gamma_{k+1}, None meaning zero
     k_above: Optional[int] = None
@@ -297,7 +297,7 @@ def reconstruct(
         weights = [0] * size
         for s in limb.domain():
             w = leftover[s]
-            if w < cutoff:
+            if w < -eps:
                 if failure is None:
                     failure = (
                         f"limb {limb.k} needs mass {w!r} at point {s}; "
@@ -332,59 +332,19 @@ def reconstruct(
 def two_limb_check(support: SupportGraph):
     """Maps (f1, f2) realizing the support as graph plus antigraph, or None.
 
-    Columns meeting two or more support cells can only be ranges of the
-    first map, so they all join I_0; the support is representable with two
-    limbs exactly when no row sends two cells into that set.  Degree-one
-    columns whose cell is also its row's only cell join I_0 as graph cells;
-    every other occupied column keeps its single cell as an antigraph cell.
-    Returned as index arrays with None off the domains.
+    A support splits that way exactly when its fewest-limb system, from
+    :func:`decompose`, has at most two limbs; the maps are that system's
+    limbs 1 and 2.  Cyclic supports never split.  Returned as index arrays
+    with None off the domains.
     """
-    m, n = support.m, support.n
-    col_rows: dict = {j: [] for j in range(n)}
-    row_cols: dict = {i: [] for i in range(m)}
-    for i, j in support.sorted_edges():
-        col_rows[j].append(i)
-        row_cols[i].append(j)
-
-    heavy = {j for j in range(n) if len(col_rows[j]) >= 2}
-    for i in range(m):
-        if sum(1 for j in row_cols[i] if j in heavy) > 1:
-            return None
-
-    in_i0 = set(heavy)
-    for j in range(n):
-        if len(col_rows[j]) == 1 and len(row_cols[col_rows[j][0]]) == 1:
-            in_i0.add(j)
-
-    f1: list = [None] * m
-    f2: list = [None] * n
-    for i in range(m):
-        targets = [j for j in row_cols[i] if j in in_i0]
-        if len(targets) > 1:
-            return None
-        if targets:
-            f1[i] = targets[0]
-    for j in range(n):
-        if j in in_i0 or not col_rows[j]:
-            continue
-        f2[j] = col_rows[j][0]
-
-    covered = {(i, f1[i]) for i in range(m) if f1[i] is not None}
-    covered |= {(f2[j], j) for j in range(n) if f2[j] is not None}
-    if covered != support.edges:
+    try:
+        system = decompose(support)
+    except CyclicSupportError:
         return None
+    if limb_count(system) > 2:
+        return None
+    f1, f2 = [None] * system.m, [None] * system.n
+    for limb in system.limbs:
+        for s, d in limb.pairs:
+            (f1 if limb.k == 1 else f2)[s] = d
     return tuple(f1), tuple(f2)
-
-
-def system_from_two_limbs(m: int, n: int, f1, f2) -> NumberedLimbSystem:
-    """Package a pair of maps as a two-limb system: all rows in I_1, domain
-    columns of the second map in I_2, every other column in I_0."""
-    pairs1 = tuple((i, j) for i, j in enumerate(f1) if j is not None)
-    pairs2 = tuple((j, i) for j, i in enumerate(f2) if i is not None)
-    limbs = []
-    if pairs1:
-        limbs.append(Limb(1, "graph", pairs1))
-    if pairs2:
-        limbs.append(Limb(2, "antigraph", pairs2))
-    y_levels = tuple(2 if f2[j] is not None else 0 for j in range(n))
-    return NumberedLimbSystem(m, n, tuple(limbs), (1,) * m, y_levels)

@@ -45,8 +45,8 @@ class ToleranceConfig:
     """Numerical tolerances: ``eps_mass`` in mass units, ``eps_cost`` in cost units.
 
     Masses below ``eps_mass`` are dust left behind by floating-point solves
-    and are ignored when building supports.  Exact (Fraction) pipelines are
-    unaffected: their comparisons are exact regardless of the thresholds.
+    and are ignored when building supports.  Exact (int/Fraction) data are
+    unaffected: :meth:`thresholds` makes every comparison on them exact.
     """
 
     eps_mass: float = 1e-12
@@ -55,6 +55,17 @@ class ToleranceConfig:
     def __post_init__(self):
         if not (self.eps_mass > 0 and self.eps_cost > 0):
             raise ValueError("tolerances must be strictly positive")
+
+    def thresholds(self, *value_groups) -> tuple:
+        """(mass, cost) thresholds for comparisons over the given values.
+
+        The one exactness rule of the package: data count as exact when no
+        value in any group is a float, and exact data get thresholds (0, 0).
+        Anything else gets (eps_mass, eps_cost).
+        """
+        if any(isinstance(v, float) for group in value_groups for v in group):
+            return self.eps_mass, self.eps_cost
+        return 0, 0
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -208,13 +219,14 @@ def validate_coupling(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> bool:
     """True iff both marginals of ``gamma`` match ``mu`` and ``nu`` within
-    ``eps_mass`` per entry.  Shape disagreement is an error, not a False."""
+    ``eps_mass`` per entry (exactly, for exact data).  Shape disagreement is
+    an error, not a False."""
     if (gamma.m, gamma.n) != (mu.size, nu.size):
         raise ShapeMismatchError(
             f"coupling is {gamma.m}x{gamma.n} but marginals have sizes {mu.size} and {nu.size}"
         )
     row, col = marginals_of(gamma)
-    eps = tol.eps_mass
+    eps, _ = tol.thresholds(row.weights, mu.weights, nu.weights)
     return all(abs(a - b) <= eps for a, b in zip(row.weights, mu.weights)) and all(
         abs(a - b) <= eps for a, b in zip(col.weights, nu.weights)
     )
@@ -231,17 +243,18 @@ def pushforward_graph(
     ``f[i]`` is the image column of row ``i`` or None where undefined.  The
     result puts mass ``eta_i`` on cell ``(i, f[i])`` for every i in the domain,
     so its support lies in the graph of ``f`` and its first marginal restricted
-    to the domain is ``eta``.  ``eta`` must vanish (up to ``eps_mass``) off the
-    domain; genuinely positive mass there is infeasible by definition of a
-    push-forward and raises.
+    to the domain is ``eta``.  ``eta`` must vanish (up to ``eps_mass`` for
+    float data) off the domain; genuinely positive mass there is infeasible by
+    definition of a push-forward and raises.
     """
     if len(f) != eta.size:
         raise ShapeMismatchError(f"map has {len(f)} slots but marginal has {eta.size} points")
+    eps, _ = tol.thresholds(eta.weights)
     entries = []
     for i, w in enumerate(eta.weights):
         j = f[i]
         if j is None:
-            if w > tol.eps_mass:
+            if w > eps:
                 raise InfeasibleError(
                     f"marginal carries mass {w!r} at point {i} outside the domain of the map"
                 )
@@ -263,11 +276,12 @@ def pushforward_antigraph(
     to row indices: mass ``eta_j`` lands on cell ``(g[j], j)``."""
     if len(g) != eta.size:
         raise ShapeMismatchError(f"map has {len(g)} slots but marginal has {eta.size} points")
+    eps, _ = tol.thresholds(eta.weights)
     entries = []
     for j, w in enumerate(eta.weights):
         i = g[j]
         if i is None:
-            if w > tol.eps_mass:
+            if w > eps:
                 raise InfeasibleError(
                     f"marginal carries mass {w!r} at point {j} outside the domain of the map"
                 )

@@ -4,23 +4,26 @@ The solver is a primal network simplex on the bipartite transportation
 graph: northwest-corner start, Bland's anti-cycling pivot rule, basis kept
 as a spanning tree.  With exact (int/Fraction) data every comparison is
 exact and the returned optimum is exact; with floats the pivot threshold is
-``eps_cost``.
+``eps_cost`` and masses up to ``eps_mass`` are dropped as dust.
 
 The optimal-vertex oracle is deliberately a different algorithm: optimal
 dual potentials come from a successive-shortest-path solver, the zero set of
 their reduced costs cuts out the optimal face, and every spanning-forest
 basis of that subgraph is enumerated exhaustively.  The two routes share no
-code beyond the data types, so they can check each other.
+code beyond the data types, the instance check and the tolerance rule (the
+simplex walks basis paths with ``tree_path``, the oracle splits components
+with ``find``), so they can check each other.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
+from ._forest import find, tree_path
 from .errors import (
     DualInfeasibleError,
     InfeasibleError,
@@ -72,24 +75,31 @@ class SolveReport:
     iterations: int
 
 
-def _is_exact(*value_groups) -> bool:
-    return not any(isinstance(v, float) for group in value_groups for v in group)
-
-
 def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix, tol: ToleranceConfig):
+    """Reject mismatched shapes and unbalanced totals; return the instance's
+    (mass, cost) thresholds."""
     if (c.m, c.n) != (mu.size, nu.size):
         raise ShapeMismatchError(
             f"cost matrix is {c.m}x{c.n} but marginals have sizes {mu.size} and {nu.size}"
         )
-    exact = _is_exact(mu.weights, nu.weights, *c.rows)
-    slack = 0 if exact else (mu.size + nu.size) * tol.eps_mass
+    eps_mass, eps_cost = tol.thresholds(mu.weights, nu.weights, *c.rows)
+    slack = (mu.size + nu.size) * eps_mass
     ta, tb = mu.total(), nu.total()
-    if abs(ta - tb) > slack:
+    gap = abs(ta - tb)
+    if math.isinf(ta) or math.isinf(tb):
+        # Float totals overflowed, and inf - inf is NaN.  Scaling every
+        # weight by 2**-k with 2**k above the point count keeps both sums
+        # finite, and scaling by a power of two is exact.
+        k = -(mu.size + nu.size).bit_length()
+        sa, sb = (sum(math.ldexp(w, k) for w in x.weights) for x in (mu, nu))
+        gap = abs(sa - sb)
+        slack = math.ldexp(slack, k)
+    if gap > slack:
         raise InfeasibleError(
             f"total masses differ: first marginal carries {ta!r}, second {tb!r}; "
             "no coupling has both for marginals"
         )
-    return exact
+    return eps_mass, eps_cost
 
 
 def _northwest_corner(mu, nu):
@@ -137,24 +147,6 @@ def _tree_potentials(m, n, c_rows, adjacency):
     return q, r
 
 
-def _tree_path(adjacency, start, goal):
-    trail = {start: None}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        if u == goal:
-            path = [u]
-            while trail[u] is not None:
-                u = trail[u]
-                path.append(u)
-            return path[::-1]
-        for v in adjacency[u]:
-            if v not in trail:
-                trail[v] = u
-                stack.append(v)
-    raise AssertionError("basis tree is not connected")
-
-
 def solve(
     mu: DiscreteMarginal,
     nu: DiscreteMarginal,
@@ -168,10 +160,9 @@ def solve(
     objective values.  Unbalanced or mismatched inputs raise; they are never
     repaired behind the caller's back.
     """
-    exact = _check_instance(mu, nu, c, tol)
+    eps_mass, pivot_tol = _check_instance(mu, nu, c, tol)
     m, n = mu.size, nu.size
     c_rows = c.rows
-    pivot_tol = 0 if exact else tol.eps_cost
 
     flows = _northwest_corner(mu.weights, nu.weights)
     adjacency = {u: set() for u in range(m + n)}
@@ -201,7 +192,7 @@ def solve(
             raise RuntimeError("network simplex exceeded its pivot budget; data may be pathological")
 
         i, j = entering
-        path = _tree_path(adjacency, i, m + j)
+        path = tree_path(adjacency, i, m + j)
         # Entering arc gains t; walking the tree path from the entering row,
         # arcs alternately lose and gain, starting with a loss.
         cycle = []
@@ -226,7 +217,7 @@ def solve(
         adjacency[m + j].add(i)
 
     q, r = _tree_potentials(m, n, c_rows, adjacency)
-    entries = [(i, j, w) for (i, j), w in sorted(flows.items()) if w > tol.eps_mass]
+    entries = [(i, j, w) for (i, j), w in sorted(flows.items()) if w > eps_mass]
     coupling = Coupling(m, n, tuple(entries))
     primal = sum(c_rows[i][j] * w for i, j, w in entries) if entries else 0
     dual = sum(qi * wi for qi, wi in zip(q, mu.weights)) + sum(
@@ -245,22 +236,23 @@ def c_transform(r: Sequence, c: CostMatrix) -> tuple:
 
 def zero_set(c: CostMatrix, p: DualPotentials, tol: ToleranceConfig = DEFAULT_TOL) -> SupportGraph:
     """Cells where the reduced cost c[i][j] - q[i] - r[j] vanishes (within
-    eps_cost).  Every optimal coupling concentrates on this set, by
-    complementary slackness.  Infeasible potentials raise."""
+    eps_cost; exactly, for exact data).  Every optimal coupling concentrates
+    on this set, by complementary slackness.  Infeasible potentials raise."""
     if (len(p.q), len(p.r)) != (c.m, c.n):
         raise ShapeMismatchError(
             f"potentials have sizes {len(p.q)} and {len(p.r)} but cost is {c.m}x{c.n}"
         )
+    _, eps = tol.thresholds(p.q, p.r, *c.rows)
     edges = set()
     for i, row in enumerate(c.rows):
         qi = p.q[i]
         for j in range(c.n):
             rc = row[j] - qi - p.r[j]
-            if rc < -tol.eps_cost:
+            if rc < -eps:
                 raise DualInfeasibleError(
                     f"potentials are infeasible at cell ({i}, {j}): reduced cost {rc!r}"
                 )
-            if rc <= tol.eps_cost:
+            if rc <= eps:
                 edges.add((i, j))
     return SupportGraph(c.m, c.n, frozenset(edges))
 
@@ -270,15 +262,15 @@ def zero_set(c: CostMatrix, p: DualPotentials, tol: ToleranceConfig = DEFAULT_TO
 # ---------------------------------------------------------------------------
 
 
-def _ssp_duals(mu, nu, c_rows, exact, tol):
+def _ssp_duals(mu, nu, c_rows, stop):
     """Optimal dual potentials by successive shortest augmenting paths.
 
     Maintains node potentials keeping residual reduced costs nonnegative,
-    so each augmentation is a Dijkstra run.  Exact with Fraction data.
+    so each augmentation is a Dijkstra run.  Supplies and demands at or
+    below ``stop`` count as met.  Exact with Fraction data.
     """
     m, n = len(mu), len(nu)
     rem_a, rem_b = list(mu), list(nu)
-    stop = 0 if exact else tol.eps_mass
     flows: dict = {}
 
     pi_row = [0] * m
@@ -374,7 +366,7 @@ def _ssp_duals(mu, nu, c_rows, exact, tol):
             else:
                 arc = (v, u - m)
                 left = flows[arc] - delta
-                if left == 0 or (not exact and left <= 0):
+                if left <= 0:
                     del flows[arc]
                 else:
                     flows[arc] = left
@@ -404,13 +396,7 @@ def _spanning_trees(nodes, edges, budget):
             return
         for k in range(start, len(edges)):
             u, v = edges[k]
-
-            def find(x):
-                while parents[x] != x:
-                    x = parents[x]
-                return x
-
-            ru, rv = find(u), find(v)
+            ru, rv = find(parents, u), find(parents, v)
             if ru == rv:
                 continue
             nxt = dict(parents)
@@ -422,11 +408,11 @@ def _spanning_trees(nodes, edges, budget):
     yield from extend(0, [], {v: v for v in nodes})
 
 
-def _tree_flow(tree_edges, supplies, exact, eps):
+def _tree_flow(tree_edges, supplies, eps):
     """Unique mass assignment on a tree basis, by leaf peeling.
 
-    Returns the arc masses, or None when some mass comes out negative, in
-    which case the basis is infeasible.
+    Returns the arc masses, or None when some mass comes out below ``-eps``,
+    in which case the basis is infeasible; smaller negatives are clamped.
     """
     net = dict(supplies)
     degree = {v: 0 for v in net}
@@ -446,9 +432,9 @@ def _tree_flow(tree_edges, supplies, exact, eps):
         if edge is None:
             continue
         w = net[v]
-        if w < (0 if exact else -eps):
+        if w < -eps:
             return None
-        if not exact and w < 0:
+        if w < 0:
             w = 0
         masses[edge] = w
         alive.discard(edge)
@@ -480,39 +466,31 @@ def enumerate_optimal_vertices(
     Desk-scale guard: refuses grids above ``max_cells`` cells and faces with
     more than ``max_bases`` bases to examine.
     """
-    exact = _check_instance(mu, nu, c, tol)
+    eps_mass, eps_cost = _check_instance(mu, nu, c, tol)
     m, n = mu.size, nu.size
     if m * n > max_cells:
         raise SizeLimitError(f"instance has {m * n} cells, above the oracle guard of {max_cells}")
 
-    q, r = _ssp_duals(mu.weights, nu.weights, c.rows, exact, tol)
-    cut = 0 if exact else tol.eps_cost
+    q, r = _ssp_duals(mu.weights, nu.weights, c.rows, eps_mass)
     zero_edges = []
     for i in range(m):
         for j in range(n):
             rc = c.rows[i][j] - q[i] - r[j]
-            if rc < -(0 if exact else tol.eps_cost):
+            if rc < -eps_cost:
                 raise AssertionError("shortest-path duals must be feasible")
-            if rc <= cut:
+            if rc <= eps_cost:
                 zero_edges.append((i, m + j))
 
     # Connected components of the zero-set subgraph over all m+n nodes.
-    parent = {v: v for v in range(m + n)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = list(range(m + n))
     for u, v in zero_edges:
-        parent[find(u)] = find(v)
+        parent[find(parent, u)] = find(parent, v)
     comp_nodes: dict = {}
     for v in range(m + n):
-        comp_nodes.setdefault(find(v), []).append(v)
+        comp_nodes.setdefault(find(parent, v), []).append(v)
     comp_edges: dict = {root: [] for root in comp_nodes}
     for u, v in zero_edges:
-        comp_edges[find(u)].append((u, v))
+        comp_edges[find(parent, u)].append((u, v))
 
     supplies = {i: mu.weights[i] for i in range(m)}
     supplies.update({m + j: nu.weights[j] for j in range(n)})
@@ -522,7 +500,7 @@ def enumerate_optimal_vertices(
     for root, nodes in sorted(comp_nodes.items()):
         options = {}
         for tree in _spanning_trees(nodes, comp_edges[root], budget):
-            masses = _tree_flow(tree, {v: supplies[v] for v in nodes}, exact, tol.eps_mass)
+            masses = _tree_flow(tree, {v: supplies[v] for v in nodes}, eps_mass)
             if masses is None:
                 continue
             entries = tuple(

@@ -156,13 +156,19 @@ class TestDemo:
         assert report.cross_mass > 0
 
     def test_demo_two_limb_maps_form_a_valid_system(self):
-        from limbsys import system_from_two_limbs, system_support, validate_system
+        from limbsys import system_support, validate_system
 
         report = run_demo(DemoConfig(n=16))
         assert report.two_limb is not None
-        system = system_from_two_limbs(16, 16, *report.two_limb)
+        cells = report.solve_report.coupling.cells()
+        system = decompose(support_graph(report.solve_report.coupling))
         assert validate_system(system)
-        assert system_support(system).edges == report.solve_report.coupling.cells()
+        assert limb_count(system) <= 2
+        assert system_support(system).edges == cells
+        f1, f2 = report.two_limb
+        covered = {(i, j) for i, j in enumerate(f1) if j is not None}
+        covered |= {(i, j) for j, i in enumerate(f2) if i is not None}
+        assert covered == cells
 
     def test_support_rows_cover_and_label(self):
         report = run_demo(DemoConfig(n=16))

@@ -146,10 +146,40 @@ class TestCli:
         assert main(["solve", str(tmp_path / "absent.json")]) == 1
         assert "absent.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "verb, content",
+        [(verb, "[1, 2]") for verb in ("check-extremal", "decompose", "reconstruct")]
+        + [(verb, '{"m": 2, "n": 2, "entries": [[0]]}') for verb in ("check-extremal", "decompose")],
+    )
+    def test_malformed_layout_is_exit_1_without_traceback(
+        self, tmp_path, balanced_problem, capsys, verb, content
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        argv = [verb, str(bad)]
+        if verb == "reconstruct":
+            argv.append(str(balanced_problem))
+        if verb != "check-extremal":
+            argv += ["--out", str(tmp_path / "out.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "bad.json" in err
+
+    def test_totals_overflowing_to_inf_are_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        cost = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
+        write_problem(path, [1e308, 1e308], [1e308, 1e308, 1e307], cost)
+        assert main(["solve", str(path)]) == 2
+        assert "infeasible" in capsys.readouterr().err
+
     def test_check_extremal_verdicts(self, tmp_path, capsys):
         extremal = tmp_path / "diag.json"
         write_coupling(extremal, 2, 2, [[0, 0, 0.5], [1, 1, 0.5]])
         assert main(["check-extremal", str(extremal)]) == 0
+        missing = tmp_path / "none.json"
+        assert main(["check-extremal", str(extremal), "--witness", str(missing)]) == 0
+        assert not missing.exists()
         uniform = tmp_path / "uniform.json"
         write_coupling(uniform, 2, 2, [[i, j, 0.25] for i in range(2) for j in range(2)])
         witness = tmp_path / "w.json"
@@ -159,18 +189,6 @@ class TestCli:
         assert len(payload["cycle"]) == 4
         out = capsys.readouterr().out
         assert "extremal" in out and "non-extremal" in out
-
-    def test_witness_verb(self, tmp_path):
-        uniform = tmp_path / "uniform.json"
-        write_coupling(uniform, 2, 2, [[i, j, 0.25] for i in range(2) for j in range(2)])
-        target = tmp_path / "w.json"
-        assert main(["witness", str(uniform), "--out", str(target)]) == 3
-        assert target.exists()
-        diag = tmp_path / "diag.json"
-        write_coupling(diag, 2, 2, [[0, 0, 0.5], [1, 1, 0.5]])
-        missing = tmp_path / "none.json"
-        assert main(["witness", str(diag), "--out", str(missing)]) == 0
-        assert not missing.exists()
 
     def test_decompose_cyclic_is_exit_3(self, tmp_path, capsys):
         cyclic = tmp_path / "cyclic.json"
@@ -234,3 +252,12 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"
+
+    def test_import_does_not_load_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, limbsys; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

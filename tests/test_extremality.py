@@ -189,6 +189,14 @@ class TestIsExtremal:
         assert avg == uniform_2x2()
         assert tv_distance(a, b) > 0
 
+    def test_exact_masses_below_eps_mass_count_as_support(self):
+        t = F(1, 10**13)
+        gamma = Coupling(2, 2, ((0, 0, F(1, 2) - t), (0, 1, t), (1, 0, t), (1, 1, F(1, 2) - t)))
+        cert = is_extremal(gamma)
+        assert cert.verdict == "non-extremal"
+        assert set(cert.cycle.edges) == gamma.cells()
+        assert not dl_rank_test(gamma)
+
     def test_witness_soundness_on_random_couplings(self):
         rng = random.Random(99)
         for _ in range(80):

@@ -19,7 +19,6 @@ from limbsys import (
     marginals_of,
     reconstruct,
     support_graph,
-    system_from_two_limbs,
     system_support,
     system_violations,
     two_limb_check,
@@ -82,8 +81,13 @@ class TestValidateSystem:
         assert validate_system(path_system())
 
     def test_demo_style_two_limb_system(self):
-        system = system_from_two_limbs(3, 3, (0, 0, 2), (None, 0, None))
+        # Graph (0, 0, 2) plus antigraph (None, 0, None), as the demo reports them.
+        support = SupportGraph(3, 3, frozenset({(0, 0), (1, 0), (2, 2), (0, 1)}))
+        system = decompose(support)
         assert validate_system(system)
+        assert limb_count(system) == 2
+        assert system.limbs[0].pairs == ((0, 0), (1, 0), (2, 2))
+        assert system.limbs[1].pairs == ((1, 0),)
 
 
 class TestDecompose:
@@ -102,9 +106,10 @@ class TestDecompose:
         assert limb_count(system) == 0
 
     def test_path_rooted_at_heaviest_column(self):
-        # Column 1 meets two cells, so it becomes the root and the path
-        # needs only two limbs (the hand-rooted three-limb version of the
-        # same support is a different, equally valid system).
+        # Row 0 and column 1 are the two centres of the path, so column 1
+        # becomes the root and the path needs only two limbs (the
+        # hand-rooted three-limb version of the same support is a different,
+        # equally valid system).
         support = SupportGraph(2, 2, frozenset({(0, 0), (0, 1), (1, 1)}))
         system = decompose(support)
         assert [limb.k for limb in system.limbs] == [1, 2]
@@ -130,6 +135,41 @@ class TestDecompose:
             union = system_support(system).edges
             assert union == frozenset(cells)
             assert sizes == len(cells)
+
+    def test_fewest_limbs_over_all_roots(self):
+        # Levels of a limb system are depths from one root per tree, and a
+        # row root sits one level deeper than a column root; the best root
+        # of each tree is found here by trying every node.
+        rng = random.Random(11)
+        for _ in range(300):
+            m, n = rng.randint(1, 9), rng.randint(1, 9)
+            cells = oracles.random_forest_cells(rng, m, n)
+            adjacency = {v: [] for v in range(m + n)}
+            for i, j in cells:
+                adjacency[i].append(m + j)
+                adjacency[m + j].append(i)
+
+            def levels(root):
+                level = {root: 0 if root >= m else 1}
+                stack = [root]
+                while stack:
+                    u = stack.pop()
+                    for v in adjacency[u]:
+                        if v not in level:
+                            level[v] = level[u] + 1
+                            stack.append(v)
+                return level
+
+            best, done = 0, set()
+            for v in range(m + n):
+                if v in done or not adjacency[v]:
+                    continue
+                tree = levels(v)
+                done |= set(tree)
+                best = max(best, min(max(levels(root).values()) for root in tree))
+            system = decompose(SupportGraph(m, n, frozenset(cells)))
+            assert validate_system(system)
+            assert limb_count(system) == best, sorted(cells)
 
 
 class TestReconstruct:
@@ -284,9 +324,13 @@ class TestTwoLimbCheck:
             if result is None:
                 continue
             f1, f2 = result
-            system = system_from_two_limbs(m, n, f1, f2)
+            system = decompose(support)
             assert validate_system(system)
+            assert limb_count(system) <= 2
             assert system_support(system).edges == cells
+            covered = {(i, j) for i, j in enumerate(f1) if j is not None}
+            covered |= {(i, j) for j, i in enumerate(f2) if i is not None}
+            assert covered == cells
             ran_f1 = {j for j in f1 if j is not None}
             dom_f2 = {j for j, i in enumerate(f2) if i is not None}
             assert not (ran_f1 & dom_f2)

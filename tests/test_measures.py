@@ -98,6 +98,13 @@ class TestValidateCoupling:
         with pytest.raises(ShapeMismatchError, match="2x2.*3"):
             validate_coupling(diag(2, F(1, 2)), DiscreteMarginal((1,) * 3), DiscreteMarginal((1,) * 2))
 
+    def test_exact_data_compare_exactly(self):
+        # The excess is far below eps_mass, but exact data get no tolerance.
+        t = F(1, 10**13)
+        half = DiscreteMarginal((F(1, 2), F(1, 2)))
+        gamma = Coupling(2, 2, ((0, 0, F(1, 2) + t), (1, 1, F(1, 2))))
+        assert not validate_coupling(gamma, half, half)
+
 
 class TestPushforward:
     def test_identity_map(self):
@@ -118,6 +125,11 @@ class TestPushforward:
         eta = DiscreteMarginal((F(1, 4), F(3, 4)))
         with pytest.raises(InfeasibleError, match="point 1"):
             pushforward_graph((0, None), eta, 2)
+
+    def test_exact_mass_outside_domain_below_eps_mass(self):
+        eta = DiscreteMarginal((F(1, 10**13), 1))
+        with pytest.raises(InfeasibleError, match="point 0"):
+            pushforward_graph([None, 0], eta, 1)
 
     def test_image_outside_grid_rejected(self):
         eta = DiscreteMarginal((F(1),))

@@ -55,6 +55,14 @@ class TestSolve:
         assert report.coupling == Coupling(1, 1, ((0, 0, F(1)),))
         assert report.primal_value == 5
 
+    def test_exact_mass_below_eps_mass_is_kept(self):
+        t = F(1, 10**13)
+        mu, nu = DiscreteMarginal((1, t)), DiscreteMarginal((t, 1))
+        report = solve(mu, nu, CostMatrix(((1, 0), (0, 1))))
+        assert report.coupling == Coupling(2, 2, ((0, 1, 1), (1, 0, t)))
+        assert validate_coupling(report.coupling, mu, nu)
+        assert report.primal_value == report.dual_value == 0
+
     def test_zero_cost_matching(self):
         c = CostMatrix(tuple(tuple(0 if i == j else 1 for j in range(3)) for i in range(3)))
         report = solve(uniform(3), uniform(3), c)
