@@ -192,7 +192,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (LimbsysError, OSError, ValueError, KeyError) as exc:
+    except (LimbsysError, OSError, ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -222,15 +222,14 @@ def split_witness(
             raise CycleError(f"cycle edge {edge} is not in the coupling support")
     mass = {(i, j): w for i, j, w in gamma.entries}
     eps = min(mass[edge] for edge in cycle.edges)
-    sigma = {edge: (1 if t % 2 == 0 else -1) for t, edge in enumerate(cycle.edges)}
-    plus, minus = [], []
-    for i, j, w in gamma.entries:
-        s = sigma.get((i, j), 0)
-        plus.append((i, j, w + s * eps))
-        minus.append((i, j, w - s * eps))
-    return (
-        Coupling.from_entries(gamma.m, gamma.n, plus),
-        Coupling.from_entries(gamma.m, gamma.n, minus),
+    plus, minus = dict(mass), dict(mass)
+    for t, edge in enumerate(cycle.edges):
+        step = eps if t % 2 == 0 else -eps
+        plus[edge] = mass[edge] + step
+        minus[edge] = mass[edge] - step
+    return tuple(
+        Coupling.from_entries(gamma.m, gamma.n, [(i, j, w) for (i, j), w in part.items()])
+        for part in (plus, minus)
     )
 
 

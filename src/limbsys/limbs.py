@@ -22,9 +22,6 @@ from .measures import (
     Coupling,
     DiscreteMarginal,
     ToleranceConfig,
-    marginals_of,
-    pushforward_antigraph,
-    pushforward_graph,
     validate_coupling,
 )
 
@@ -66,12 +63,6 @@ class Limb:
         sources = [s for s, _ in pairs]
         if len(set(sources)) != len(sources):
             raise ValueError(f"limb {self.k} map is not single-valued")
-
-    def domain(self) -> frozenset:
-        return frozenset(s for s, _ in self.pairs)
-
-    def image(self) -> frozenset:
-        return frozenset(d for _, d in self.pairs)
 
     def cells(self) -> frozenset:
         """Support cells on the product grid, as (row, column) pairs."""
@@ -242,13 +233,6 @@ def decompose(support: SupportGraph) -> NumberedLimbSystem:
     return NumberedLimbSystem(m, n, limbs, tuple(level[:m]), tuple(level[m:]))
 
 
-def _as_map_array(limb: Limb, size: int) -> list:
-    arr: list = [None] * size
-    for s, d in limb.pairs:
-        arr[s] = d
-    return arr
-
-
 def reconstruct(
     system: NumberedLimbSystem,
     mu: DiscreteMarginal,
@@ -263,10 +247,15 @@ def reconstruct(
         eta_k = (mu - row marginal of gamma_{k+1}) restricted to Dom f_k   (k odd)
         eta_k = (nu - column marginal of gamma_{k+1}) restricted to Dom f_k (k even)
 
-    and pushes it through its map.  A negative eta entry below -eps_mass, or
-    a final marginal mismatch, makes the report infeasible; small negative
-    round-off is clamped to zero.  When feasible, the sum of the limb pieces
-    is the one coupling of (mu, nu) vanishing outside the system support.
+    and pushes it through its map.  In a valid system only limb k+1 sends
+    mass into I_k, so one sweep over the pairs suffices: ``sent_to_row`` and
+    ``sent_to_col`` hold the mass each point has been sent by the limb
+    directly above it, added in pair order, which is the canonical entry
+    order of gamma_{k+1}.  A negative eta entry below -eps_mass, or a final
+    marginal mismatch, makes the report infeasible, naming the lowest
+    failing point of the highest failing limb; small negative round-off is
+    clamped to zero.  When feasible, the sum of the limb pieces is the one
+    coupling of (mu, nu) vanishing outside the system support.
     """
     violations = system_violations(system)
     if violations:
@@ -278,55 +267,38 @@ def reconstruct(
 
     m, n = system.m, system.n
     eps, _ = tol.thresholds(mu.weights, nu.weights)
-
-    gamma_above: Optional[Coupling] = None  # gamma_{k+1}, None meaning zero
-    k_above: Optional[int] = None
-    pieces = []
-    etas: dict = {}
+    sent_to_row, sent_to_col = [0] * m, [0] * n
+    entries = []
+    etas = []
     failure: Optional[str] = None
 
-    for limb in sorted(system.limbs, key=lambda l: -l.k):
-        odd = limb.k % 2 == 1
-        base = mu.weights if odd else nu.weights
-        size = m if odd else n
-        leftover = list(base)
-        if gamma_above is not None and k_above == limb.k + 1:
-            row_marg, col_marg = marginals_of(gamma_above)
-            proj = row_marg.weights if odd else col_marg.weights
-            leftover = [a - b for a, b in zip(leftover, proj)]
-        weights = [0] * size
-        for s in limb.domain():
-            w = leftover[s]
-            if w < -eps:
-                if failure is None:
+    for limb in reversed(system.limbs):  # highest k first; indices strictly increase
+        graph = limb.kind == "graph"
+        if graph:
+            base, sent_src, sent_dst = mu.weights, sent_to_row, sent_to_col
+        else:
+            base, sent_src, sent_dst = nu.weights, sent_to_col, sent_to_row
+        weights = [0] * len(base)
+        for s, d in limb.pairs:
+            w = base[s] - sent_src[s]
+            if w < 0:
+                if w < -eps and failure is None:
                     failure = (
                         f"limb {limb.k} needs mass {w!r} at point {s}; "
                         "the marginals cannot feed this system"
                     )
                 w = 0
-            elif w < 0:
-                w = 0
             weights[s] = w
-        eta = DiscreteMarginal(tuple(weights))
-        etas[limb.k] = eta
-        if odd:
-            piece = pushforward_graph(_as_map_array(limb, m), eta, n, tol)
-        else:
-            piece = pushforward_antigraph(_as_map_array(limb, n), eta, m, tol)
-        pieces.append(piece)
-        gamma_above, k_above = piece, limb.k
+            if w > 0:
+                entries.append((s, d, w) if graph else (d, s, w))
+                sent_dst[d] = sent_dst[d] + w
+        etas.append(DiscreteMarginal(tuple(weights)))
 
-    entries = [entry for piece in pieces for entry in piece.entries]
     coupling = Coupling.from_entries(m, n, entries)
     feasible = failure is None and validate_coupling(coupling, mu, nu, tol)
     if failure is None and not feasible:
         failure = "reconstructed coupling does not reproduce the requested marginals"
-    return ReconstructionReport(
-        coupling,
-        tuple(etas[k] for k in sorted(etas)),
-        feasible,
-        failure,
-    )
+    return ReconstructionReport(coupling, tuple(reversed(etas)), feasible, failure)
 
 
 def two_limb_check(support: SupportGraph):

@@ -14,6 +14,7 @@ grid (given exact masses).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -180,9 +181,9 @@ class Coupling:
         return cls(m, n, tuple(canon))
 
     def mass_at(self, i: int, j: int):
-        for a, b, w in self.entries:
-            if (a, b) == (i, j):
-                return w
+        k = bisect_left(self.entries, (i, j))  # (i, j) sorts just before (i, j, w)
+        if k < len(self.entries) and self.entries[k][:2] == (i, j):
+            return self.entries[k][2]
         return 0
 
     def total_mass(self):
@@ -260,7 +261,7 @@ def pushforward_graph(
                 )
             continue
         if not (0 <= j < n):
-            raise ValueError(f"map sends {i} to {j}, outside the {n} columns")
+            raise ValueError(f"map sends {i} to {j}, outside the {n} image points")
         if w > 0:
             entries.append((i, j, w))
     return Coupling(eta.size, n, tuple(entries))
@@ -272,25 +273,10 @@ def pushforward_antigraph(
     m: int,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> Coupling:
-    """Mirror of :func:`pushforward_graph` for a partial map of column indices
-    to row indices: mass ``eta_j`` lands on cell ``(g[j], j)``."""
-    if len(g) != eta.size:
-        raise ShapeMismatchError(f"map has {len(g)} slots but marginal has {eta.size} points")
-    eps, _ = tol.thresholds(eta.weights)
-    entries = []
-    for j, w in enumerate(eta.weights):
-        i = g[j]
-        if i is None:
-            if w > eps:
-                raise InfeasibleError(
-                    f"marginal carries mass {w!r} at point {j} outside the domain of the map"
-                )
-            continue
-        if not (0 <= i < m):
-            raise ValueError(f"map sends {j} to {i}, outside the {m} rows")
-        if w > 0:
-            entries.append((i, j, w))
-    return Coupling.from_entries(m, eta.size, entries)
+    """Transpose of :func:`pushforward_graph` for a partial map of column
+    indices to row indices: mass ``eta_j`` lands on cell ``(g[j], j)``."""
+    piece = pushforward_graph(g, eta, m, tol)
+    return Coupling.from_entries(m, eta.size, ((i, j, w) for j, i, w in piece.entries))
 
 
 def tv_distance(a: Coupling, b: Coupling):

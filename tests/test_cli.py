@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from limbsys import Coupling, CostMatrix, tv_distance
 from limbsys.cli import main
@@ -34,6 +36,10 @@ def write_problem(path, mu, nu, cost=None):
 
 def write_coupling(path, m, n, entries):
     path.write_text(json.dumps({"m": m, "n": n, "entries": entries}) + "\n")
+
+
+# A JSON integer literal of 310 digits: valid input, but too large for a float.
+HUGE = 10**309
 
 
 class TestCanonicalJson:
@@ -173,6 +179,23 @@ class TestCli:
         assert main(["solve", str(path)]) == 2
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["solve", "check-extremal"])
+    def test_float_overflow_is_exit_1_without_traceback(self, tmp_path, capsys, verb):
+        # An integer beyond the float range next to float data overflows
+        # when the two are added: in the totals for solve, in the cycle
+        # split for check-extremal --witness.
+        path = tmp_path / "huge.json"
+        if verb == "solve":
+            write_problem(path, [HUGE, 0.5], [1.0, 2.0], [[0, 1], [1, 0]])
+            argv = ["solve", str(path)]
+        else:
+            write_coupling(path, 2, 2, [[0, 0, HUGE], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]])
+            argv = ["check-extremal", str(path), "--witness", str(tmp_path / "w.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_check_extremal_verdicts(self, tmp_path, capsys):
         extremal = tmp_path / "diag.json"
         write_coupling(extremal, 2, 2, [[0, 0, 0.5], [1, 1, 0.5]])
@@ -261,3 +284,51 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+
+FUZZ_VALUES = [0, 1, 2, 3, 0.25, 0.5, 2.0, 1e-13, 1e308, HUGE]
+
+
+@st.composite
+def cli_runs(draw):
+    """A well-shaped problem and coupling file, and one verb to run on them."""
+    value = st.sampled_from(FUZZ_VALUES)
+
+    def values(size):
+        return st.lists(value, min_size=size, max_size=size)
+
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    mu = draw(values(m))
+    # Half the problems are balanced, so solve also gets past its checks.
+    nu = list(mu) if draw(st.booleans()) else draw(values(n))
+    cost = draw(st.lists(values(len(nu)), min_size=m, max_size=m))
+    # Most cells are occupied, so cyclic supports are common.
+    masses = draw(st.lists(st.sampled_from([None] * 2 + FUZZ_VALUES), min_size=m * n, max_size=m * n))
+    entries = [[k // n, k % n, w] for k, w in enumerate(masses) if w is not None]
+    # A cell listed twice is merged on load.
+    cell = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), value).map(list)
+    entries += draw(st.lists(cell, max_size=2))
+    verb = draw(st.sampled_from(["solve", "check-extremal", "decompose"]))
+    problem = {"mu": mu, "nu": nu, "cost": cost}
+    return problem, {"m": m, "n": n, "entries": entries}, verb, draw(st.booleans())
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(cli_runs())
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path, run):
+    problem, coupling, verb, rational = run
+    problem_path, coupling_path = tmp_path / "p.json", tmp_path / "g.json"
+    problem_path.write_text(json.dumps(problem))
+    coupling_path.write_text(json.dumps(coupling))
+    out = [str(tmp_path / name) for name in ("out.json", "duals.json")]
+    argv = {
+        "solve": ["solve", str(problem_path), "--out", out[0], "--duals", out[1]],
+        "check-extremal": ["check-extremal", str(coupling_path), "--witness", out[0]],
+        "decompose": ["decompose", str(coupling_path), "--out", out[0]],
+    }[verb]
+    assert main(argv + ["--rational"] * rational) in range(5)

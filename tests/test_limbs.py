@@ -200,6 +200,23 @@ class TestReconstruct:
         assert not report.feasible
         assert "limb 2" in report.message
 
+    def test_failure_names_the_lowest_failing_point(self):
+        # Limb 2 sends 1/2 into rows 1 and 8, which carry 1/4 each, so limb 1
+        # fails at both; the report names point 1.
+        system = NumberedLimbSystem(
+            9,
+            3,
+            (Limb(1, "graph", ((1, 0), (8, 0))), Limb(2, "antigraph", ((1, 8), (2, 1)))),
+            (1,) * 9,
+            (0, 2, 2),
+        )
+        assert validate_system(system)
+        mu = DiscreteMarginal(tuple(F(1, 4) if i in (1, 8) else 0 for i in range(9)))
+        nu = DiscreteMarginal((0, F(1, 2), F(1, 2)))
+        report = reconstruct(system, mu, nu)
+        assert not report.feasible
+        assert report.message.startswith("limb 1 needs mass Fraction(-1, 4) at point 1;")
+
     def test_invalid_system_raises(self):
         bad = NumberedLimbSystem(1, 1, (Limb(1, "graph", ((0, 0),)),), (1,), (2,))
         with pytest.raises(InvalidSystemError):
@@ -271,6 +288,36 @@ class TestReconstruct:
             report = reconstruct(truncated, mu2, nu2)
             assert report.feasible
             assert report.coupling == rest
+
+
+class TestGapInLimbIndices:
+    """Limbs 1 and 3 with no limb 2.  decompose never builds such a system,
+    but it is valid: rows sit in I_1 and I_3, columns in I_0, I_2, I_2, and
+    limb 3 sends into I_2, which no limb reads."""
+
+    @staticmethod
+    def system():
+        limbs = (Limb(1, "graph", ((0, 0),)), Limb(3, "graph", ((1, 1),)))
+        return NumberedLimbSystem(2, 3, limbs, (1, 3), (0, 2, 2))
+
+    def test_feasible_marginals(self):
+        system = self.system()
+        assert validate_system(system)
+        assert limb_count(system) == 3
+        mu = DiscreteMarginal((F(1, 4), F(3, 4)))
+        nu = DiscreteMarginal((F(1, 4), F(3, 4), 0))
+        report = reconstruct(system, mu, nu)
+        assert report.feasible
+        assert report.message is None
+        assert report.coupling == Coupling(2, 3, ((0, 0, F(1, 4)), (1, 1, F(3, 4))))
+        assert [eta.weights for eta in report.eta] == [(F(1, 4), 0), (0, F(3, 4))]
+
+    def test_mass_on_the_bare_column_is_infeasible(self):
+        mu = DiscreteMarginal((F(1, 4), F(3, 4)))
+        nu = DiscreteMarginal((F(1, 4), F(1, 2), F(1, 4)))
+        report = reconstruct(self.system(), mu, nu)
+        assert not report.feasible
+        assert report.message == "reconstructed coupling does not reproduce the requested marginals"
 
 
 class TestLimbCount:
