@@ -20,11 +20,9 @@ from .errors import (
     SizeLimitError,
 )
 from .measures import (
-    DEFAULT_TOL,
     Coupling,
     CostMatrix,
     DiscreteMarginal,
-    ToleranceConfig,
     marginals_of,
     pushforward_antigraph,
     pushforward_graph,
@@ -88,8 +86,6 @@ __all__ = [
     "CycleError",
     "CyclicSupportError",
     "InvalidSystemError",
-    "ToleranceConfig",
-    "DEFAULT_TOL",
     "DiscreteMarginal",
     "CostMatrix",
     "Coupling",

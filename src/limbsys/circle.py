@@ -19,7 +19,7 @@ from typing import Optional
 from .errors import LimbsysError
 from .extremality import ExtremalityCertificate, is_extremal, support_graph
 from .limbs import two_limb_check
-from .measures import DEFAULT_TOL, CostMatrix, DiscreteMarginal, ToleranceConfig
+from .measures import CostMatrix, DiscreteMarginal, thresholds
 from .transport import SolveReport, solve
 
 __all__ = [
@@ -56,7 +56,7 @@ class CircleGrid:
 
 @dataclass(frozen=True)
 class DemoConfig:
-    """Grid size, the two density peaks, and tolerances for the demo run.
+    """Grid size and the two density peaks for the demo run.
 
     Defaults put the first peak at the top of the circle and the second at
     the bottom, sharp enough that some mass has to cross town.
@@ -67,7 +67,6 @@ class DemoConfig:
     mu_kappa: float = 4.0
     nu_center: float = 3 * math.pi / 2
     nu_kappa: float = 4.0
-    tol: ToleranceConfig = DEFAULT_TOL
 
     def __post_init__(self):
         if self.mu_kappa < 0 or self.nu_kappa < 0:
@@ -132,21 +131,17 @@ def _sign_changes(diffs, zero_tol, periodic):
     return sum(1 for a, b in zip(signs, following) if a != b)
 
 
-def subtwist_check(
-    c: CostMatrix,
-    periodic: bool = True,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> SubtwistReport:
+def subtwist_check(c: CostMatrix, periodic: bool = True) -> SubtwistReport:
     """Scan every column pair for the one-max-one-min difference shape.
 
     For columns j1 != j2 the sequence d_i = c[i][j1] - c[i][j2] is examined
     through the signs of its consecutive differences, zeros skipped so that
     plateaus merge.  Around the circle a pass means exactly two sign changes
     (one rising arc, one falling arc); on a line it means at most two.
-    Differences within ``eps_cost`` of zero count as zero for float data;
-    exact data is compared exactly.
+    Differences within the cost threshold of ``c`` count as zero for float
+    data; exact data is compared exactly.
     """
-    _, zero_tol = tol.thresholds(*c.rows)
+    _, zero_tol = thresholds(costs=c.rows)
     cols = [[row[j] for row in c.rows] for j in range(c.n)]
     violations = []
     degenerate = []
@@ -204,16 +199,16 @@ def run_demo(cfg: DemoConfig) -> DemoReport:
     continuum problem guarantees two limbs.
     """
     _, mu, nu, cost = demo_instance(cfg)
-    shape = subtwist_check(cost, periodic=True, tol=cfg.tol)
+    shape = subtwist_check(cost, periodic=True)
     if not shape.passed:
         raise LimbsysError(
             f"circle cost failed the subtwist scan at pairs {shape.violations[:3]}"
         )
-    report = solve(mu, nu, cost, cfg.tol)
-    certificate = is_extremal(report.coupling, cfg.tol)
+    report = solve(mu, nu, cost)
+    certificate = is_extremal(report.coupling)
     if not certificate.extremal:
         raise AssertionError("a basic solution has forest support and must be extremal")
-    maps = two_limb_check(support_graph(report.coupling, cfg.tol))
+    maps = two_limb_check(support_graph(report.coupling))
     cross = None
     if maps is not None:
         f2 = maps[1]

@@ -30,12 +30,7 @@ from .io import (
     write_json,
 )
 from .limbs import decompose, reconstruct
-from .measures import ToleranceConfig
 from .transport import solve
-
-
-def _tolerances(args) -> ToleranceConfig:
-    return ToleranceConfig(eps_mass=args.eps_mass, eps_cost=args.eps_cost)
 
 
 def _cmd_solve(args) -> int:
@@ -43,7 +38,7 @@ def _cmd_solve(args) -> int:
     if cost is None:
         print("problem file has no cost matrix", file=sys.stderr)
         return 1
-    report = solve(mu, nu, cost, _tolerances(args))
+    report = solve(mu, nu, cost)
     if args.out:
         write_json(args.out, coupling_payload(report.coupling))
     if args.duals:
@@ -54,7 +49,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check_extremal(args) -> int:
     gamma = load_coupling(args.coupling, args.rational)
-    certificate = is_extremal(gamma, _tolerances(args))
+    certificate = is_extremal(gamma)
     print(certificate.verdict)
     if certificate.extremal:
         return 0
@@ -65,7 +60,7 @@ def _cmd_check_extremal(args) -> int:
 
 def _cmd_decompose(args) -> int:
     gamma = load_coupling(args.coupling, args.rational)
-    system = decompose(support_graph(gamma, _tolerances(args)))
+    system = decompose(support_graph(gamma))
     write_json(args.out, system_payload(system))
     print(f"{len(system.limbs)} limbs")
     return 0
@@ -74,7 +69,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_reconstruct(args) -> int:
     system = load_system(args.system, args.rational)
     mu, nu, _ = load_problem(args.problem, args.rational)
-    report = reconstruct(system, mu, nu, _tolerances(args))
+    report = reconstruct(system, mu, nu)
     if not report.feasible:
         print(f"infeasible: {report.message}", file=sys.stderr)
         return 4
@@ -90,7 +85,6 @@ def _cmd_demo_circle(args) -> int:
         mu_kappa=args.mu_kappa,
         nu_center=args.nu_center,
         nu_kappa=args.nu_kappa,
-        tol=_tolerances(args),
     )
     report = run_demo(cfg)
     maps_payload = None
@@ -130,8 +124,6 @@ def _cmd_demo_circle(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--eps-mass", type=float, default=1e-12, help="mass tolerance")
-    common.add_argument("--eps-cost", type=float, default=1e-9, help="cost tolerance")
     common.add_argument(
         "--rational", action="store_true", help="parse input numbers as exact fractions"
     )
@@ -179,8 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means an infeasible
+        # instance here; --help and --version exit 0.
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
     except json.JSONDecodeError as exc:

@@ -14,7 +14,7 @@ from typing import Optional
 
 from ._forest import find, tree_path
 from .errors import CycleError, SizeLimitError
-from .measures import DEFAULT_TOL, Coupling, ToleranceConfig
+from .measures import Coupling, thresholds
 
 __all__ = [
     "SupportGraph",
@@ -101,11 +101,11 @@ class ExtremalityCertificate:
         return self.verdict == "extremal"
 
 
-def support_graph(gamma: Coupling, tol: ToleranceConfig = DEFAULT_TOL) -> SupportGraph:
-    """Edges are exactly the cells with mass above ``eps_mass``; smaller
-    masses are solver dust and do not count as support.  With exact masses
-    every stored cell is support."""
-    eps, _ = tol.thresholds(w for _, _, w in gamma.entries)
+def support_graph(gamma: Coupling) -> SupportGraph:
+    """Edges are exactly the cells with mass above the mass threshold of
+    ``gamma``'s entries; smaller float masses are solver dust and do not
+    count as support.  With exact masses every stored cell is support."""
+    eps, _ = thresholds(masses=([w for _, _, w in gamma.entries],))
     return SupportGraph(
         gamma.m, gamma.n, frozenset((i, j) for i, j, w in gamma.entries if w > eps)
     )
@@ -178,18 +178,14 @@ def _integer_rank(matrix: list) -> int:
     return rank
 
 
-def dl_rank_test(
-    gamma: Coupling,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    support_cap: int = 4096,
-) -> bool:
+def dl_rank_test(gamma: Coupling, support_cap: int = 4096) -> bool:
     """Functional-analytic extremality criterion at finite scale.
 
     Functions of the form (i, j) -> a_i + b_j span all functions on the
     support exactly when the |S| x (m+n) evaluation matrix has rank |S|.
     Agrees with :func:`is_acyclic` on every coupling; both say "extremal".
     """
-    cells = sorted(support_graph(gamma, tol).edges)
+    cells = sorted(support_graph(gamma).edges)
     if len(cells) > support_cap:
         raise SizeLimitError(f"support has {len(cells)} cells, above the cap of {support_cap}")
     if not cells:
@@ -204,11 +200,7 @@ def dl_rank_test(
     return _integer_rank(matrix) == len(cells)
 
 
-def split_witness(
-    gamma: Coupling,
-    cycle: CycleWitness,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> tuple[Coupling, Coupling]:
+def split_witness(gamma: Coupling, cycle: CycleWitness) -> tuple[Coupling, Coupling]:
     """Perturb ``gamma`` around an alternating cycle in its support.
 
     With eps the minimum mass along the cycle and sigma alternating +1/-1 on
@@ -216,7 +208,7 @@ def split_witness(
     Both parts share the marginals of ``gamma``, average back to it, and
     differ, which is the convex decomposition disproving extremality.
     """
-    support = support_graph(gamma, tol).edges
+    support = support_graph(gamma).edges
     for edge in cycle.edges:
         if edge not in support:
             raise CycleError(f"cycle edge {edge} is not in the coupling support")
@@ -233,13 +225,13 @@ def split_witness(
     )
 
 
-def is_extremal(gamma: Coupling, tol: ToleranceConfig = DEFAULT_TOL) -> ExtremalityCertificate:
+def is_extremal(gamma: Coupling) -> ExtremalityCertificate:
     """Certificate-producing extremality decision.
 
     Extremality depends on the support alone; marginals only enter through
     the feasibility of the split parts, which inherit them from ``gamma``.
     """
-    acyclic, witness = is_acyclic(support_graph(gamma, tol))
+    acyclic, witness = is_acyclic(support_graph(gamma))
     if acyclic:
         return ExtremalityCertificate("extremal")
-    return ExtremalityCertificate("non-extremal", witness, split_witness(gamma, witness, tol))
+    return ExtremalityCertificate("non-extremal", witness, split_witness(gamma, witness))

@@ -17,13 +17,7 @@ from typing import Optional
 
 from .errors import CyclicSupportError, InvalidSystemError, ShapeMismatchError
 from .extremality import SupportGraph, is_acyclic
-from .measures import (
-    DEFAULT_TOL,
-    Coupling,
-    DiscreteMarginal,
-    ToleranceConfig,
-    validate_coupling,
-)
+from .measures import Coupling, DiscreteMarginal, thresholds, validate_coupling
 
 __all__ = [
     "Limb",
@@ -234,10 +228,7 @@ def decompose(support: SupportGraph) -> NumberedLimbSystem:
 
 
 def reconstruct(
-    system: NumberedLimbSystem,
-    mu: DiscreteMarginal,
-    nu: DiscreteMarginal,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    system: NumberedLimbSystem, mu: DiscreteMarginal, nu: DiscreteMarginal
 ) -> ReconstructionReport:
     """Recover the unique coupling a limb system admits, if any.
 
@@ -251,10 +242,10 @@ def reconstruct(
     mass into I_k, so one sweep over the pairs suffices: ``sent_to_row`` and
     ``sent_to_col`` hold the mass each point has been sent by the limb
     directly above it, added in pair order, which is the canonical entry
-    order of gamma_{k+1}.  A negative eta entry below -eps_mass, or a final
-    marginal mismatch, makes the report infeasible, naming the lowest
-    failing point of the highest failing limb; small negative round-off is
-    clamped to zero.  When feasible, the sum of the limb pieces is the one
+    order of gamma_{k+1}.  A negative eta entry below minus the mass
+    threshold of (mu, nu), or a final marginal mismatch, makes the report
+    infeasible, naming the lowest failing point of the highest failing limb;
+    small negative round-off is clamped to zero.  When feasible, the sum of the limb pieces is the one
     coupling of (mu, nu) vanishing outside the system support.
     """
     violations = system_violations(system)
@@ -266,7 +257,7 @@ def reconstruct(
         )
 
     m, n = system.m, system.n
-    eps, _ = tol.thresholds(mu.weights, nu.weights)
+    eps, _ = thresholds(masses=(mu.weights, nu.weights))
     sent_to_row, sent_to_col = [0] * m, [0] * n
     entries = []
     etas = []
@@ -295,7 +286,7 @@ def reconstruct(
         etas.append(DiscreteMarginal(tuple(weights)))
 
     coupling = Coupling.from_entries(m, n, entries)
-    feasible = failure is None and validate_coupling(coupling, mu, nu, tol)
+    feasible = failure is None and validate_coupling(coupling, mu, nu)
     if failure is None and not feasible:
         failure = "reconstructed coupling does not reproduce the requested marginals"
     return ReconstructionReport(coupling, tuple(reversed(etas)), feasible, failure)

@@ -22,8 +22,7 @@ from typing import Optional, Sequence
 from .errors import InfeasibleError, ShapeMismatchError
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOL",
+    "thresholds",
     "DiscreteMarginal",
     "CostMatrix",
     "Coupling",
@@ -41,35 +40,39 @@ def _is_finite_number(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical tolerances: ``eps_mass`` in mass units, ``eps_cost`` in cost units.
+# Float data get thresholds relative to the largest magnitude they compare,
+# so rescaling an instance rescales its thresholds with it.
+MASS_SCALE = 1e-12
+COST_SCALE = 1e-9
 
-    Masses below ``eps_mass`` are dust left behind by floating-point solves
-    and are ignored when building supports.  Exact (int/Fraction) data are
-    unaffected: :meth:`thresholds` makes every comparison on them exact.
+
+def thresholds(masses=(), costs=()) -> tuple:
+    """(mass, cost) thresholds for comparisons over the given value groups.
+
+    The one exactness rule of the package: data count as exact when no
+    value in any group is a float, and exact data get thresholds (0, 0).
+    Float data get ``MASS_SCALE`` times the largest |mass| and
+    ``COST_SCALE`` times the largest |cost|; no values or only zeros give 0.
+    Float masses at or below the mass threshold are dust left behind by
+    floating-point solves; costs within the cost threshold count as equal.
+    A magnitude beyond the float range next to float data raises ValueError.
+
+    Each group must be a sequence, not an iterator.  A first pass decides
+    exactness, so exact data are read once and never pay for the magnitudes
+    of their Fractions; float data are read again for the largest magnitude.
     """
-
-    eps_mass: float = 1e-12
-    eps_cost: float = 1e-9
-
-    def __post_init__(self):
-        if not (self.eps_mass > 0 and self.eps_cost > 0):
-            raise ValueError("tolerances must be strictly positive")
-
-    def thresholds(self, *value_groups) -> tuple:
-        """(mass, cost) thresholds for comparisons over the given values.
-
-        The one exactness rule of the package: data count as exact when no
-        value in any group is a float, and exact data get thresholds (0, 0).
-        Anything else gets (eps_mass, eps_cost).
-        """
-        if any(isinstance(v, float) for group in value_groups for v in group):
-            return self.eps_mass, self.eps_cost
+    if not any(isinstance(v, float) for group in (*masses, *costs) for v in group):
         return 0, 0
-
-
-DEFAULT_TOL = ToleranceConfig()
+    top_mass, top_cost = (
+        max((max(map(abs, group), default=0) for group in groups), default=0)
+        for groups in (masses, costs)
+    )
+    try:
+        return MASS_SCALE * top_mass, COST_SCALE * top_cost
+    except OverflowError:
+        raise ValueError(
+            f"value {max(top_mass, top_cost)!r} is beyond the float range of the data it meets"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,6 @@ class DiscreteMarginal:
     """
 
     weights: tuple
-    label: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
@@ -164,21 +166,12 @@ class Coupling:
     @classmethod
     def from_entries(cls, m: int, n: int, entries) -> "Coupling":
         """Canonicalize arbitrary triplets: sort row-major, merge duplicate cells,
-        drop zero masses.  Negative masses are rejected."""
+        drop exact zeros.  Construction rejects negative and non-finite masses."""
         acc: dict = {}
         for i, j, w in entries:
             key = (int(i), int(j))
             acc[key] = acc[key] + w if key in acc else w
-        canon = []
-        for (i, j) in sorted(acc):
-            w = acc[(i, j)]
-            if not _is_finite_number(w):
-                raise ValueError(f"mass at ({i}, {j}) is not a finite number: {w!r}")
-            if w < 0:
-                raise ValueError(f"negative mass at ({i}, {j}): {w!r}")
-            if w > 0:
-                canon.append((i, j, w))
-        return cls(m, n, tuple(canon))
+        return cls(m, n, tuple((i, j, acc[i, j]) for i, j in sorted(acc) if acc[i, j] != 0))
 
     def mass_at(self, i: int, j: int):
         k = bisect_left(self.entries, (i, j))  # (i, j) sorts just before (i, j, w)
@@ -213,44 +206,34 @@ def marginals_of(gamma: Coupling) -> tuple[DiscreteMarginal, DiscreteMarginal]:
     return DiscreteMarginal(tuple(row)), DiscreteMarginal(tuple(col))
 
 
-def validate_coupling(
-    gamma: Coupling,
-    mu: DiscreteMarginal,
-    nu: DiscreteMarginal,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> bool:
+def validate_coupling(gamma: Coupling, mu: DiscreteMarginal, nu: DiscreteMarginal) -> bool:
     """True iff both marginals of ``gamma`` match ``mu`` and ``nu`` within
-    ``eps_mass`` per entry (exactly, for exact data).  Shape disagreement is
-    an error, not a False."""
+    the mass threshold per entry (exactly, for exact data).  Shape
+    disagreement is an error, not a False."""
     if (gamma.m, gamma.n) != (mu.size, nu.size):
         raise ShapeMismatchError(
             f"coupling is {gamma.m}x{gamma.n} but marginals have sizes {mu.size} and {nu.size}"
         )
     row, col = marginals_of(gamma)
-    eps, _ = tol.thresholds(row.weights, mu.weights, nu.weights)
+    eps, _ = thresholds(masses=(row.weights, mu.weights, nu.weights))
     return all(abs(a - b) <= eps for a, b in zip(row.weights, mu.weights)) and all(
         abs(a - b) <= eps for a, b in zip(col.weights, nu.weights)
     )
 
 
-def pushforward_graph(
-    f: Sequence[Optional[int]],
-    eta: DiscreteMarginal,
-    n: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> Coupling:
+def pushforward_graph(f: Sequence[Optional[int]], eta: DiscreteMarginal, n: int) -> Coupling:
     """Push ``eta`` through a partial map of row indices to column indices.
 
     ``f[i]`` is the image column of row ``i`` or None where undefined.  The
     result puts mass ``eta_i`` on cell ``(i, f[i])`` for every i in the domain,
     so its support lies in the graph of ``f`` and its first marginal restricted
-    to the domain is ``eta``.  ``eta`` must vanish (up to ``eps_mass`` for
-    float data) off the domain; genuinely positive mass there is infeasible by
-    definition of a push-forward and raises.
+    to the domain is ``eta``.  ``eta`` must vanish (up to the mass threshold
+    for float data) off the domain; genuinely positive mass there is
+    infeasible by definition of a push-forward and raises.
     """
     if len(f) != eta.size:
         raise ShapeMismatchError(f"map has {len(f)} slots but marginal has {eta.size} points")
-    eps, _ = tol.thresholds(eta.weights)
+    eps, _ = thresholds(masses=(eta.weights,))
     entries = []
     for i, w in enumerate(eta.weights):
         j = f[i]
@@ -267,15 +250,10 @@ def pushforward_graph(
     return Coupling(eta.size, n, tuple(entries))
 
 
-def pushforward_antigraph(
-    g: Sequence[Optional[int]],
-    eta: DiscreteMarginal,
-    m: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> Coupling:
+def pushforward_antigraph(g: Sequence[Optional[int]], eta: DiscreteMarginal, m: int) -> Coupling:
     """Transpose of :func:`pushforward_graph` for a partial map of column
     indices to row indices: mass ``eta_j`` lands on cell ``(g[j], j)``."""
-    piece = pushforward_graph(g, eta, m, tol)
+    piece = pushforward_graph(g, eta, m)
     return Coupling.from_entries(m, eta.size, ((i, j, w) for j, i, w in piece.entries))
 
 

@@ -3,8 +3,9 @@
 The solver is a primal network simplex on the bipartite transportation
 graph: northwest-corner start, Bland's anti-cycling pivot rule, basis kept
 as a spanning tree.  With exact (int/Fraction) data every comparison is
-exact and the returned optimum is exact; with floats the pivot threshold is
-``eps_cost`` and masses up to ``eps_mass`` are dropped as dust.
+exact and the returned optimum is exact; with floats the pivot threshold and
+the dust below which masses are dropped scale with the largest cost and the
+largest mass of the instance (``measures.thresholds``).
 
 The optimal-vertex oracle is deliberately a different algorithm: optimal
 dual potentials come from a successive-shortest-path solver, the zero set of
@@ -31,13 +32,7 @@ from .errors import (
     SizeLimitError,
 )
 from .extremality import SupportGraph
-from .measures import (
-    DEFAULT_TOL,
-    Coupling,
-    CostMatrix,
-    DiscreteMarginal,
-    ToleranceConfig,
-)
+from .measures import Coupling, CostMatrix, DiscreteMarginal, thresholds
 
 __all__ = [
     "DualPotentials",
@@ -54,8 +49,9 @@ __all__ = [
 class DualPotentials:
     """Kantorovich dual pair: q per row point, r per column point.
 
-    Feasible when c[i][j] - q[i] - r[j] >= -eps_cost everywhere; the solver
-    normalizes the one-dimensional gauge freedom by r[0] = 0.
+    Feasible when c[i][j] - q[i] - r[j] is nonnegative, within the cost
+    threshold, everywhere; the solver normalizes the one-dimensional gauge
+    freedom by r[0] = 0.
     """
 
     q: tuple
@@ -75,14 +71,14 @@ class SolveReport:
     iterations: int
 
 
-def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix, tol: ToleranceConfig):
+def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix):
     """Reject mismatched shapes and unbalanced totals; return the instance's
     (mass, cost) thresholds."""
     if (c.m, c.n) != (mu.size, nu.size):
         raise ShapeMismatchError(
             f"cost matrix is {c.m}x{c.n} but marginals have sizes {mu.size} and {nu.size}"
         )
-    eps_mass, eps_cost = tol.thresholds(mu.weights, nu.weights, *c.rows)
+    eps_mass, eps_cost = thresholds(masses=(mu.weights, nu.weights), costs=c.rows)
     slack = (mu.size + nu.size) * eps_mass
     ta, tb = mu.total(), nu.total()
     gap = abs(ta - tb)
@@ -147,12 +143,7 @@ def _tree_potentials(m, n, c_rows, adjacency):
     return q, r
 
 
-def solve(
-    mu: DiscreteMarginal,
-    nu: DiscreteMarginal,
-    c: CostMatrix,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> SolveReport:
+def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveReport:
     """Minimize sum of c[i][j] * mass(i, j) over couplings of (mu, nu).
 
     Returns a basic optimal solution (forest support), dual potentials with
@@ -160,7 +151,7 @@ def solve(
     objective values.  Unbalanced or mismatched inputs raise; they are never
     repaired behind the caller's back.
     """
-    eps_mass, pivot_tol = _check_instance(mu, nu, c, tol)
+    eps_mass, pivot_tol = _check_instance(mu, nu, c)
     m, n = mu.size, nu.size
     c_rows = c.rows
 
@@ -234,15 +225,17 @@ def c_transform(r: Sequence, c: CostMatrix) -> tuple:
     return tuple(min(row[j] - r[j] for j in range(c.n)) for row in c.rows)
 
 
-def zero_set(c: CostMatrix, p: DualPotentials, tol: ToleranceConfig = DEFAULT_TOL) -> SupportGraph:
+def zero_set(c: CostMatrix, p: DualPotentials) -> SupportGraph:
     """Cells where the reduced cost c[i][j] - q[i] - r[j] vanishes (within
-    eps_cost; exactly, for exact data).  Every optimal coupling concentrates
-    on this set, by complementary slackness.  Infeasible potentials raise."""
+    the cost threshold of c, q and r; exactly, for exact data).  Every
+    optimal coupling concentrates on this set, by complementary slackness.
+    Infeasible potentials raise.  The threshold is never below the pivot
+    threshold of :func:`solve`, so the potentials it returns are accepted."""
     if (len(p.q), len(p.r)) != (c.m, c.n):
         raise ShapeMismatchError(
             f"potentials have sizes {len(p.q)} and {len(p.r)} but cost is {c.m}x{c.n}"
         )
-    _, eps = tol.thresholds(p.q, p.r, *c.rows)
+    _, eps = thresholds(costs=(p.q, p.r, *c.rows))
     edges = set()
     for i, row in enumerate(c.rows):
         qi = p.q[i]
@@ -451,7 +444,6 @@ def enumerate_optimal_vertices(
     mu: DiscreteMarginal,
     nu: DiscreteMarginal,
     c: CostMatrix,
-    tol: ToleranceConfig = DEFAULT_TOL,
     max_cells: int = 64,
     max_bases: int = 200000,
 ) -> list:
@@ -466,7 +458,7 @@ def enumerate_optimal_vertices(
     Desk-scale guard: refuses grids above ``max_cells`` cells and faces with
     more than ``max_bases`` bases to examine.
     """
-    eps_mass, eps_cost = _check_instance(mu, nu, c, tol)
+    eps_mass, eps_cost = _check_instance(mu, nu, c)
     m, n = mu.size, nu.size
     if m * n > max_cells:
         raise SizeLimitError(f"instance has {m * n} cells, above the oracle guard of {max_cells}")
@@ -525,7 +517,6 @@ def is_unique_optimum(
     mu: DiscreteMarginal,
     nu: DiscreteMarginal,
     c: CostMatrix,
-    tol: ToleranceConfig = DEFAULT_TOL,
     max_cells: int = 64,
     max_bases: int = 200000,
 ) -> bool:
@@ -535,4 +526,4 @@ def is_unique_optimum(
     one vertex means the face is that vertex, two or more mean a whole
     segment of optima.
     """
-    return len(enumerate_optimal_vertices(mu, nu, c, tol, max_cells, max_bases)) == 1
+    return len(enumerate_optimal_vertices(mu, nu, c, max_cells, max_bases)) == 1

@@ -181,9 +181,9 @@ class TestCli:
 
     @pytest.mark.parametrize("verb", ["solve", "check-extremal"])
     def test_float_overflow_is_exit_1_without_traceback(self, tmp_path, capsys, verb):
-        # An integer beyond the float range next to float data overflows
-        # when the two are added: in the totals for solve, in the cycle
-        # split for check-extremal --witness.
+        # An integer beyond the float range cannot be compared with float
+        # data: the marginals for solve, the coupling masses for
+        # check-extremal --witness.
         path = tmp_path / "huge.json"
         if verb == "solve":
             write_problem(path, [HUGE, 0.5], [1.0, 2.0], [[0, 1], [1, 0]])
@@ -195,6 +195,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("extra", [[], ["--eps-mass", "1e-3"]])
+    def test_usage_error_is_exit_1(self, tmp_path, capsys, extra):
+        # argparse exits 2 on a usage error; here 2 means an infeasible instance.
+        path = tmp_path / "p.json"
+        write_problem(path, [1.0], [1.0], [[0.0]])
+        argv = ["solve", str(path)] + extra if extra else ["solve"]
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_is_exit_0(self, capsys):
+        assert main(["solve", "--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_check_extremal_verdicts(self, tmp_path, capsys):
         extremal = tmp_path / "diag.json"

@@ -9,16 +9,27 @@ from hypothesis import strategies as st
 
 from limbsys import (
     Coupling,
+    CostMatrix,
     DiscreteMarginal,
     InfeasibleError,
+    Limb,
+    NumberedLimbSystem,
     ShapeMismatchError,
-    ToleranceConfig,
+    is_extremal,
     marginals_of,
     pushforward_antigraph,
     pushforward_graph,
+    reconstruct,
+    solve,
+    support_graph,
     tv_distance,
     validate_coupling,
 )
+from limbsys.measures import thresholds
+
+# An integer beyond the float range.
+HUGE = 10**309
+DIAG_COST = CostMatrix(((0.0, 1.0), (1.0, 0.0)))
 
 
 def diag(n, mass):
@@ -56,6 +67,11 @@ class TestValidation:
     def test_from_entries_drops_exact_zero(self):
         gamma = Coupling.from_entries(2, 2, [(0, 0, F(0)), (1, 0, F(1))])
         assert gamma.entries == ((1, 0, F(1)),)
+
+    @pytest.mark.parametrize("bad", [F(-1, 2), -0.5, float("nan")])
+    def test_from_entries_rejects_negative_and_nan(self, bad):
+        with pytest.raises(ValueError, match=r"\(1, 0\)"):
+            Coupling.from_entries(2, 2, [(0, 0, F(1)), (1, 0, bad)])
 
 
 class TestMarginals:
@@ -104,6 +120,39 @@ class TestValidateCoupling:
         half = DiscreteMarginal((F(1, 2), F(1, 2)))
         gamma = Coupling(2, 2, ((0, 0, F(1, 2) + t), (1, 1, F(1, 2))))
         assert not validate_coupling(gamma, half, half)
+
+
+class TestThresholds:
+    def test_exact_data_get_zero(self):
+        assert thresholds(masses=((1, F(1, 2)), ()), costs=((3, -7),)) == (0, 0)
+
+    def test_float_data_scale_with_the_largest_magnitude(self):
+        assert thresholds(masses=((0.5, F(-4)), (2,)), costs=((-8.0, 1),)) == (4e-12, 8e-9)
+        assert thresholds(masses=((0.0, 0), ()), costs=()) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: solve(DiscreteMarginal((HUGE, 0.5)), DiscreteMarginal((HUGE, 0.5)), DIAG_COST),
+            lambda: solve(DiscreteMarginal((0.5, 0.5)), DiscreteMarginal((HUGE, 0.5)), DIAG_COST),
+            lambda: is_extremal(
+                Coupling(2, 2, ((0, 0, HUGE), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 0.5)))
+            ),
+            lambda: support_graph(Coupling(1, 2, ((0, 0, HUGE), (0, 1, 0.5)))),
+            lambda: reconstruct(
+                NumberedLimbSystem(1, 2, (Limb(2, "antigraph", ((0, 0), (1, 0))),), (1,), (2, 2)),
+                DiscreteMarginal((0.5,)),
+                DiscreteMarginal((HUGE, 0.5)),
+            ),
+            lambda: validate_coupling(
+                diag(2, 0.5), DiscreteMarginal((HUGE, 0.5)), DiscreteMarginal((0.5, 0.5))
+            ),
+        ],
+        ids=["solve-mu", "solve-nu", "is_extremal", "support_graph", "reconstruct", "validate_coupling"],
+    )
+    def test_beyond_float_range_next_to_floats_is_a_value_error(self, run):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            run()
 
 
 class TestPushforward:
@@ -225,8 +274,3 @@ def test_tv_is_a_metric(a, b, c):
     assert tv_distance(a, b) == tv_distance(b, a)
     assert (tv_distance(a, b) == 0) == (a == b)
     assert tv_distance(a, c) <= tv_distance(a, b) + tv_distance(b, c)
-
-
-def test_tolerance_must_be_positive():
-    with pytest.raises(ValueError):
-        ToleranceConfig(eps_mass=0)

@@ -141,6 +141,75 @@ class TestSolve:
             solve(uniform(2), uniform(3), CostMatrix(((0, 0), (0, 0))))
 
 
+def integer_instance(rng, m, n, as_type):
+    """Balanced instance with integer-valued masses and costs: the marginals
+    of a random integer matrix with some empty cells."""
+    grid = [[rng.choice((0, rng.randint(1, 40))) for _ in range(n)] for _ in range(m)]
+    grid[0][0] += 1
+    mu = DiscreteMarginal(tuple(as_type(sum(row)) for row in grid))
+    nu = DiscreteMarginal(tuple(as_type(sum(col)) for col in zip(*grid)))
+    c = CostMatrix(tuple(tuple(as_type(rng.randint(-50, 50)) for _ in range(n)) for _ in range(m)))
+    return mu, nu, c
+
+
+def rescaled(mu, nu, c, s, t):
+    return (
+        DiscreteMarginal(tuple(s * w for w in mu.weights)),
+        DiscreteMarginal(tuple(s * w for w in nu.weights)),
+        CostMatrix(tuple(tuple(t * v for v in row) for row in c.rows)),
+    )
+
+
+def assert_scales(report, scaled, s, t):
+    assert scaled.coupling.entries == tuple((i, j, s * w) for i, j, w in report.coupling.entries)
+    assert scaled.primal_value == s * t * report.primal_value
+    assert scaled.iterations == report.iterations
+
+
+class TestScaleInvariance:
+    """Rescaling the masses by s and the costs by t changes no decision of
+    the solver: the optimum scales by s, its value by s * t."""
+
+    def test_float_power_of_two_scalings(self):
+        # Power-of-two factors multiply floats exactly, so the scaled solve
+        # must reproduce the original bit for bit.  Exponents stay within
+        # the normal float range for every product the solver forms.
+        rng = random.Random(4147)
+        for _ in range(40):
+            mu, nu, c = integer_instance(rng, rng.randint(2, 6), rng.randint(2, 6), float)
+            report = solve(mu, nu, c)
+            for _ in range(4):
+                a = rng.randint(-1000, 60)
+                b = rng.randint(max(-1000, -1000 - a), 60)
+                s, t = 2.0**a, 2.0**b
+                assert_scales(report, solve(*rescaled(mu, nu, c, s, t)), s, t)
+
+    def test_exact_rational_scalings(self):
+        rng = random.Random(1004)
+        for _ in range(25):
+            mu, nu, c = integer_instance(rng, rng.randint(2, 6), rng.randint(2, 6), F)
+            report = solve(mu, nu, c)
+            for _ in range(3):
+                s = F(rng.randint(1, 10**6), rng.randint(1, 10**30))
+                t = F(rng.randint(1, 10**30), rng.randint(1, 10**6))
+                assert_scales(report, solve(*rescaled(mu, nu, c, s, t)), s, t)
+
+    def test_tiny_masses_are_not_dust(self):
+        mu = DiscreteMarginal((1e-13, 1e-13))
+        c = CostMatrix(((1.0, 2.0), (2.0, 1.0)))
+        report = solve(mu, mu, c)
+        assert report.coupling.entries == ((0, 0, 1e-13), (1, 1, 1e-13))
+        assert report.primal_value == 2e-13
+        assert not validate_coupling(Coupling(2, 2, ()), mu, mu)
+
+    def test_tiny_costs_still_pivot(self):
+        half = DiscreteMarginal((0.5, 0.5))
+        report = solve(half, half, CostMatrix(((1e-11, 0.0), (0.0, 1e-11))))
+        assert report.coupling.entries == ((0, 1, 0.5), (1, 0, 0.5))
+        assert report.primal_value == 0
+        assert report.iterations > 0
+
+
 class TestCTransform:
     def test_zero_everything(self):
         assert c_transform((0, 0), CostMatrix(((0, 0), (0, 0)))) == (0, 0)
