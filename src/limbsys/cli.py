@@ -30,6 +30,7 @@ from .io import (
     write_json,
 )
 from .limbs import decompose, reconstruct
+from .measures import float_range
 from .transport import solve
 
 
@@ -43,7 +44,8 @@ def _cmd_solve(args) -> int:
         write_json(args.out, coupling_payload(report.coupling))
     if args.duals:
         write_json(args.duals, duals_payload(report.potentials, report.primal_value))
-    print(f"optimum {float(report.primal_value):.17g} in {report.iterations} pivots")
+    with float_range((report.primal_value,)):
+        print(f"optimum {float(report.primal_value):.17g} in {report.iterations} pivots")
     return 0
 
 
@@ -102,6 +104,7 @@ def _cmd_demo_circle(args) -> int:
                 "nu_kappa": cfg.nu_kappa,
                 "value": report.solve_report.primal_value,
                 "iterations": report.solve_report.iterations,
+                "degenerate_pivots": report.solve_report.degenerate_pivots,
                 "verdict": report.certificate.verdict,
                 "two_limb": maps_payload,
                 "cross_mass": report.cross_mass,
@@ -188,7 +191,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (LimbsysError, OSError, ValueError, KeyError, OverflowError) as exc:
+    except (LimbsysError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

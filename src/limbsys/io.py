@@ -41,7 +41,10 @@ def _render(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Fraction):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"cannot serialize {value!r}, beyond the float range") from None
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError("cannot serialize a non-finite number")

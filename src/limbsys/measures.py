@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -67,12 +68,23 @@ def thresholds(masses=(), costs=()) -> tuple:
         max((max(map(abs, group), default=0) for group in groups), default=0)
         for groups in (masses, costs)
     )
-    try:
+    with float_range((top_mass, top_cost)):
         return MASS_SCALE * top_mass, COST_SCALE * top_cost
+
+
+@contextmanager
+def float_range(*groups):
+    """Run arithmetic over the given value groups, turning the
+    ``OverflowError`` of an integer or fraction beyond the float range that
+    meets a float into a ``ValueError`` naming the largest magnitude.
+
+    The groups are read only when the error occurs, so they may be
+    iterators."""
+    try:
+        yield
     except OverflowError:
-        raise ValueError(
-            f"value {max(top_mass, top_cost)!r} is beyond the float range of the data it meets"
-        ) from None
+        top = max((max(map(abs, group), default=0) for group in groups), default=0)
+        raise ValueError(f"value {top!r} is beyond the float range of the data it meets") from None
 
 
 @dataclass(frozen=True)
@@ -101,7 +113,8 @@ class DiscreteMarginal:
         return len(self.weights)
 
     def total(self):
-        return sum(self.weights)
+        with float_range(self.weights):
+            return sum(self.weights)
 
 
 @dataclass(frozen=True)
@@ -170,7 +183,11 @@ class Coupling:
         acc: dict = {}
         for i, j, w in entries:
             key = (int(i), int(j))
-            acc[key] = acc[key] + w if key in acc else w
+            if key in acc:
+                with float_range((acc[key], w)):
+                    acc[key] = acc[key] + w
+            else:
+                acc[key] = w
         return cls(m, n, tuple((i, j, acc[i, j]) for i, j in sorted(acc) if acc[i, j] != 0))
 
     def mass_at(self, i: int, j: int):
@@ -180,7 +197,8 @@ class Coupling:
         return 0
 
     def total_mass(self):
-        return sum(w for _, _, w in self.entries)
+        with float_range(w for _, _, w in self.entries):
+            return sum(w for _, _, w in self.entries)
 
     def cells(self) -> frozenset:
         return frozenset((i, j) for i, j, _ in self.entries)
@@ -200,9 +218,10 @@ def marginals_of(gamma: Coupling) -> tuple[DiscreteMarginal, DiscreteMarginal]:
     """
     row = [0] * gamma.m
     col = [0] * gamma.n
-    for i, j, w in gamma.entries:
-        row[i] = row[i] + w
-        col[j] = col[j] + w
+    with float_range(w for _, _, w in gamma.entries):
+        for i, j, w in gamma.entries:
+            row[i] = row[i] + w
+            col[j] = col[j] + w
     return DiscreteMarginal(tuple(row)), DiscreteMarginal(tuple(col))
 
 
@@ -267,14 +286,15 @@ def tv_distance(a: Coupling, b: Coupling):
     it_a, it_b = iter(a.entries), iter(b.entries)
     ea, eb = next(it_a, None), next(it_b, None)
     total = 0
-    while ea is not None or eb is not None:
-        if eb is None or (ea is not None and ea[:2] < eb[:2]):
-            total = total + abs(ea[2])
-            ea = next(it_a, None)
-        elif ea is None or eb[:2] < ea[:2]:
-            total = total + abs(eb[2])
-            eb = next(it_b, None)
-        else:
-            total = total + abs(ea[2] - eb[2])
-            ea, eb = next(it_a, None), next(it_b, None)
+    with float_range(*((w for _, _, w in g.entries) for g in (a, b))):
+        while ea is not None or eb is not None:
+            if eb is None or (ea is not None and ea[:2] < eb[:2]):
+                total = total + abs(ea[2])
+                ea = next(it_a, None)
+            elif ea is None or eb[:2] < ea[:2]:
+                total = total + abs(eb[2])
+                eb = next(it_b, None)
+            else:
+                total = total + abs(ea[2] - eb[2])
+                ea, eb = next(it_a, None), next(it_b, None)
     return total

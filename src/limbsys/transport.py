@@ -1,8 +1,13 @@
 """Kantorovich transportation problems on finite marginals.
 
 The solver is a primal network simplex on the bipartite transportation
-graph: northwest-corner start, Bland's anti-cycling pivot rule, basis kept
-as a spanning tree.  With exact (int/Fraction) data every comparison is
+graph, after the LEMON design (Kovacs 2015).  An artificial root joined to
+every point gives a strongly feasible start; arcs are priced by block
+search; the basis is a spanning tree kept as parent, depth and
+flow-to-parent arrays, so a pivot walks only its cycle and shifts the
+potentials of the re-hung subtree only.  Strongly feasible bases
+(Cunningham 1976) rule out cycling on degenerate instances, so the simplex
+needs no pivot budget.  With exact (int/Fraction) data every comparison is
 exact and the returned optimum is exact; with floats the pivot threshold and
 the dust below which masses are dropped scale with the largest cost and the
 largest mass of the instance (``measures.thresholds``).
@@ -11,9 +16,8 @@ The optimal-vertex oracle is deliberately a different algorithm: optimal
 dual potentials come from a successive-shortest-path solver, the zero set of
 their reduced costs cuts out the optimal face, and every spanning-forest
 basis of that subgraph is enumerated exhaustively.  The two routes share no
-code beyond the data types, the instance check and the tolerance rule (the
-simplex walks basis paths with ``tree_path``, the oracle splits components
-with ``find``), so they can check each other.
+code beyond the data types, the instance check and the tolerance rule, so
+they can check each other.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import mul, sub
 from typing import Sequence
 
-from ._forest import find, tree_path
+from ._forest import find
 from .errors import (
     DualInfeasibleError,
     InfeasibleError,
@@ -32,7 +37,7 @@ from .errors import (
     SizeLimitError,
 )
 from .extremality import SupportGraph
-from .measures import Coupling, CostMatrix, DiscreteMarginal, thresholds
+from .measures import Coupling, CostMatrix, DiscreteMarginal, float_range, thresholds
 
 __all__ = [
     "DualPotentials",
@@ -64,11 +69,18 @@ class DualPotentials:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """An optimal coupling, its potentials and both objective values.
+
+    ``iterations`` counts the simplex pivots and ``degenerate_pivots`` those
+    of them that moved no mass.
+    """
+
     coupling: Coupling
     potentials: DualPotentials
     primal_value: object
     dual_value: object
     iterations: int
+    degenerate_pivots: int
 
 
 def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix):
@@ -81,8 +93,7 @@ def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix):
     eps_mass, eps_cost = thresholds(masses=(mu.weights, nu.weights), costs=c.rows)
     slack = (mu.size + nu.size) * eps_mass
     ta, tb = mu.total(), nu.total()
-    gap = abs(ta - tb)
-    if math.isinf(ta) or math.isinf(tb):
+    if math.inf in (ta, tb):
         # Float totals overflowed, and inf - inf is NaN.  Scaling every
         # weight by 2**-k with 2**k above the point count keeps both sums
         # finite, and scaling by a power of two is exact.
@@ -90,57 +101,15 @@ def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix):
         sa, sb = (sum(math.ldexp(w, k) for w in x.weights) for x in (mu, nu))
         gap = abs(sa - sb)
         slack = math.ldexp(slack, k)
+    else:
+        with float_range((ta, tb)):
+            gap = abs(ta - tb)
     if gap > slack:
         raise InfeasibleError(
             f"total masses differ: first marginal carries {ta!r}, second {tb!r}; "
             "no coupling has both for marginals"
         )
     return eps_mass, eps_cost
-
-
-def _northwest_corner(mu, nu):
-    """Initial basic solution: m+n-1 arcs forming a spanning staircase tree,
-    including degenerate zero arcs when a row and column exhaust together."""
-    m, n = len(mu), len(nu)
-    rem_a, rem_b = list(mu), list(nu)
-    flows = {}
-    i = j = 0
-    while True:
-        t = rem_a[i] if rem_a[i] <= rem_b[j] else rem_b[j]
-        flows[(i, j)] = t
-        rem_a[i] = rem_a[i] - t
-        rem_b[j] = rem_b[j] - t
-        if i == m - 1 and j == n - 1:
-            break
-        if rem_a[i] == 0 and i < m - 1:
-            i += 1
-        elif j < n - 1:
-            j += 1
-        else:
-            i += 1
-    return flows
-
-
-def _tree_potentials(m, n, c_rows, adjacency):
-    """Solve q[i] + r[j] = c[i][j] over the basis tree, rooted at column 0
-    with r[0] = 0.  Nodes are rows 0..m-1 and columns m..m+n-1."""
-    q = [None] * m
-    r = [None] * n
-    r[0] = 0
-    stack = [m]
-    seen = {m}
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if u >= m:  # column -> row
-                q[v] = c_rows[v][u - m] - r[u - m]
-            else:  # row -> column
-                r[v - m] = c_rows[u][v - m] - q[u]
-            stack.append(v)
-    return q, r
 
 
 def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveReport:
@@ -155,66 +124,132 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
     m, n = mu.size, nu.size
     c_rows = c.rows
 
-    flows = _northwest_corner(mu.weights, nu.weights)
-    adjacency = {u: set() for u in range(m + n)}
-    for (i, j) in flows:
-        adjacency[i].add(m + j)
-        adjacency[m + j].add(i)
+    # Nodes: columns 0..n-1, rows n..n+m-1 and an artificial root m+n.  Arc
+    # (i, j) runs from row n+i to column j.  The start joins every point to
+    # the root: a point with nothing to receive (every row, and a column with
+    # nu[j] = 0) by an arc toward the root of cost 0, any other column by an
+    # arc away from it of cost ``art``.  Every arc carrying nothing then
+    # points toward the root, so the tree is strongly feasible, and
+    # ``art`` above any detour's saving keeps mass off the root at the end.
+    root = m + n
+    top = max(max(map(abs, row)) for row in c_rows)
+    # Potentials and reduced costs stay below 8(m+n+1) times the largest
+    # cost.  Float costs for which that bound would overflow are priced
+    # scaled down by a power of two, which is exact, and the potentials are
+    # scaled back at the end.
+    shrink = max(0, math.frexp(top)[1] + (8 * (m + n + 1)).bit_length() - 1023) if pivot_tol else 0
+    if shrink:
+        c_rows = tuple(tuple(math.ldexp(v, -shrink) for v in row) for row in c_rows)
+        top, pivot_tol = math.ldexp(top, -shrink), math.ldexp(pivot_tol, -shrink)
+    art = 2 * (m + n + 1) * top if top else 1
+    parent = [root] * (m + n) + [None]
+    depth = [1] * (m + n) + [0]
+    children = [[] for _ in range(m + n)] + [list(range(m + n))]
+    flow = list(nu.weights) + list(mu.weights)  # mass on the arc to the parent
+    up = [w == 0 for w in nu.weights] + [True] * m  # that arc points to the parent
+    pi = [0 if toward else art for toward in up] + [0]
+    # The reduced cost of (i, j) is c[i][j] + pi[n + i] - pi[j].
 
-    max_pivots = 1000 + 20 * m * n
-    iterations = 0
+    # Block search: price whole rows, about sqrt(m*n) arcs a block, going
+    # round from where the last search stopped, and enter the most negative
+    # reduced cost of the first block holding one below the pivot threshold.
+    block = max(1, math.isqrt(m * n) // n)
+    next_row = 0
+    iterations = degenerate = 0
     while True:
-        q, r = _tree_potentials(m, n, c_rows, adjacency)
-        entering = None
-        for i in range(m):
-            qi = q[i]
+        best, entering = -pivot_tol, None
+        for step in range(m):
+            i = (next_row + step) % m
             row = c_rows[i]
-            for j in range(n):
-                if row[j] - qi - r[j] < -pivot_tol:
-                    entering = (i, j)
-                    break
-            if entering is not None:
+            low = min(map(sub, row, pi))
+            if low + pi[n + i] < best:
+                best = low + pi[n + i]
+                entering = (i, list(map(sub, row, pi)).index(low))
+            if entering is not None and (step + 1) % block == 0:
                 break
         if entering is None:
             break
-
+        next_row = (i + 1) % m
         iterations += 1
-        if iterations > max_pivots:
-            raise RuntimeError("network simplex exceeded its pivot budget; data may be pathological")
 
+        # The cycle is the entering arc a -> b closed by the tree paths from
+        # a and b up to their lowest common ancestor.  Mass moves down the
+        # path to a and up the path from b.
         i, j = entering
-        path = tree_path(adjacency, i, m + j)
-        # Entering arc gains t; walking the tree path from the entering row,
-        # arcs alternately lose and gain, starting with a loss.
-        cycle = []
-        for t in range(len(path) - 1):
-            u, v = path[t], path[t + 1]
-            arc = (u, v - m) if u < m else (v, u - m)
-            cycle.append((arc, -1 if t % 2 == 0 else 1))
+        a, b = n + i, j
+        u, v = a, b
+        while u != v:
+            if depth[u] >= depth[v]:
+                u = parent[u]
+            else:
+                v = parent[v]
+        join = u
+        # Leaving arc: the last blocking arc met going round the cycle from
+        # the join, which keeps the tree strongly feasible (Cunningham).
+        delta, out, on_a_side = None, None, True
+        u = a
+        while u != join:
+            if up[u] and (delta is None or flow[u] < delta):
+                delta, out = flow[u], u
+            u = parent[u]
+        u = b
+        while u != join:
+            if not up[u] and (delta is None or flow[u] <= delta):
+                delta, out, on_a_side = flow[u], u, False
+            u = parent[u]
+        if delta:
+            u = a
+            while u != join:
+                flow[u] = flow[u] - delta if up[u] else flow[u] + delta
+                u = parent[u]
+            u = b
+            while u != join:
+                flow[u] = flow[u] + delta if up[u] else flow[u] - delta
+                u = parent[u]
+        else:
+            degenerate += 1
 
-        theta, leaving = None, None
-        for arc, sign in cycle:
-            if sign == -1:
-                f = flows[arc]
-                if theta is None or f < theta or (f == theta and arc < leaving):
-                    theta, leaving = f, arc
-        for arc, sign in cycle:
-            flows[arc] = flows[arc] + sign * theta
-        flows[(i, j)] = theta
-        del flows[leaving]
-        adjacency[leaving[0]].discard(m + leaving[1])
-        adjacency[m + leaving[1]].discard(leaving[0])
-        adjacency[i].add(m + j)
-        adjacency[m + j].add(i)
+        # Drop the arc above ``out`` and hang its subtree from the other end
+        # of the entering arc, reversing the tree path between the two.
+        w, above, carried = (a, b, delta) if on_a_side else (b, a, delta)
+        top_of_subtree = w
+        while True:
+            old_parent, old_flow = parent[w], flow[w]
+            children[old_parent].remove(w)
+            children[above].append(w)
+            parent[w], flow[w], up[w] = above, carried, w >= n
+            if w == out:
+                break
+            w, above, carried = old_parent, w, old_flow
+        # One shift over the re-hung subtree makes the entering arc tight.
+        shift = -best if on_a_side else best
+        stack = [top_of_subtree]
+        while stack:
+            w = stack.pop()
+            pi[w] = pi[w] + shift
+            depth[w] = depth[parent[w]] + 1
+            stack.extend(children[w])
 
-    q, r = _tree_potentials(m, n, c_rows, adjacency)
-    entries = [(i, j, w) for (i, j), w in sorted(flows.items()) if w > eps_mass]
+    entries = []
+    for u in range(m + n):
+        p, w = parent[u], flow[u]
+        if p == root:
+            if w > eps_mass:
+                raise AssertionError(f"the artificial arc of point {u} still carries {w!r}")
+        elif w > eps_mass:
+            entries.append((u - n, p, w) if u >= n else (p - n, u, w))
+    entries.sort()
     coupling = Coupling(m, n, tuple(entries))
-    primal = sum(c_rows[i][j] * w for i, j, w in entries) if entries else 0
-    dual = sum(qi * wi for qi, wi in zip(q, mu.weights)) + sum(
-        rj * wj for rj, wj in zip(r, nu.weights)
-    )
-    return SolveReport(coupling, DualPotentials(tuple(q), tuple(r)), primal, dual, iterations)
+    # Potentials and values of data near the edge of the float range may
+    # leave it.
+    with float_range(mu.weights, nu.weights, *c.rows):
+        if shrink:
+            pi = [math.ldexp(x, shrink) for x in pi]
+        q = tuple(pi[0] - pi[n + i] for i in range(m))
+        r = tuple(pi[j] - pi[0] for j in range(n))
+        primal = sum(c.rows[i][j] * w for i, j, w in entries) if entries else 0
+        dual = sum(map(mul, q, mu.weights)) + sum(map(mul, r, nu.weights))
+    return SolveReport(coupling, DualPotentials(q, r), primal, dual, iterations, degenerate)
 
 
 def c_transform(r: Sequence, c: CostMatrix) -> tuple:
@@ -222,7 +257,8 @@ def c_transform(r: Sequence, c: CostMatrix) -> tuple:
     q[i] = min_j (c[i][j] - r[j])."""
     if len(r) != c.n:
         raise ShapeMismatchError(f"potential has {len(r)} entries but cost has {c.n} columns")
-    return tuple(min(row[j] - r[j] for j in range(c.n)) for row in c.rows)
+    with float_range(r, *c.rows):
+        return tuple(min(row[j] - r[j] for j in range(c.n)) for row in c.rows)
 
 
 def zero_set(c: CostMatrix, p: DualPotentials) -> SupportGraph:

@@ -4,7 +4,9 @@ Nothing here shares algorithmic code with the package: linear systems are
 solved by dense Gaussian elimination over Fractions, acyclicity comes from
 networkx, vertex checks from numpy's rank, and vertices of small feasible
 sets are enumerated by trying every possible spanning-tree basis.  Slow and
-obvious on purpose.
+obvious on purpose.  The optimal-face check takes its reference value from
+the package's successive-shortest-path duals, which share no code with the
+simplex.
 """
 
 from __future__ import annotations
@@ -12,11 +14,14 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import networkx as nx
 import numpy as np
 
-from limbsys import Coupling, CostMatrix, DiscreteMarginal
+from limbsys import Coupling, CostMatrix, DiscreteMarginal, validate_coupling, zero_set
+from limbsys.measures import thresholds
+from limbsys.transport import _ssp_duals
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +132,25 @@ def optimal_vertices_bruteforce(mu, nu, c: CostMatrix):
     values = [sum(c.at(i, j) * w for i, j, w in v.entries) for v in vertices]
     best = min(values)
     return [v for v, val in zip(vertices, values) if val == best], best
+
+
+def assert_on_optimal_face(mu, nu, c: CostMatrix, report, exact: bool):
+    """A solve result lies on the optimal face, whichever vertex it is.
+
+    The coupling is feasible, its support lies in the zero set of the
+    returned potentials, primal equals dual, and the value equals the dual
+    value of the shortest-path potentials: exactly for exact data, within
+    1e-9 relative for floats.
+    """
+    def same(a, b):
+        return a == b if exact else abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+    assert validate_coupling(report.coupling, mu, nu)
+    assert report.coupling.cells() <= zero_set(c, report.potentials).edges
+    assert same(report.primal_value, report.dual_value)
+    stop, _ = thresholds(masses=(mu.weights, nu.weights))
+    q, r = _ssp_duals(mu.weights, nu.weights, c.rows, stop)
+    assert same(report.primal_value, sum(map(mul, q, mu.weights)) + sum(map(mul, r, nu.weights)))
 
 
 def is_vertex_oracle(gamma: Coupling) -> bool:

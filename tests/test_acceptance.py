@@ -20,6 +20,7 @@ from limbsys import (
     DiscreteMarginal,
     build_circle_cost,
     decompose,
+    demo_instance,
     dl_rank_test,
     enumerate_optimal_vertices,
     is_acyclic,
@@ -34,6 +35,7 @@ from limbsys import (
     support_graph,
     tv_distance,
     two_limb_check,
+    zero_set,
 )
 
 import oracles
@@ -284,3 +286,22 @@ def test_a9_pushforward_determinism():
         assert assembled == direct
         assert tv_distance(assembled, direct) == 0
     report("A9", "1000 cases, zero failures")
+
+
+def test_a10_solver_scale():
+    """The float circle demo at N=256 solves in under 2 s and the exact one
+    at N=64 in under 10 s; each optimum has primal = dual (exactly, for the
+    exact one) and support inside the zero set of its potentials."""
+    details = []
+    for label, (mu, nu, cost), budget, gap in (
+        ("float N=256", demo_instance(DemoConfig(n=256))[1:], 2.0, 1e-9),
+        ("exact N=64", rational_demo_instance(DemoConfig(n=64)), 10.0, 0),
+    ):
+        started = time.monotonic()
+        solved = solve(mu, nu, cost)
+        elapsed = time.monotonic() - started
+        assert elapsed < budget, (label, elapsed)
+        assert abs(solved.primal_value - solved.dual_value) <= gap
+        assert solved.coupling.cells() <= zero_set(cost, solved.potentials).edges
+        details.append(f"{label} {elapsed:.2f}s ({solved.iterations} pivots)")
+    report("A10", ", ".join(details))

@@ -1,15 +1,18 @@
 """File formats and the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from limbsys import Coupling, CostMatrix, tv_distance
+import limbsys
+from limbsys import Coupling, CostMatrix, DemoConfig, run_demo, tv_distance
 from limbsys.cli import main
 from limbsys.io import (
     canonical_json,
@@ -32,6 +35,13 @@ def write_problem(path, mu, nu, cost=None):
     if cost is not None:
         payload["cost"] = cost
     path.write_text(json.dumps(payload) + "\n")
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports the limbsys under test."""
+    paths = [str(Path(limbsys.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def write_coupling(path, m, n, entries):
@@ -265,6 +275,14 @@ class TestCli:
         assert len(lines) == 1 + len(payload["coupling"]["entries"])
         assert "value" in capsys.readouterr().out
 
+    def test_demo_report_counts_pivots(self, tmp_path):
+        report = tmp_path / "report.json"
+        assert main(["demo-circle", "--n", "16", "--out", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        solved = run_demo(DemoConfig(n=16)).solve_report
+        assert payload["iterations"] == solved.iterations > 0
+        assert payload["degenerate_pivots"] == solved.degenerate_pivots <= solved.iterations
+
     def test_demo_outputs_are_deterministic(self, tmp_path):
         first = tmp_path / "r1.json"
         second = tmp_path / "r2.json"
@@ -281,20 +299,12 @@ class TestCli:
         assert gamma.total_mass() == F(1)
 
     def test_version_subprocess(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "limbsys.cli", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python("-m", "limbsys.cli", "--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"
 
     def test_import_does_not_load_numpy(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, limbsys; print('numpy' in sys.modules)"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python("-c", "import sys, limbsys; print('numpy' in sys.modules)")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
 

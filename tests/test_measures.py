@@ -15,6 +15,7 @@ from limbsys import (
     Limb,
     NumberedLimbSystem,
     ShapeMismatchError,
+    c_transform,
     is_extremal,
     marginals_of,
     pushforward_antigraph,
@@ -152,6 +153,27 @@ class TestThresholds:
     )
     def test_beyond_float_range_next_to_floats_is_a_value_error(self, run):
         with pytest.raises(ValueError, match="beyond the float range"):
+            run()
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: DiscreteMarginal((HUGE, 0.5)).total(),
+            lambda: Coupling(1, 2, ((0, 0, HUGE), (0, 1, 0.5))).total_mass(),
+            lambda: marginals_of(Coupling(2, 1, ((0, 0, HUGE), (1, 0, 0.5)))),
+            lambda: validate_coupling(
+                Coupling(1, 2, ((0, 0, HUGE), (0, 1, 0.5))),
+                DiscreteMarginal((1,)),
+                DiscreteMarginal((1, 1)),
+            ),
+            lambda: Coupling.from_entries(1, 1, [(0, 0, 0.5), (0, 0, HUGE)]),
+            lambda: tv_distance(Coupling(1, 1, ((0, 0, HUGE),)), Coupling(1, 1, ((0, 0, 0.5),))),
+            lambda: c_transform((0.5,), CostMatrix(((HUGE,),))),
+        ],
+        ids=["total", "total_mass", "marginals_of", "validate_coupling", "from_entries", "tv_distance", "c_transform"],
+    )
+    def test_sums_beyond_float_range_name_the_value(self, run):
+        with pytest.raises(ValueError, match=f"value {HUGE} is beyond the float range"):
             run()
 
 

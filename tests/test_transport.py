@@ -108,7 +108,8 @@ class TestSolve:
 
     def test_heavily_degenerate_instances_against_oracle(self):
         # Equal masses and tiny cost alphabets produce the tied pivots that
-        # make naive rules cycle; Bland's rule must still land on optima.
+        # make naive rules cycle; strongly feasible bases must still
+        # terminate, on optima.
         rng = random.Random(5150)
         for _ in range(25):
             m, n = rng.randint(2, 4), rng.randint(2, 4)
@@ -139,6 +140,61 @@ class TestSolve:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             solve(uniform(2), uniform(3), CostMatrix(((0, 0), (0, 0))))
+
+
+def degenerate_instance(case, as_type):
+    """Equal masses with tied costs, on which pivots can move no mass."""
+    kind, m, n, seed = case
+    rng = random.Random(seed)
+    if kind == "zero-one":
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+    elif kind == "zero":
+        rows = [[0] * n for _ in range(m)]
+    else:
+        rows = [[(i + j) % 3 for j in range(n)] for i in range(m)]
+    mu = DiscreteMarginal((as_type(1) / m,) * m)
+    nu = DiscreteMarginal((as_type(1) / n,) * n)
+    return mu, nu, CostMatrix(tuple(tuple(as_type(v) for v in row) for row in rows))
+
+
+DEGENERATE_CASES = [
+    ("zero-one", m, n, seed)
+    for m, n in ((3, 3), (4, 6), (8, 8), (12, 9), (16, 16))
+    for seed in (1, 2)
+] + [("zero", 20, 20, 0)] + [("mod3", m, n, 0) for m, n in ((4, 4), (6, 9), (12, 12), (16, 16))]
+
+
+@pytest.mark.parametrize("as_type", [F, float], ids=["exact", "float"])
+@pytest.mark.parametrize("case", DEGENERATE_CASES, ids=lambda case: "{}-{}x{}-{}".format(*case))
+def test_degenerate_instances_land_on_the_optimal_face(case, as_type):
+    mu, nu, c = degenerate_instance(case, as_type)
+    report = solve(mu, nu, c)
+    oracles.assert_on_optimal_face(mu, nu, c, report, exact=as_type is F)
+    assert 0 <= report.degenerate_pivots <= report.iterations
+
+
+def test_zero_masses_and_tied_costs():
+    # Points with nothing to send or receive start on arcs that carry
+    # nothing; the start must still be strongly feasible.
+    rng = random.Random(61)
+    for trial in range(60):
+        m, n = rng.randint(2, 7), rng.randint(2, 7)
+        grid = [[rng.choice((0, 0, 1, 2)) for _ in range(n)] for _ in range(m)]
+        as_type = F if trial % 2 else float
+        mu = DiscreteMarginal(tuple(as_type(sum(row)) for row in grid))
+        nu = DiscreteMarginal(tuple(as_type(sum(col)) for col in zip(*grid)))
+        c = CostMatrix(tuple(tuple(as_type(rng.randint(-1, 1)) for _ in range(n)) for _ in range(m)))
+        oracles.assert_on_optimal_face(mu, nu, c, solve(mu, nu, c), exact=as_type is F)
+
+
+def test_degenerate_pivots_are_counted():
+    # On (i + j) % 3 costs over 8 x 8 some pivots move no mass; rescaling the
+    # masses changes none of them.
+    mu, nu, c = degenerate_instance(("mod3", 8, 8, 0), F)
+    report = solve(mu, nu, c)
+    assert 0 < report.degenerate_pivots < report.iterations
+    scaled = solve(*rescaled(mu, nu, c, F(3), F(1)))
+    assert (scaled.iterations, scaled.degenerate_pivots) == (report.iterations, report.degenerate_pivots)
 
 
 def integer_instance(rng, m, n, as_type):
