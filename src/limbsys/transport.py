@@ -85,7 +85,7 @@ class SolveReport:
 
 def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix):
     """Reject mismatched shapes and unbalanced totals; return the instance's
-    (mass, cost) thresholds."""
+    (mass, cost) thresholds and the gap it allows between the totals."""
     if (c.m, c.n) != (mu.size, nu.size):
         raise ShapeMismatchError(
             f"cost matrix is {c.m}x{c.n} but marginals have sizes {mu.size} and {nu.size}"
@@ -99,17 +99,16 @@ def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix):
         # finite, and scaling by a power of two is exact.
         k = -(mu.size + nu.size).bit_length()
         sa, sb = (sum(math.ldexp(w, k) for w in x.weights) for x in (mu, nu))
-        gap = abs(sa - sb)
-        slack = math.ldexp(slack, k)
+        unbalanced = abs(sa - sb) > math.ldexp(slack, k)
     else:
         with float_range((ta, tb)):
-            gap = abs(ta - tb)
-    if gap > slack:
+            unbalanced = abs(ta - tb) > slack
+    if unbalanced:
         raise InfeasibleError(
             f"total masses differ: first marginal carries {ta!r}, second {tb!r}; "
             "no coupling has both for marginals"
         )
-    return eps_mass, eps_cost
+    return eps_mass, eps_cost, slack
 
 
 def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveReport:
@@ -120,7 +119,7 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
     objective values.  Unbalanced or mismatched inputs raise; they are never
     repaired behind the caller's back.
     """
-    eps_mass, pivot_tol = _check_instance(mu, nu, c)
+    eps_mass, pivot_tol, slack = _check_instance(mu, nu, c)
     m, n = mu.size, nu.size
     c_rows = c.rows
 
@@ -230,23 +229,29 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
             depth[w] = depth[parent[w]] + 1
             stack.extend(children[w])
 
-    entries = []
+    # Pivots keep the net flow at the root, so the gap between the totals,
+    # which the instance check bounds by ``slack``, stays on the artificial
+    # arcs; it is dust and is dropped with them.
+    entries, stray = [], 0
     for u in range(m + n):
         p, w = parent[u], flow[u]
         if p == root:
-            if w > eps_mass:
-                raise AssertionError(f"the artificial arc of point {u} still carries {w!r}")
+            stray += w
         elif w > eps_mass:
             entries.append((u - n, p, w) if u >= n else (p - n, u, w))
+    if stray > slack:
+        raise AssertionError(f"the artificial arcs still carry {stray!r}")
     entries.sort()
     coupling = Coupling(m, n, tuple(entries))
-    # Potentials and values of data near the edge of the float range may
-    # leave it.
+    q = [pi[0] - pi[n + i] for i in range(m)]
+    r = [pi[j] - pi[0] for j in range(n)]
+    if shrink:
+        try:
+            q, r = ([math.ldexp(x, shrink) for x in xs] for xs in (q, r))
+        except OverflowError:
+            raise ValueError("the optimal potentials of these costs leave the float range") from None
+    # Values of data near the edge of the float range may leave it.
     with float_range(mu.weights, nu.weights, *c.rows):
-        if shrink:
-            pi = [math.ldexp(x, shrink) for x in pi]
-        q = tuple(pi[0] - pi[n + i] for i in range(m))
-        r = tuple(pi[j] - pi[0] for j in range(n))
         primal = sum(c.rows[i][j] * w for i, j, w in entries) if entries else 0
         dual = sum(map(mul, q, mu.weights)) + sum(map(mul, r, nu.weights))
     return SolveReport(coupling, DualPotentials(q, r), primal, dual, iterations, degenerate)
@@ -494,7 +499,7 @@ def enumerate_optimal_vertices(
     Desk-scale guard: refuses grids above ``max_cells`` cells and faces with
     more than ``max_bases`` bases to examine.
     """
-    eps_mass, eps_cost = _check_instance(mu, nu, c)
+    eps_mass, eps_cost, _ = _check_instance(mu, nu, c)
     m, n = mu.size, nu.size
     if m * n > max_cells:
         raise SizeLimitError(f"instance has {m * n} cells, above the oracle guard of {max_cells}")

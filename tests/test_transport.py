@@ -20,6 +20,7 @@ from limbsys import (
     enumerate_optimal_vertices,
     is_acyclic,
     is_unique_optimum,
+    marginals_of,
     solve,
     support_graph,
     validate_coupling,
@@ -140,6 +141,57 @@ class TestSolve:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             solve(uniform(2), uniform(3), CostMatrix(((0, 0), (0, 0))))
+
+    @pytest.mark.parametrize("short", ["first", "second"])
+    def test_total_gap_within_the_allowed_slack_is_dropped(self, short):
+        # 1.5e-12 is above the mass threshold 5e-13 and below the slack
+        # (m + n) * 5e-13 the instance check allows between the totals.
+        half, over = DiscreteMarginal((0.5, 0.5)), DiscreteMarginal((0.5, 0.5 + 1.5e-12))
+        mu, nu = (half, over) if short == "first" else (over, half)
+        report = solve(mu, nu, CostMatrix(((0.0, 1.0), (1.0, 0.0))))
+        assert report.coupling.entries == ((0, 0, 0.5), (1, 1, 0.5))
+        assert report.primal_value == 0
+        assert abs(report.dual_value) <= 1e-11
+
+    def test_random_total_gaps_within_the_allowed_slack(self):
+        rng = random.Random(1507)
+        for trial in range(200):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            mu = [rng.uniform(0.1, 1.0) for _ in range(m)]
+            nu = [rng.uniform(0.1, 1.0) for _ in range(n)]
+            nu = [w * sum(mu) / sum(nu) for w in nu]
+            # A gap between the mass threshold and the slack, on either side.
+            eps = 1e-12 * max(mu + nu)
+            side = nu if trial % 2 else mu
+            side[rng.randrange(len(side))] += rng.uniform(1.01, m + n - 0.01) * eps
+            mu, nu = DiscreteMarginal(mu), DiscreteMarginal(nu)
+            c = CostMatrix(tuple(tuple(rng.uniform(-1, 1) for _ in range(n)) for _ in range(m)))
+            report = solve(mu, nu, c)
+            row, col = marginals_of(report.coupling)
+            slack = (m + n) * eps
+            assert all(abs(a - b) <= slack for a, b in zip(row.weights + col.weights, mu.weights + nu.weights))
+            assert report.coupling.cells() <= zero_set(c, report.potentials).edges
+
+    def test_costs_near_the_float_maximum_solve(self):
+        # The artificial cost 2 (m + n + 1) max|c| would overflow; pricing
+        # runs on costs scaled down by a power of two.
+        one = DiscreteMarginal((1.0, 1.0))
+        report = solve(one, one, CostMatrix(((1e308, 0.0), (0.0, 1e308))))
+        assert report.coupling.entries == ((0, 1, 1.0), (1, 0, 1.0))
+        assert report.primal_value == report.dual_value == 0
+        mu, nu = DiscreteMarginal((1.0, 1.0, 0.25)), DiscreteMarginal((1.125, 1.125))
+        c = CostMatrix(((1.7e308, 2.0), (3e307, 1.7e308), (3e307, 1.7e308)))
+        report = solve(mu, nu, c)
+        assert validate_coupling(report.coupling, mu, nu)
+        assert report.coupling.cells() <= zero_set(c, report.potentials).edges
+        assert report.primal_value == 5.5e307
+        assert abs(report.dual_value - report.primal_value) <= 1e-9 * report.primal_value
+
+    def test_potentials_beyond_the_float_range_raise(self):
+        # With r[0] = 0, r[1] = 1.7e308 + 1e308 has no float.
+        mu, nu = DiscreteMarginal((0.5,)), DiscreteMarginal((0.125,) * 4)
+        with pytest.raises(ValueError, match="potentials"):
+            solve(mu, nu, CostMatrix(((-1e308, 1.7e308, 1.0, 0.5),)))
 
 
 def degenerate_instance(case, as_type):
