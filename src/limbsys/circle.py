@@ -6,7 +6,8 @@ this cost are pure sinusoids in the row angle, so each has a single maximum
 and a single minimum around the circle.  That is the discrete shape of the
 condition under which optimizers concentrate on at most two limbs, and the
 demo verifies the whole chain on solved instances: subtwist shape of the
-cost, extremality of the optimizer, and a two-limb split of its support.
+cost, extremality of the optimizer, and the fewest-limb system of its
+support, with the mass each limb carries.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import combinations
+from operator import ne, sub
 
 from .errors import LimbsysError
 from .extremality import ExtremalityCertificate, is_extremal, support_graph
-from .limbs import two_limb_check
+from .limbs import NumberedLimbSystem, decompose
 from .measures import CostMatrix, DiscreteMarginal, thresholds
 from .transport import SolveReport, solve
 
@@ -91,11 +93,14 @@ class SubtwistReport:
 
 @dataclass(frozen=True)
 class DemoReport:
+    """``system`` is the fewest-limb system of the optimal support and
+    ``limb_mass`` the coupling mass on each of its limbs, in limb order."""
+
     config: DemoConfig
     solve_report: SolveReport
     certificate: ExtremalityCertificate
-    two_limb: Optional[tuple]
-    cross_mass: Optional[object]
+    system: NumberedLimbSystem
+    limb_mass: tuple
 
 
 def build_circle_cost(grid: CircleGrid) -> CostMatrix:
@@ -121,16 +126,6 @@ def build_peaked_density(grid: CircleGrid, center: float, kappa: float) -> Discr
     return DiscreteMarginal(tuple(w / total for w in raw))
 
 
-def _sign_changes(diffs, zero_tol, periodic):
-    """Sign changes along ``diffs`` (wrapping around when periodic), entries
-    within ``zero_tol`` of zero skipped; None when every entry is skipped."""
-    signs = [1 if d > zero_tol else -1 for d in diffs if abs(d) > zero_tol]
-    if not signs:
-        return None
-    following = signs[1:] + signs[:1] if periodic else signs[1:]
-    return sum(1 for a, b in zip(signs, following) if a != b)
-
-
 def subtwist_check(c: CostMatrix, periodic: bool = True) -> SubtwistReport:
     """Scan every column pair for the one-max-one-min difference shape.
 
@@ -140,20 +135,26 @@ def subtwist_check(c: CostMatrix, periodic: bool = True) -> SubtwistReport:
     (one rising arc, one falling arc); on a line it means at most two.
     Differences within the cost threshold of ``c`` count as zero for float
     data; exact data is compared exactly.
+
+    The consecutive differences of d are those of column j1 minus those of
+    column j2, so each column's steps (wrapping round when periodic) are
+    taken once and every pair only subtracts them.
     """
     _, zero_tol = thresholds(costs=c.rows)
-    cols = [[row[j] for row in c.rows] for j in range(c.n)]
+    steps = [
+        [b - a for a, b in zip(col, col[1:] + col[:1] if periodic else col[1:])]
+        for col in zip(*c.rows)
+    ]
     violations = []
     degenerate = []
-    for j1 in range(c.n):
-        for j2 in range(j1 + 1, c.n):
-            d = [a - b for a, b in zip(cols[j1], cols[j2])]
-            following = d[1:] + d[:1] if periodic else d[1:]
-            changes = _sign_changes([b - a for a, b in zip(d, following)], zero_tol, periodic)
-            if changes is None:
-                degenerate.append((j1, j2))
-            elif (periodic and changes != 2) or (not periodic and changes > 2):
-                violations.append((j1, j2))
+    for j1, j2 in combinations(range(c.n), 2):
+        signs = [d > zero_tol for d in map(sub, steps[j1], steps[j2]) if abs(d) > zero_tol]
+        if not signs:
+            degenerate.append((j1, j2))
+            continue
+        changes = sum(map(ne, signs, signs[1:] + signs[:1] if periodic else signs[1:]))
+        if (periodic and changes != 2) or (not periodic and changes > 2):
+            violations.append((j1, j2))
 
     return SubtwistReport(not violations, tuple(violations), tuple(degenerate))
 
@@ -189,14 +190,19 @@ def rational_demo_instance(cfg: DemoConfig, denominator: int = 10**6):
     return DiscreteMarginal(tuple(mu_w)), DiscreteMarginal(tuple(nu_w)), CostMatrix(rows)
 
 
+def _limb_of(system: NumberedLimbSystem) -> dict:
+    """Limb index k of every support cell of ``system``."""
+    return {cell: limb.k for limb in system.limbs for cell in limb.cells()}
+
+
 def run_demo(cfg: DemoConfig) -> DemoReport:
-    """Full demo pipeline: check the cost shape, solve, certify.
+    """Full demo pipeline: check the cost shape, solve, certify, decompose.
 
     The cost must pass the subtwist scan and the optimizer must be extremal;
-    both hold by construction and failures raise.  The two-limb split of the
-    optimal support is attempted and reported; if no split exists at this
-    grid size, the report carries None rather than failing, since only the
-    continuum problem guarantees two limbs.
+    both hold by construction and failures raise.  The optimal support is
+    split into its fewest-limb system and the mass on each limb reported.
+    The continuum problem guarantees two limbs; on a grid the optimum may
+    need more, and the report says how many and how much mass they carry.
     """
     _, mu, nu, cost = demo_instance(cfg)
     shape = subtwist_check(cost, periodic=True)
@@ -208,28 +214,19 @@ def run_demo(cfg: DemoConfig) -> DemoReport:
     certificate = is_extremal(report.coupling)
     if not certificate.extremal:
         raise AssertionError("a basic solution has forest support and must be extremal")
-    maps = two_limb_check(support_graph(report.coupling))
-    cross = None
-    if maps is not None:
-        f2 = maps[1]
-        antigraph_cells = {(f2[j], j) for j in range(cfg.n) if f2[j] is not None}
-        cross = sum(w for i, j, w in report.coupling.entries if (i, j) in antigraph_cells)
-    return DemoReport(cfg, report, certificate, maps, cross)
+    system = decompose(support_graph(report.coupling))
+    limb_of = _limb_of(system)
+    mass = dict.fromkeys((limb.k for limb in system.limbs), 0)
+    for i, j, w in report.coupling.entries:
+        mass[limb_of[i, j]] += w
+    return DemoReport(cfg, report, certificate, system, tuple(mass.values()))
 
 
 def support_rows(report: DemoReport) -> list:
-    """Plot-ready support: (theta, phi, mass, limb_kind) per occupied cell."""
+    """Plot-ready support: (theta, phi, mass, limb index k) per occupied cell."""
     angles = CircleGrid(report.config.n).angles
-    kind_of = {}
-    if report.two_limb is not None:
-        f1, f2 = report.two_limb
-        for i, j in enumerate(f1):
-            if j is not None:
-                kind_of[(i, j)] = "graph"
-        for j, i in enumerate(f2):
-            if i is not None:
-                kind_of[(i, j)] = "antigraph"
+    limb_of = _limb_of(report.system)
     return [
-        (angles[i], angles[j], w, kind_of.get((i, j), "unsplit"))
+        (angles[i], angles[j], w, limb_of[i, j])
         for i, j, w in report.solve_report.coupling.entries
     ]

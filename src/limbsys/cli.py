@@ -29,7 +29,7 @@ from .io import (
     witness_payload,
     write_json,
 )
-from .limbs import decompose, reconstruct
+from .limbs import decompose, limb_count, reconstruct
 from .measures import float_range
 from .transport import solve
 
@@ -89,10 +89,6 @@ def _cmd_demo_circle(args) -> int:
         nu_kappa=args.nu_kappa,
     )
     report = run_demo(cfg)
-    maps_payload = None
-    if report.two_limb is not None:
-        f1, f2 = report.two_limb
-        maps_payload = {"f1": list(f1), "f2": list(f2)}
     if args.out:
         write_json(
             args.out,
@@ -106,28 +102,26 @@ def _cmd_demo_circle(args) -> int:
                 "iterations": report.solve_report.iterations,
                 "degenerate_pivots": report.solve_report.degenerate_pivots,
                 "verdict": report.certificate.verdict,
-                "two_limb": maps_payload,
-                "cross_mass": report.cross_mass,
+                "system": system_payload(report.system),
+                "limb_mass": list(report.limb_mass),
                 "coupling": coupling_payload(report.solve_report.coupling),
             },
         )
     if args.plot:
         with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write("theta,phi,mass,limb_kind\n")
-            for theta, phi, mass, kind in support_rows(report):
-                fh.write(f"{theta:.17g},{phi:.17g},{float(mass):.17g},{kind}\n")
-    split = "two-limb split found" if report.two_limb is not None else "no two-limb split"
-    cross = "none" if report.cross_mass is None else f"{float(report.cross_mass):.17g}"
+            fh.write("theta,phi,mass,limb\n")
+            for theta, phi, mass, k in support_rows(report):
+                fh.write(f"{theta:.17g},{phi:.17g},{float(mass):.17g},{k}\n")
     print(
         f"value {float(report.solve_report.primal_value):.17g}, "
-        f"{report.certificate.verdict}, {split}, cross mass {cross}"
+        f"{report.certificate.verdict}, {limb_count(report.system)} limbs"
     )
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    reads_files = argparse.ArgumentParser(add_help=False)
+    reads_files.add_argument(
         "--rational", action="store_true", help="parse input numbers as exact fractions"
     )
 
@@ -138,29 +132,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("solve", parents=[common], help="minimize transport cost")
+    p = sub.add_parser("solve", parents=[reads_files], help="minimize transport cost")
     p.add_argument("problem")
     p.add_argument("--out", help="write the optimal coupling here")
     p.add_argument("--duals", help="write the dual potentials here")
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("check-extremal", parents=[common], help="decide extremality")
+    p = sub.add_parser("check-extremal", parents=[reads_files], help="decide extremality")
     p.add_argument("coupling")
     p.add_argument("--witness", help="write cycle and convex split when non-extremal")
     p.set_defaults(fn=_cmd_check_extremal)
 
-    p = sub.add_parser("decompose", parents=[common], help="split an acyclic support into limbs")
+    p = sub.add_parser("decompose", parents=[reads_files], help="split an acyclic support into limbs")
     p.add_argument("coupling")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_decompose)
 
-    p = sub.add_parser("reconstruct", parents=[common], help="rebuild the coupling of a system")
+    p = sub.add_parser("reconstruct", parents=[reads_files], help="rebuild the coupling of a system")
     p.add_argument("system")
     p.add_argument("problem")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_reconstruct)
 
-    p = sub.add_parser("demo-circle", parents=[common], help="run the circular town example")
+    p = sub.add_parser("demo-circle", help="run the circular town example")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--mu-center", type=float, default=DemoConfig.mu_center)
     p.add_argument("--mu-kappa", type=float, default=DemoConfig.mu_kappa)

@@ -178,7 +178,11 @@ def _integer_rank(matrix: list) -> int:
     return rank
 
 
-def dl_rank_test(gamma: Coupling, support_cap: int = 4096) -> bool:
+# Largest support the rank test accepts.
+RANK_TEST_MAX_CELLS = 4096
+
+
+def dl_rank_test(gamma: Coupling) -> bool:
     """Functional-analytic extremality criterion at finite scale.
 
     Functions of the form (i, j) -> a_i + b_j span all functions on the
@@ -186,8 +190,10 @@ def dl_rank_test(gamma: Coupling, support_cap: int = 4096) -> bool:
     Agrees with :func:`is_acyclic` on every coupling; both say "extremal".
     """
     cells = sorted(support_graph(gamma).edges)
-    if len(cells) > support_cap:
-        raise SizeLimitError(f"support has {len(cells)} cells, above the cap of {support_cap}")
+    if len(cells) > RANK_TEST_MAX_CELLS:
+        raise SizeLimitError(
+            f"support has {len(cells)} cells, above the cap of {RANK_TEST_MAX_CELLS}"
+        )
     if not cells:
         return True
     width = gamma.m + gamma.n

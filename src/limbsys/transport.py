@@ -481,13 +481,13 @@ def _tree_flow(tree_edges, supplies, eps):
     return masses
 
 
-def enumerate_optimal_vertices(
-    mu: DiscreteMarginal,
-    nu: DiscreteMarginal,
-    c: CostMatrix,
-    max_cells: int = 64,
-    max_bases: int = 200000,
-) -> list:
+# Desk-scale guards of the oracle: the largest grid it accepts and the most
+# spanning-forest bases it examines.
+ORACLE_MAX_CELLS = 64
+ORACLE_MAX_BASES = 200000
+
+
+def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> list:
     """All optimal basic feasible solutions of the transportation problem.
 
     Dual potentials from the shortest-path solver pin down the zero set of
@@ -496,23 +496,18 @@ def enumerate_optimal_vertices(
     spanning-forest bases of that subgraph, component by component, lists
     every vertex of the face.  Deduplicated and deterministically ordered.
 
-    Desk-scale guard: refuses grids above ``max_cells`` cells and faces with
-    more than ``max_bases`` bases to examine.
+    Refuses grids above ``ORACLE_MAX_CELLS`` cells and faces with more than
+    ``ORACLE_MAX_BASES`` bases to examine.
     """
-    eps_mass, eps_cost, _ = _check_instance(mu, nu, c)
+    eps_mass, _, _ = _check_instance(mu, nu, c)
     m, n = mu.size, nu.size
-    if m * n > max_cells:
-        raise SizeLimitError(f"instance has {m * n} cells, above the oracle guard of {max_cells}")
+    if m * n > ORACLE_MAX_CELLS:
+        raise SizeLimitError(
+            f"instance has {m * n} cells, above the oracle guard of {ORACLE_MAX_CELLS}"
+        )
 
     q, r = _ssp_duals(mu.weights, nu.weights, c.rows, eps_mass)
-    zero_edges = []
-    for i in range(m):
-        for j in range(n):
-            rc = c.rows[i][j] - q[i] - r[j]
-            if rc < -eps_cost:
-                raise AssertionError("shortest-path duals must be feasible")
-            if rc <= eps_cost:
-                zero_edges.append((i, m + j))
+    zero_edges = [(i, m + j) for i, j in zero_set(c, DualPotentials(q, r)).sorted_edges()]
 
     # Connected components of the zero-set subgraph over all m+n nodes.
     parent = list(range(m + n))
@@ -528,7 +523,7 @@ def enumerate_optimal_vertices(
     supplies = {i: mu.weights[i] for i in range(m)}
     supplies.update({m + j: nu.weights[j] for j in range(n)})
 
-    budget = [max_bases]
+    budget = [ORACLE_MAX_BASES]
     per_component = []
     for root, nodes in sorted(comp_nodes.items()):
         options = {}
@@ -554,17 +549,11 @@ def enumerate_optimal_vertices(
     return vertices
 
 
-def is_unique_optimum(
-    mu: DiscreteMarginal,
-    nu: DiscreteMarginal,
-    c: CostMatrix,
-    max_cells: int = 64,
-    max_bases: int = 200000,
-) -> bool:
+def is_unique_optimum(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> bool:
     """True iff the optimal face is a single point.
 
     The face is a bounded polytope, hence the convex hull of its vertices:
     one vertex means the face is that vertex, two or more mean a whole
     segment of optima.
     """
-    return len(enumerate_optimal_vertices(mu, nu, c, max_cells, max_bases)) == 1
+    return len(enumerate_optimal_vertices(mu, nu, c)) == 1

@@ -25,6 +25,43 @@ from limbsys.transport import _ssp_duals
 
 
 # ---------------------------------------------------------------------------
+# Cost shape
+# ---------------------------------------------------------------------------
+
+
+def subtwist_by_definition(rows, periodic: bool):
+    """(violations, degenerate) column pairs of an exact cost matrix.
+
+    For each pair j1 < j2: d_i = c[i][j1] - c[i][j2], its consecutive
+    differences d_{i+1} - d_i (also d_0 - d_{m-1} around a circle), the
+    zeros dropped, and the sign changes between neighbours of what is left
+    (also last to first around a circle).  Nothing left is degenerate;
+    otherwise the pair violates with other than exactly two changes around
+    a circle, or more than two on a line.
+    """
+    m, n = len(rows), len(rows[0])
+    violations, degenerate = [], []
+    for j1 in range(n):
+        for j2 in range(j1 + 1, n):
+            d = [rows[i][j1] - rows[i][j2] for i in range(m)]
+            if periodic:
+                diffs = [d[(i + 1) % m] - d[i] for i in range(m)]
+            else:
+                diffs = [d[i + 1] - d[i] for i in range(m - 1)]
+            kept = [x for x in diffs if x != 0]
+            if not kept:
+                degenerate.append((j1, j2))
+                continue
+            neighbours = [(kept[k], kept[k + 1]) for k in range(len(kept) - 1)]
+            if periodic:
+                neighbours.append((kept[-1], kept[0]))
+            changes = sum(1 for a, b in neighbours if (a > 0) != (b > 0))
+            if (periodic and changes != 2) or (not periodic and changes > 2):
+                violations.append((j1, j2))
+    return tuple(violations), tuple(degenerate)
+
+
+# ---------------------------------------------------------------------------
 # Exact linear algebra
 # ---------------------------------------------------------------------------
 

@@ -25,6 +25,7 @@ from limbsys import (
     enumerate_optimal_vertices,
     is_acyclic,
     is_extremal,
+    limb_count,
     marginals_of,
     pushforward_graph,
     rational_demo_instance,
@@ -244,8 +245,10 @@ def test_a8_circle_demo_structure():
     output is the oracle's unique optimal vertex, exactly."""
     demo = run_demo(DemoConfig(n=64))
     assert demo.certificate.extremal
-    assert demo.two_limb is not None
-    assert demo.cross_mass > 0
+    assert limb_count(demo.system) <= 2
+    assert [limb.k for limb in demo.system.limbs] == [1, 2]
+    cross_mass = demo.limb_mass[1]
+    assert cross_mass > 0
 
     mu, nu, cost = rational_demo_instance(DemoConfig(n=8))
     solved = solve(mu, nu, cost)
@@ -255,7 +258,7 @@ def test_a8_circle_demo_structure():
     assert solved.primal_value == solved.dual_value
     report(
         "A8",
-        f"N=64 cross mass {float(demo.cross_mass):.4f} > 0; N=8 equals the unique oracle vertex",
+        f"N=64 limb 2 mass {float(cross_mass):.4f} > 0; N=8 equals the unique oracle vertex",
     )
 
 

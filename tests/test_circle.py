@@ -1,6 +1,7 @@
 """Circle cost construction, subtwist scanning, and the demo pipeline."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,8 @@ from limbsys import (
     support_graph,
     support_rows,
 )
+
+import oracles
 
 
 def double_frequency_cost(n):
@@ -132,6 +135,25 @@ class TestSubtwist:
         report = subtwist_check(c)
         assert isinstance(report.passed, bool)
 
+    def test_matches_the_definition_on_exact_matrices(self):
+        rng = random.Random(2027)
+        for t in range(2400):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            top = rng.choice((1, 2, 3, 9))
+            rows = [[rng.randint(-top, top) for _ in range(n)] for _ in range(m)]
+            if t % 2:
+                rows = [[F(v, rng.randint(1, 3)) for v in row] for row in rows]
+            for periodic in (True, False):
+                report = subtwist_check(CostMatrix(tuple(map(tuple, rows))), periodic=periodic)
+                violations, degenerate = oracles.subtwist_by_definition(rows, periodic)
+                assert (report.violations, report.degenerate) == (violations, degenerate), rows
+                assert report.passed == (not violations)
+
+
+def mass_on_limb(report, k):
+    """Mass the demo report puts on limb k; 0 when the system has no limb k."""
+    return dict(zip((limb.k for limb in report.system.limbs), report.limb_mass)).get(k, 0)
+
 
 class TestDemo:
     def test_identical_marginals_stay_home(self):
@@ -140,8 +162,8 @@ class TestDemo:
         coupling = report.solve_report.coupling
         assert coupling.cells() == {(i, i) for i in range(16)}
         assert report.solve_report.primal_value == 0
-        assert report.two_limb is not None
-        assert report.cross_mass == 0
+        assert limb_count(report.system) <= 2
+        assert mass_on_limb(report, 2) == 0
         assert limb_count(decompose(support_graph(coupling))) == 1
 
     def test_uniform_marginals_cost_zero(self):
@@ -152,32 +174,48 @@ class TestDemo:
     def test_opposed_peaks_cross_town(self):
         report = run_demo(DemoConfig(n=24))
         assert report.certificate.extremal
-        assert report.two_limb is not None
-        assert report.cross_mass > 0
+        assert limb_count(report.system) <= 2
+        assert mass_on_limb(report, 2) > 0
 
     def test_demo_two_limb_maps_form_a_valid_system(self):
         from limbsys import system_support, validate_system
 
         report = run_demo(DemoConfig(n=16))
-        assert report.two_limb is not None
+        assert limb_count(report.system) <= 2
         cells = report.solve_report.coupling.cells()
         system = decompose(support_graph(report.solve_report.coupling))
+        assert report.system == system
         assert validate_system(system)
         assert limb_count(system) <= 2
         assert system_support(system).edges == cells
-        f1, f2 = report.two_limb
-        covered = {(i, j) for i, j in enumerate(f1) if j is not None}
-        covered |= {(i, j) for j, i in enumerate(f2) if i is not None}
+        covered = set()
+        for limb in report.system.limbs:
+            covered |= limb.cells()
         assert covered == cells
 
     def test_support_rows_cover_and_label(self):
         report = run_demo(DemoConfig(n=16))
         rows = support_rows(report)
-        assert len(rows) == len(report.solve_report.coupling.entries)
-        kinds = {kind for _, _, _, kind in rows}
-        assert kinds <= {"graph", "antigraph", "unsplit"}
+        entries = report.solve_report.coupling.entries
+        assert len(rows) == len(entries)
         angles = CircleGrid(16).angles
         assert all(theta in angles and phi in angles for theta, phi, _, _ in rows)
+        for (theta, phi, w, k), (i, j, mass) in zip(rows, entries):
+            assert (theta, phi, w) == (angles[i], angles[j], mass)
+            assert any(limb.k == k and (i, j) in limb.cells() for limb in report.system.limbs)
+
+    def test_five_limbs_at_eighty_points(self):
+        # The grid optimum outgrows the continuum's two limbs at n = 80.
+        report = run_demo(DemoConfig(n=80))
+        coupling = report.solve_report.coupling
+        assert limb_count(report.system) == 5
+        assert len(report.limb_mass) == len(report.system.limbs)
+        assert sum(report.limb_mass) == pytest.approx(coupling.total_mass(), rel=1e-12, abs=0)
+        for limb, mass in zip(report.system.limbs, report.limb_mass):
+            assert mass == sum(coupling.mass_at(i, j) for i, j in sorted(limb.cells()))
+        assert mass_on_limb(report, 2) > 0
+        assert sum(report.limb_mass[2:]) > 0.05
+        assert {k for _, _, _, k in support_rows(report)} == {1, 2, 3, 4, 5}
 
     def test_rational_snapping_balances_exactly(self):
         mu, nu, cost = rational_demo_instance(DemoConfig(n=8))

@@ -270,10 +270,18 @@ class TestCli:
         payload = json.loads(report.read_text())
         assert payload["n"] == 12
         assert payload["verdict"] == "extremal"
+        limbs = payload["system"]["limbs"]
+        assert len(payload["limb_mass"]) == len(limbs)
         lines = plot.read_text().splitlines()
-        assert lines[0] == "theta,phi,mass,limb_kind"
+        assert lines[0] == "theta,phi,mass,limb"
         assert len(lines) == 1 + len(payload["coupling"]["entries"])
-        assert "value" in capsys.readouterr().out
+        assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {str(limb["k"]) for limb in limbs}
+        out = capsys.readouterr().out
+        assert "value" in out and f"{len(limbs)} limbs" in out
+
+    def test_demo_circle_rejects_rational(self, capsys):
+        assert main(["demo-circle", "--n", "16", "--rational"]) == 1
+        assert "--rational" in capsys.readouterr().err
 
     def test_demo_report_counts_pivots(self, tmp_path):
         report = tmp_path / "report.json"
