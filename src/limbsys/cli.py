@@ -64,7 +64,7 @@ def _cmd_decompose(args) -> int:
     gamma = load_coupling(args.coupling, args.rational)
     system = decompose(support_graph(gamma))
     write_json(args.out, system_payload(system))
-    print(f"{len(system.limbs)} limbs")
+    print(f"{limb_count(system)} limbs")
     return 0
 
 

@@ -14,10 +14,11 @@ largest mass of the instance (``measures.thresholds``).
 
 The optimal-vertex oracle is deliberately a different algorithm: optimal
 dual potentials come from a successive-shortest-path solver, the zero set of
-their reduced costs cuts out the optimal face, and every spanning-forest
-basis of that subgraph is enumerated exhaustively.  The two routes share no
-code beyond the data types, the instance check and the tolerance rule, so
-they can check each other.
+their reduced costs cuts out the optimal face, and one peel-and-branch walk
+per component of that subgraph visits every spanning tree whose flow is
+nonnegative, pruning a branch at its first negative leaf mass.  The two
+routes share no code beyond the data types, the instance check and the
+tolerance rule, so they can check each other.
 """
 
 from __future__ import annotations
@@ -410,79 +411,95 @@ def _ssp_duals(mu, nu, c_rows, stop):
     return q, r
 
 
-def _spanning_trees(nodes, edges, budget):
-    """Yield every spanning tree of a connected component, as a tuple of
-    edges, by ordered backtracking over the canonical edge list."""
-    want = len(nodes) - 1
-    if want == 0:
-        yield ()
-        return
-    edges = sorted(edges)
+def _feasible_bases(nodes, edges, supplies, eps, budget):
+    """Yield the arc masses, as (edge, mass) pairs, of every spanning tree of
+    a connected component whose flow is nonnegative; masses in [-eps, 0)
+    are clamped to 0.
 
-    def extend(start, chosen, parents):
+    One walk over the sorted edges.  A leaf's one edge lies in every
+    spanning tree of what is left and carries the leaf's remaining supply,
+    so leaves are peeled, and a mass below ``-eps`` prunes the branch.  Then
+    the walk branches on the lowest undecided edge: keep it, unless it
+    closes a cycle of kept edges, then delete it, unless that disconnects
+    the component.  State changes in place and is undone on return; each
+    walk state is charged to ``budget``.
+    """
+    ends = sorted(edges)
+    incident = {v: [] for v in nodes}
+    for e, (u, v) in enumerate(ends):
+        incident[u].append((e, v))
+        incident[v].append((e, u))
+    degree = {v: len(incident[v]) for v in nodes}
+    net = {v: supplies[v] for v in nodes}
+    alive = [True] * len(ends)  # neither deleted nor peeled
+    kept = {v: v for v in nodes}  # union-find of kept edges, never compressed
+    tree = []  # peeled (leaf, edge, other end, mass, other end's net before)
+
+    def peel(leaves):
+        """Peel ``leaves`` and every leaf that exposes; False at a mass below -eps."""
+        while leaves:
+            v = leaves.pop()
+            if degree[v] == 1:
+                e, u = next(pair for pair in incident[v] if alive[pair[0]])
+                w = net[v]
+                if w < 0:
+                    if w < -eps:
+                        return False
+                    w = 0
+                tree.append((v, e, u, w, net[u]))
+                alive[e], degree[v], degree[u], net[u] = False, 0, degree[u] - 1, net[u] - w
+                if degree[u] == 1:
+                    leaves.append(u)
+        return True
+
+    def root(v):
+        while kept[v] != v:
+            v = kept[v]
+        return v
+
+    def bypassed(e, a, b):
+        """True when ``a`` and ``b`` stay connected without edge ``e``."""
+        seen, stack = {a}, [a]
+        while stack:
+            for f, u in incident[stack.pop()]:
+                if alive[f] and f != e and u not in seen:
+                    if u == b:
+                        return True
+                    seen.add(u)
+                    stack.append(u)
+        return False
+
+    def walk(e):
         budget[0] -= 1
         if budget[0] < 0:
             raise SizeLimitError("optimal face has too many spanning-forest bases to enumerate")
-        if len(chosen) == want:
-            yield tuple(chosen)
+        if len(tree) == len(nodes) - 1:
+            yield [(ends[f], w) for _, f, _, w, _ in tree]
             return
-        if len(chosen) + (len(edges) - start) < want:
-            return
-        for k in range(start, len(edges)):
-            u, v = edges[k]
-            ru, rv = find(parents, u), find(parents, v)
-            if ru == rv:
-                continue
-            nxt = dict(parents)
-            nxt[ru] = rv
-            chosen.append(edges[k])
-            yield from extend(k + 1, chosen, nxt)
-            chosen.pop()
+        while not alive[e]:  # a connected graph without leaves has an undecided edge
+            e += 1
+        a, b = ends[e]
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            kept[ra] = rb
+            yield from walk(e + 1)
+            kept[ra] = ra
+        if ra == rb or bypassed(e, a, b):
+            mark = len(tree)
+            alive[e], degree[a], degree[b] = False, degree[a] - 1, degree[b] - 1
+            if peel([a, b]):
+                yield from walk(e + 1)
+            while len(tree) > mark:
+                v, f, u, _, old = tree.pop()
+                alive[f], degree[v], degree[u], net[u] = True, 1, degree[u] + 1, old
+            alive[e], degree[a], degree[b] = True, degree[a] + 1, degree[b] + 1
 
-    yield from extend(0, [], {v: v for v in nodes})
-
-
-def _tree_flow(tree_edges, supplies, eps):
-    """Unique mass assignment on a tree basis, by leaf peeling.
-
-    Returns the arc masses, or None when some mass comes out below ``-eps``,
-    in which case the basis is infeasible; smaller negatives are clamped.
-    """
-    net = dict(supplies)
-    degree = {v: 0 for v in net}
-    incident = {v: [] for v in net}
-    for e in tree_edges:
-        u, v = e
-        degree[u] += 1
-        degree[v] += 1
-        incident[u].append(e)
-        incident[v].append(e)
-    alive = set(tree_edges)
-    leaves = [v for v, d in degree.items() if d == 1]
-    masses = {}
-    while leaves:
-        v = leaves.pop()
-        edge = next((e for e in incident[v] if e in alive), None)
-        if edge is None:
-            continue
-        w = net[v]
-        if w < -eps:
-            return None
-        if w < 0:
-            w = 0
-        masses[edge] = w
-        alive.discard(edge)
-        other = edge[0] if edge[1] == v else edge[1]
-        net[other] = net[other] - w
-        net[v] = 0
-        degree[other] -= 1
-        if degree[other] == 1:
-            leaves.append(other)
-    return masses
+    if peel([v for v in nodes if degree[v] == 1]):
+        yield from walk(0)
 
 
 # Desk-scale guards of the oracle: the largest grid it accepts and the most
-# spanning-forest bases it examines.
+# walk states it visits.
 ORACLE_MAX_CELLS = 64
 ORACLE_MAX_BASES = 200000
 
@@ -492,12 +509,14 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
 
     Dual potentials from the shortest-path solver pin down the zero set of
     reduced costs; by complementary slackness the optimal face consists of
-    the feasible couplings supported inside it.  Exhausting the
-    spanning-forest bases of that subgraph, component by component, lists
-    every vertex of the face.  Deduplicated and deterministically ordered.
+    the feasible couplings supported inside it.  Exhausting the spanning
+    trees with nonnegative flow of that subgraph, component by component,
+    lists every vertex of the face.  Masses at or below the mass threshold
+    are dropped as dust, as in :func:`solve`; each vertex is listed once
+    per support, and the list is sorted by entries.
 
-    Refuses grids above ``ORACLE_MAX_CELLS`` cells and faces with more than
-    ``ORACLE_MAX_BASES`` bases to examine.
+    Refuses grids above ``ORACLE_MAX_CELLS`` cells and faces whose walk
+    visits more than ``ORACLE_MAX_BASES`` states.
     """
     eps_mass, _, _ = _check_instance(mu, nu, c)
     m, n = mu.size, nu.size
@@ -520,24 +539,20 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
     for u, v in zero_edges:
         comp_edges[find(parent, u)].append((u, v))
 
-    supplies = {i: mu.weights[i] for i in range(m)}
-    supplies.update({m + j: nu.weights[j] for j in range(n)})
+    supplies = mu.weights + nu.weights
 
     budget = [ORACLE_MAX_BASES]
     per_component = []
     for root, nodes in sorted(comp_nodes.items()):
+        # A vertex is fixed by its support, a forest; keyed by support, float
+        # copies of one vertex that differ in the last digits count once.
         options = {}
-        for tree in _spanning_trees(nodes, comp_edges[root], budget):
-            masses = _tree_flow(tree, {v: supplies[v] for v in nodes}, eps_mass)
-            if masses is None:
-                continue
-            entries = tuple(
-                sorted((u, v - m, w) for (u, v), w in masses.items() if w > 0)
-            )
-            options[entries] = None
+        for masses in _feasible_bases(nodes, comp_edges[root], supplies, eps_mass, budget):
+            entries = tuple(sorted((u, v - m, w) for (u, v), w in masses if w > eps_mass))
+            options.setdefault(tuple(cell[:2] for cell in entries), entries)
         if not options:
             raise AssertionError("every component of the zero set supports an optimal restriction")
-        per_component.append(sorted(options))
+        per_component.append(sorted(options.values()))
 
     vertices = []
     for combo in product(*per_component):

@@ -6,12 +6,15 @@ networkx, vertex checks from numpy's rank, and vertices of small feasible
 sets are enumerated by trying every possible spanning-tree basis.  Slow and
 obvious on purpose.  The optimal-face check takes its reference value from
 the package's successive-shortest-path duals, which share no code with the
-simplex.
+simplex.  Faces too large for that brute force are enumerated by ordered
+backtracking over all their spanning trees, each tree's flow peeled from
+scratch and nothing pruned, as a reference for the package's pruned walk.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -19,7 +22,15 @@ from operator import mul
 import networkx as nx
 import numpy as np
 
-from limbsys import Coupling, CostMatrix, DiscreteMarginal, validate_coupling, zero_set
+from limbsys import (
+    Coupling,
+    CostMatrix,
+    DiscreteMarginal,
+    DualPotentials,
+    SizeLimitError,
+    validate_coupling,
+    zero_set,
+)
 from limbsys.measures import thresholds
 from limbsys.transport import _ssp_duals
 
@@ -171,6 +182,114 @@ def optimal_vertices_bruteforce(mu, nu, c: CostMatrix):
     return [v for v, val in zip(vertices, values) if val == best], best
 
 
+def find(parents, v):
+    """Union-find root of ``v``, halving the path on the way up."""
+    while parents[v] != v:
+        parents[v] = parents[parents[v]]
+        v = parents[v]
+    return v
+
+
+def _spanning_trees(nodes, edges, budget):
+    """Yield every spanning tree of a connected component, as a tuple of
+    edges, by ordered backtracking over the canonical edge list."""
+    want = len(nodes) - 1
+    if want == 0:
+        yield ()
+        return
+    edges = sorted(edges)
+
+    def extend(start, chosen, parents):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise SizeLimitError("optimal face has too many spanning-forest bases to enumerate")
+        if len(chosen) == want:
+            yield tuple(chosen)
+            return
+        if len(chosen) + (len(edges) - start) < want:
+            return
+        for k in range(start, len(edges)):
+            u, v = edges[k]
+            ru, rv = find(parents, u), find(parents, v)
+            if ru == rv:
+                continue
+            nxt = dict(parents)
+            nxt[ru] = rv
+            chosen.append(edges[k])
+            yield from extend(k + 1, chosen, nxt)
+            chosen.pop()
+
+    yield from extend(0, [], {v: v for v in nodes})
+
+
+def _tree_flow(tree_edges, supplies, eps):
+    """Unique mass assignment on a tree basis, by leaf peeling.
+
+    Returns the arc masses, or None when some mass comes out below ``-eps``,
+    in which case the basis is infeasible; smaller negatives are clamped.
+    """
+    net = dict(supplies)
+    degree = {v: 0 for v in net}
+    incident = {v: [] for v in net}
+    for e in tree_edges:
+        u, v = e
+        degree[u] += 1
+        degree[v] += 1
+        incident[u].append(e)
+        incident[v].append(e)
+    alive = set(tree_edges)
+    leaves = [v for v, d in degree.items() if d == 1]
+    masses = {}
+    while leaves:
+        v = leaves.pop()
+        edge = next((e for e in incident[v] if e in alive), None)
+        if edge is None:
+            continue
+        w = net[v]
+        if w < -eps:
+            return None
+        if w < 0:
+            w = 0
+        masses[edge] = w
+        alive.discard(edge)
+        other = edge[0] if edge[1] == v else edge[1]
+        net[other] = net[other] - w
+        net[v] = 0
+        degree[other] -= 1
+        if degree[other] == 1:
+            leaves.append(other)
+    return masses
+
+
+def optimal_vertices_by_backtracking(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix):
+    """Every optimal vertex of an exact instance, in the order of
+    ``enumerate_optimal_vertices``: the zero set of the shortest-path duals,
+    its components from networkx, and every spanning tree of each component
+    by ordered backtracking, with no budget.  Reaches faces of 6x6 and
+    beyond, which ``optimal_vertices_bruteforce`` cannot."""
+    m, n = mu.size, nu.size
+    stop, _ = thresholds(masses=(mu.weights, nu.weights))
+    q, r = _ssp_duals(mu.weights, nu.weights, c.rows, stop)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(m + n))
+    graph.add_edges_from((i, m + j) for i, j in zero_set(c, DualPotentials(q, r)).edges)
+    supplies = mu.weights + nu.weights
+    per_component = []
+    for nodes in nx.connected_components(graph):
+        edges = [(min(e), max(e)) for e in graph.subgraph(nodes).edges]
+        options = set()
+        for tree in _spanning_trees(sorted(nodes), edges, [math.inf]):
+            masses = _tree_flow(tree, {v: supplies[v] for v in nodes}, stop)
+            if masses is not None:
+                options.add(tuple(sorted((u, v - m, w) for (u, v), w in masses.items() if w > 0)))
+        per_component.append(options)
+    vertices = [
+        Coupling(m, n, tuple(sorted(itertools.chain(*combo))))
+        for combo in itertools.product(*per_component)
+    ]
+    return sorted(vertices, key=lambda g: g.entries)
+
+
 def assert_on_optimal_face(mu, nu, c: CostMatrix, report, exact: bool):
     """A solve result lies on the optimal face, whichever vertex it is.
 
@@ -275,3 +394,34 @@ def random_coupling(rng: random.Random, m: int, n: int, density: float = 0.4) ->
     if not entries:
         entries.append((rng.randrange(m), rng.randrange(n), Fraction(1)))
     return Coupling.from_entries(m, n, entries)
+
+
+def planted_tie_instance(rng: random.Random, m: int, n: int, extra: int):
+    """Exact m-by-n costs in {0, 1, 2} whose optimal face is planted: a
+    random spanning tree with positive masses fixes the marginals, costs are
+    q[i] in {0, 1} on the tree and on ``extra`` further cells and above q[i]
+    elsewhere, so those cells are the zero set of the only optimal duals."""
+    rows, cols = [0], [0]
+    tree = {(0, 0)}
+    later = [(True, i) for i in range(1, m)] + [(False, j) for j in range(1, n)]
+    rng.shuffle(later)
+    for is_row, v in later:
+        if is_row:
+            tree.add((v, rng.choice(cols)))
+            rows.append(v)
+        else:
+            tree.add((rng.choice(rows), v))
+            cols.append(v)
+    others = sorted(set(itertools.product(range(m), range(n))) - tree)
+    zero = tree | set(rng.sample(others, extra))
+    mu, nu = [Fraction(0)] * m, [Fraction(0)] * n
+    for i, j in sorted(tree):
+        w = Fraction(rng.randint(1, 20), 60)
+        mu[i] += w
+        nu[j] += w
+    q = [rng.randint(0, 1) for _ in range(m)]
+    cost = tuple(
+        tuple(q[i] if (i, j) in zero else (2 if q[i] else rng.randint(1, 2)) for j in range(n))
+        for i in range(m)
+    )
+    return DiscreteMarginal(tuple(mu)), DiscreteMarginal(tuple(nu)), CostMatrix(cost)

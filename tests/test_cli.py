@@ -242,6 +242,16 @@ class TestCli:
         assert main(["decompose", str(cyclic), "--out", str(tmp_path / "s.json")]) == 3
         assert "cyclic" in capsys.readouterr().err
 
+    def test_decompose_prints_the_highest_limb_index(self, tmp_path, capsys):
+        # One row sending to two columns decomposes into limb 2 alone: the
+        # system has one limb but needs the numbers up to 2.
+        row = tmp_path / "row.json"
+        write_coupling(row, 1, 2, [[0, 0, 0.5], [0, 1, 0.5]])
+        system = tmp_path / "s.json"
+        assert main(["decompose", str(row), "--out", str(system)]) == 0
+        assert [limb["k"] for limb in json.loads(system.read_text())["limbs"]] == [2]
+        assert capsys.readouterr().out == "2 limbs\n"
+
     def test_reconstruct_infeasible_is_exit_4(self, tmp_path, balanced_problem, capsys):
         diag = tmp_path / "diag.json"
         write_coupling(diag, 2, 2, [[0, 0, 0.5], [1, 1, 0.5]])

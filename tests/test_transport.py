@@ -1,5 +1,6 @@
 """Network simplex solver, dual potentials, and the optimal-vertex oracle."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from limbsys import (
     Coupling,
     CostMatrix,
+    DemoConfig,
     DiscreteMarginal,
     DualInfeasibleError,
     DualPotentials,
@@ -21,11 +23,13 @@ from limbsys import (
     is_acyclic,
     is_unique_optimum,
     marginals_of,
+    rational_demo_instance,
     solve,
     support_graph,
     validate_coupling,
     zero_set,
 )
+from limbsys import transport
 
 import oracles
 
@@ -424,6 +428,75 @@ class TestEnumerateOptimalVertices:
             enumerate_optimal_vertices(
                 uniform(9), uniform(8), CostMatrix(((0,) * 8,) * 9)
             )
+
+    def test_degenerate_faces_match_bruteforce(self):
+        # Equal masses and costs in {0, 1, 2} give degenerate vertices, which
+        # many spanning trees share.  Float copies must list each vertex
+        # once, on the same support, with nothing below the mass threshold.
+        rng = random.Random(4477)
+        for _ in range(40):
+            m, n = rng.randint(1, 3), rng.randint(1, 4)
+            costs = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+            mu, nu = DiscreteMarginal((F(1, m),) * m), DiscreteMarginal((F(1, n),) * n)
+            c = CostMatrix(tuple(tuple(F(v) for v in row) for row in costs))
+            expected, _ = oracles.optimal_vertices_bruteforce(mu, nu, c)
+            found = enumerate_optimal_vertices(mu, nu, c)
+            assert [g.entries for g in found] == [g.entries for g in expected]
+
+            floats = enumerate_optimal_vertices(
+                DiscreteMarginal((1 / m,) * m),
+                DiscreteMarginal((1 / n,) * n),
+                CostMatrix(tuple(tuple(float(v) for v in row) for row in costs)),
+            )
+            by_support = {tuple(sorted(g.cells())): g for g in floats}
+            assert len(by_support) == len(floats)
+            assert sorted(by_support) == sorted(tuple(sorted(g.cells())) for g in expected)
+            for g in expected:
+                near = by_support[tuple(sorted(g.cells()))]
+                for (_, _, w), (_, _, x) in zip(g.entries, near.entries):
+                    assert abs(x - w) <= 1e-9 * w
+
+    def test_large_planted_faces_match_the_backtracking_reference(self):
+        # 6x6 faces with up to a few thousand spanning trees, beyond the
+        # brute force: the same vertices, entries and order, as the
+        # reference that peels every spanning tree from scratch.
+        rng = random.Random(606)
+        instances = [oracles.planted_tie_instance(rng, 6, 6, extra) for extra in (4, 6) * 12]
+        instances.append(rational_demo_instance(DemoConfig(n=8)))
+        counts = []
+        for mu, nu, c in instances:
+            found = enumerate_optimal_vertices(mu, nu, c)
+            expected = oracles.optimal_vertices_by_backtracking(mu, nu, c)
+            assert [g.entries for g in found] == [g.entries for g in expected]
+            counts.append(len(found))
+        assert max(counts) > 1 and counts[-1] == 1
+
+    def test_float_copy_of_a_unique_optimum_is_unique(self):
+        # The demo's unique vertex is degenerate: several spanning trees
+        # carry it, and in floats they peel to masses that differ in the
+        # last digits and to dust on its zero-mass cells.
+        mu, nu, c = rational_demo_instance(DemoConfig(n=8))
+        [exact] = enumerate_optimal_vertices(mu, nu, c)
+        floats = (
+            DiscreteMarginal(tuple(map(float, mu.weights))),
+            DiscreteMarginal(tuple(map(float, nu.weights))),
+            CostMatrix(tuple(tuple(map(float, row)) for row in c.rows)),
+        )
+        [vertex] = enumerate_optimal_vertices(*floats)
+        assert vertex.cells() == exact.cells()
+        assert is_unique_optimum(*floats)
+
+    def test_bases_guard(self, monkeypatch):
+        # The flat 4x4 face is the Birkhoff polytope: its 24 vertices are the
+        # permutations, and its walk takes more than 100 states.
+        flat = CostMatrix(((0,) * 4,) * 4)
+        found = enumerate_optimal_vertices(uniform(4), uniform(4), flat)
+        assert [g.entries for g in found] == sorted(
+            tuple((i, p[i], F(1, 4)) for i in range(4)) for p in itertools.permutations(range(4))
+        )
+        monkeypatch.setattr(transport, "ORACLE_MAX_BASES", 100)
+        with pytest.raises(SizeLimitError):
+            enumerate_optimal_vertices(uniform(4), uniform(4), flat)
 
     def test_unbalanced_instance_rejected(self):
         with pytest.raises(InfeasibleError):
