@@ -168,8 +168,11 @@ def demo_instance(cfg: DemoConfig):
     return grid, mu, nu, cost
 
 
-def rational_demo_instance(cfg: DemoConfig, denominator: int = 10**6):
-    """Demo data snapped to exact rationals with the given denominator.
+SNAP_DENOMINATOR = 10**6
+
+
+def rational_demo_instance(cfg: DemoConfig):
+    """Demo data snapped to exact rationals with denominator ``SNAP_DENOMINATOR``.
 
     Density totals are re-balanced exactly after snapping, so the instance
     is feasible in exact arithmetic and solver results can be compared
@@ -178,7 +181,7 @@ def rational_demo_instance(cfg: DemoConfig, denominator: int = 10**6):
     _, mu, nu, cost = demo_instance(cfg)
 
     def snap(x):
-        return Fraction(round(x * denominator), denominator)
+        return Fraction(round(x * SNAP_DENOMINATOR), SNAP_DENOMINATOR)
 
     mu_w = [snap(w) for w in mu.weights]
     nu_w = [snap(w) for w in nu.weights]

@@ -12,18 +12,21 @@ exact and the returned optimum is exact; with floats the pivot threshold and
 the dust below which masses are dropped scale with the largest cost and the
 largest mass of the instance (``measures.thresholds``).
 
-The optimal-vertex oracle is deliberately a different algorithm: optimal
-dual potentials come from a successive-shortest-path solver, the zero set of
-their reduced costs cuts out the optimal face, and one peel-and-branch walk
-per component of that subgraph visits every spanning tree whose flow is
-nonnegative, pruning a branch at its first negative leaf mass.  The two
-routes share no code beyond the data types, the instance check and the
-tolerance rule, so they can check each other.
+The optimal-vertex oracle lists the whole optimal face.  By complementary
+slackness every optimal dual cuts out the same face: the feasible couplings
+supported on the zero set of its reduced costs.  So the oracle takes the
+simplex's potentials, and one peel-and-branch walk per component of that
+zero set visits every spanning tree whose flow is nonnegative, pruning a
+branch at its first negative leaf mass.  A tree counts only when the point
+left unpeeled in its component carries no net supply, so every vertex
+listed is a coupling on the zero set.  That proves the potentials: a
+feasible coupling on the zero set of feasible potentials has the dual value
+as its cost, so both are optimal (weak duality), and potentials that are not
+optimal leave some component with no tree and raise.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -292,137 +295,20 @@ def zero_set(c: CostMatrix, p: DualPotentials) -> SupportGraph:
     return SupportGraph(c.m, c.n, frozenset(edges))
 
 
-# ---------------------------------------------------------------------------
-# Independent oracle: successive shortest paths, then the optimal face.
-# ---------------------------------------------------------------------------
-
-
-def _ssp_duals(mu, nu, c_rows, stop):
-    """Optimal dual potentials by successive shortest augmenting paths.
-
-    Maintains node potentials keeping residual reduced costs nonnegative,
-    so each augmentation is a Dijkstra run.  Supplies and demands at or
-    below ``stop`` count as met.  Exact with Fraction data.
-    """
-    m, n = len(mu), len(nu)
-    rem_a, rem_b = list(mu), list(nu)
-    flows: dict = {}
-
-    pi_row = [0] * m
-    pi_col = [min(c_rows[i][j] for i in range(m)) for j in range(n)]
-
-    budget = 10000 + 10 * m * n
-    while any(w > stop for w in rem_a):
-        budget -= 1
-        if budget < 0:
-            raise RuntimeError("shortest-path solver exceeded its augmentation budget")
-
-        dist = {}
-        parent = {}
-        heap = []
-        counter = 0
-        for i, w in enumerate(rem_a):
-            if w > stop:
-                dist[i] = 0
-                heapq.heappush(heap, (0, counter, i))
-                counter += 1
-        settled = set()
-        target = None
-        while heap:
-            d, _, u = heapq.heappop(heap)
-            if u in settled:
-                continue
-            settled.add(u)
-            if u >= m and rem_b[u - m] > stop:
-                target = u
-                break
-            if u < m:
-                base = c_rows[u]
-                for j in range(n):
-                    w = base[j] + pi_row[u] - pi_col[j]
-                    if w < 0:
-                        w = 0  # float round-off only; exact data keeps w >= 0
-                    nd = d + w
-                    v = m + j
-                    if v not in settled and (v not in dist or nd < dist[v]):
-                        dist[v] = nd
-                        parent[v] = u
-                        heapq.heappush(heap, (nd, counter, v))
-                        counter += 1
-            else:
-                j = u - m
-                for (i, jj), f in flows.items():
-                    if jj != j or f <= 0:
-                        continue
-                    w = -c_rows[i][j] + pi_col[j] - pi_row[i]
-                    if w < 0:
-                        w = 0
-                    nd = d + w
-                    if i not in settled and (i not in dist or nd < dist[i]):
-                        dist[i] = nd
-                        parent[i] = u
-                        heapq.heappush(heap, (nd, counter, i))
-                        counter += 1
-        if target is None:
-            raise AssertionError("augmenting path must exist on a balanced instance")
-
-        d_target = dist[target]
-        for u in range(m):
-            du = dist.get(u)
-            shift = d_target if du is None or du > d_target else du
-            pi_row[u] = pi_row[u] + shift
-        for j in range(n):
-            du = dist.get(m + j)
-            shift = d_target if du is None or du > d_target else du
-            pi_col[j] = pi_col[j] + shift
-
-        # Trace the path and find the bottleneck.
-        path = [target]
-        while path[-1] in parent:
-            path.append(parent[path[-1]])
-        path.reverse()
-        source, sink = path[0], path[-1] - m
-        delta = rem_a[source]
-        if rem_b[sink] < delta:
-            delta = rem_b[sink]
-        for t in range(len(path) - 1):
-            u, v = path[t], path[t + 1]
-            if u >= m:  # backward arc: flow on (v, u-m) decreases
-                f = flows[(v, u - m)]
-                if f < delta:
-                    delta = f
-        rem_a[source] = rem_a[source] - delta
-        rem_b[sink] = rem_b[sink] - delta
-        for t in range(len(path) - 1):
-            u, v = path[t], path[t + 1]
-            if u < m:
-                arc = (u, v - m)
-                flows[arc] = flows.get(arc, 0) + delta
-            else:
-                arc = (v, u - m)
-                left = flows[arc] - delta
-                if left <= 0:
-                    del flows[arc]
-                else:
-                    flows[arc] = left
-
-    q = tuple(-p for p in pi_row)
-    r = tuple(pi_col)
-    return q, r
-
-
 def _feasible_bases(nodes, edges, supplies, eps, budget):
     """Yield the arc masses, as (edge, mass) pairs, of every spanning tree of
-    a connected component whose flow is nonnegative; masses in [-eps, 0)
-    are clamped to 0.
+    a connected component whose flow is nonnegative and meets every supply;
+    masses in [-eps, 0) are clamped to 0.
 
     One walk over the sorted edges.  A leaf's one edge lies in every
     spanning tree of what is left and carries the leaf's remaining supply,
     so leaves are peeled, and a mass below ``-eps`` prunes the branch.  Then
     the walk branches on the lowest undecided edge: keep it, unless it
     closes a cycle of kept edges, then delete it, unless that disconnects
-    the component.  State changes in place and is undone on return; each
-    walk state is charged to ``budget``.
+    the component.  A finished tree counts when the one point left unpeeled
+    has at most ``len(nodes) * eps`` net supply, none on exact data.  State
+    changes in place and is undone on return; each walk state is charged to
+    ``budget``.
     """
     ends = sorted(edges)
     incident = {v: [] for v in nodes}
@@ -474,7 +360,9 @@ def _feasible_bases(nodes, edges, supplies, eps, budget):
         if budget[0] < 0:
             raise SizeLimitError("optimal face has too many spanning-forest bases to enumerate")
         if len(tree) == len(nodes) - 1:
-            yield [(ends[f], w) for _, f, _, w, _ in tree]
+            # The other end of the last peeled edge is the one point left.
+            if abs(net[tree[-1][2] if tree else nodes[0]]) <= len(nodes) * eps:
+                yield [(ends[f], w) for _, f, _, w, _ in tree]
             return
         while not alive[e]:  # a connected graph without leaves has an undecided edge
             e += 1
@@ -507,13 +395,16 @@ ORACLE_MAX_BASES = 200000
 def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> list:
     """All optimal basic feasible solutions of the transportation problem.
 
-    Dual potentials from the shortest-path solver pin down the zero set of
-    reduced costs; by complementary slackness the optimal face consists of
-    the feasible couplings supported inside it.  Exhausting the spanning
-    trees with nonnegative flow of that subgraph, component by component,
-    lists every vertex of the face.  Masses at or below the mass threshold
-    are dropped as dust, as in :func:`solve`; each vertex is listed once
-    per support, and the list is sorted by entries.
+    The potentials of :func:`solve` pin down the zero set of reduced costs;
+    by complementary slackness the optimal face consists of the feasible
+    couplings supported inside the zero set of any optimal dual.
+    Exhausting, component by component, the spanning trees of that
+    subgraph whose flow is nonnegative and meets every supply lists every
+    vertex of the face.  Such a flow proves the potentials optimal, by weak
+    duality; were they not, some component would have no such tree and an
+    ``AssertionError`` is raised.  Masses at or below the mass threshold are
+    dropped as dust, as in :func:`solve`; each vertex is listed once per
+    support, and the list is sorted by entries.
 
     Refuses grids above ``ORACLE_MAX_CELLS`` cells and faces whose walk
     visits more than ``ORACLE_MAX_BASES`` states.
@@ -525,8 +416,7 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
             f"instance has {m * n} cells, above the oracle guard of {ORACLE_MAX_CELLS}"
         )
 
-    q, r = _ssp_duals(mu.weights, nu.weights, c.rows, eps_mass)
-    zero_edges = [(i, m + j) for i, j in zero_set(c, DualPotentials(q, r)).sorted_edges()]
+    zero_edges = [(i, m + j) for i, j in zero_set(c, solve(mu, nu, c).potentials).sorted_edges()]
 
     # Connected components of the zero-set subgraph over all m+n nodes.
     parent = list(range(m + n))

@@ -4,15 +4,18 @@ Nothing here shares algorithmic code with the package: linear systems are
 solved by dense Gaussian elimination over Fractions, acyclicity comes from
 networkx, vertex checks from numpy's rank, and vertices of small feasible
 sets are enumerated by trying every possible spanning-tree basis.  Slow and
-obvious on purpose.  The optimal-face check takes its reference value from
-the package's successive-shortest-path duals, which share no code with the
-simplex.  Faces too large for that brute force are enumerated by ordered
-backtracking over all their spanning trees, each tree's flow peeled from
-scratch and nothing pruned, as a reference for the package's pruned walk.
+obvious on purpose.  Optimal duals come from a successive-shortest-path
+solver kept here, which shares no code with the package's simplex; the
+optimal-face check takes its reference value from them.  Faces too large
+for that brute force are enumerated on the zero set of those duals by
+ordered backtracking over all their spanning trees, each tree's flow peeled
+from scratch and nothing pruned, as a reference for the package's pruned
+walk on the zero set of the simplex's duals.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -32,7 +35,6 @@ from limbsys import (
     zero_set,
 )
 from limbsys.measures import thresholds
-from limbsys.transport import _ssp_duals
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +184,125 @@ def optimal_vertices_bruteforce(mu, nu, c: CostMatrix):
     return [v for v, val in zip(vertices, values) if val == best], best
 
 
+# ---------------------------------------------------------------------------
+# Optimal faces: successive-shortest-path duals, ordered backtracking
+# ---------------------------------------------------------------------------
+
+
+def _ssp_duals(mu, nu, c_rows, stop):
+    """Optimal dual potentials by successive shortest augmenting paths.
+
+    Maintains node potentials keeping residual reduced costs nonnegative,
+    so each augmentation is a Dijkstra run.  Supplies and demands at or
+    below ``stop`` count as met.  Exact with Fraction data.
+    """
+    m, n = len(mu), len(nu)
+    rem_a, rem_b = list(mu), list(nu)
+    flows: dict = {}
+
+    pi_row = [0] * m
+    pi_col = [min(c_rows[i][j] for i in range(m)) for j in range(n)]
+
+    budget = 10000 + 10 * m * n
+    while any(w > stop for w in rem_a):
+        budget -= 1
+        if budget < 0:
+            raise RuntimeError("shortest-path solver exceeded its augmentation budget")
+
+        dist = {}
+        parent = {}
+        heap = []
+        counter = 0
+        for i, w in enumerate(rem_a):
+            if w > stop:
+                dist[i] = 0
+                heapq.heappush(heap, (0, counter, i))
+                counter += 1
+        settled = set()
+        target = None
+        while heap:
+            d, _, u = heapq.heappop(heap)
+            if u in settled:
+                continue
+            settled.add(u)
+            if u >= m and rem_b[u - m] > stop:
+                target = u
+                break
+            if u < m:
+                base = c_rows[u]
+                for j in range(n):
+                    w = base[j] + pi_row[u] - pi_col[j]
+                    if w < 0:
+                        w = 0  # float round-off only; exact data keeps w >= 0
+                    nd = d + w
+                    v = m + j
+                    if v not in settled and (v not in dist or nd < dist[v]):
+                        dist[v] = nd
+                        parent[v] = u
+                        heapq.heappush(heap, (nd, counter, v))
+                        counter += 1
+            else:
+                j = u - m
+                for (i, jj), f in flows.items():
+                    if jj != j or f <= 0:
+                        continue
+                    w = -c_rows[i][j] + pi_col[j] - pi_row[i]
+                    if w < 0:
+                        w = 0
+                    nd = d + w
+                    if i not in settled and (i not in dist or nd < dist[i]):
+                        dist[i] = nd
+                        parent[i] = u
+                        heapq.heappush(heap, (nd, counter, i))
+                        counter += 1
+        if target is None:
+            raise AssertionError("augmenting path must exist on a balanced instance")
+
+        d_target = dist[target]
+        for u in range(m):
+            du = dist.get(u)
+            shift = d_target if du is None or du > d_target else du
+            pi_row[u] = pi_row[u] + shift
+        for j in range(n):
+            du = dist.get(m + j)
+            shift = d_target if du is None or du > d_target else du
+            pi_col[j] = pi_col[j] + shift
+
+        # Trace the path and find the bottleneck.
+        path = [target]
+        while path[-1] in parent:
+            path.append(parent[path[-1]])
+        path.reverse()
+        source, sink = path[0], path[-1] - m
+        delta = rem_a[source]
+        if rem_b[sink] < delta:
+            delta = rem_b[sink]
+        for t in range(len(path) - 1):
+            u, v = path[t], path[t + 1]
+            if u >= m:  # backward arc: flow on (v, u-m) decreases
+                f = flows[(v, u - m)]
+                if f < delta:
+                    delta = f
+        rem_a[source] = rem_a[source] - delta
+        rem_b[sink] = rem_b[sink] - delta
+        for t in range(len(path) - 1):
+            u, v = path[t], path[t + 1]
+            if u < m:
+                arc = (u, v - m)
+                flows[arc] = flows.get(arc, 0) + delta
+            else:
+                arc = (v, u - m)
+                left = flows[arc] - delta
+                if left <= 0:
+                    del flows[arc]
+                else:
+                    flows[arc] = left
+
+    q = tuple(-p for p in pi_row)
+    r = tuple(pi_col)
+    return q, r
+
+
 def find(parents, v):
     """Union-find root of ``v``, halving the path on the way up."""
     while parents[v] != v:
@@ -263,9 +384,9 @@ def _tree_flow(tree_edges, supplies, eps):
 
 def optimal_vertices_by_backtracking(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix):
     """Every optimal vertex of an exact instance, in the order of
-    ``enumerate_optimal_vertices``: the zero set of the shortest-path duals,
-    its components from networkx, and every spanning tree of each component
-    by ordered backtracking, with no budget.  Reaches faces of 6x6 and
+    ``enumerate_optimal_vertices`` but from other duals: the zero set of the
+    shortest-path duals, its components from networkx, and every spanning
+    tree of each component by ordered backtracking, with no budget.  Reaches faces of 6x6 and
     beyond, which ``optimal_vertices_bruteforce`` cannot."""
     m, n = mu.size, nu.size
     stop, _ = thresholds(masses=(mu.weights, nu.weights))

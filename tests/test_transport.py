@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -373,12 +374,13 @@ class TestZeroSet:
     def test_simplex_zero_set_covers_enumerated_optima_5x5(self):
         # The simplex and shortest-path solvers normalize their duals
         # differently, but any optimal dual's zero set must contain the
-        # support of every optimal vertex.
+        # support of every optimal vertex, here enumerated on the zero set
+        # of the shortest-path duals.
         rng = random.Random(29)
         for _ in range(10):
             mu, nu, c = oracles.random_rational_instance(rng, 5, 5)
             z = zero_set(c, solve(mu, nu, c).potentials)
-            for vertex in enumerate_optimal_vertices(mu, nu, c):
+            for vertex in oracles.optimal_vertices_by_backtracking(mu, nu, c):
                 assert vertex.cells() <= z.edges
 
 
@@ -470,6 +472,54 @@ class TestEnumerateOptimalVertices:
             assert [g.entries for g in found] == [g.entries for g in expected]
             counts.append(len(found))
         assert max(counts) > 1 and counts[-1] == 1
+
+    def test_matches_the_shortest_path_reference_where_the_zero_sets_differ(self):
+        # Every optimal dual cuts out the same face, so the zero sets of the
+        # simplex's and of the shortest-path duals, which may differ, must
+        # give the same vertices, entries and order.
+        rng = random.Random(5)
+        instances = [rational_demo_instance(DemoConfig(n=6))]
+        for _ in range(100):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            mu, nu = DiscreteMarginal((F(1, m),) * m), DiscreteMarginal((F(1, n),) * n)
+            c = CostMatrix(tuple(tuple(F(rng.randint(0, 2)) for _ in range(n)) for _ in range(m)))
+            instances.append((mu, nu, c))
+        sizes = []
+        for mu, nu, c in instances:
+            found = enumerate_optimal_vertices(mu, nu, c)
+            expected = oracles.optimal_vertices_by_backtracking(mu, nu, c)
+            assert [g.entries for g in found] == [g.entries for g in expected]
+            shortest = DualPotentials(*oracles._ssp_duals(mu.weights, nu.weights, c.rows, 0))
+            simplex = solve(mu, nu, c).potentials
+            sizes.append((len(zero_set(c, shortest).edges), len(zero_set(c, simplex).edges)))
+        assert sizes[0] == (10, 13)
+        assert any(a != b for a, b in sizes[1:])
+
+    def test_potentials_are_certified(self, monkeypatch):
+        # The oracle proves the potentials it is given: a coupling on the
+        # zero set of feasible potentials makes them optimal, so feasible
+        # potentials that are not optimal leave a point unserved and raise.
+        ones, c = DiscreteMarginal((1, 1)), CostMatrix(((1, 2), (2, 1)))
+
+        def enumerate_with(q, r):
+            fake = SimpleNamespace(potentials=DualPotentials(q, r))
+            monkeypatch.setattr(transport, "solve", lambda *_: fake)
+            return enumerate_optimal_vertices(ones, ones, c)
+
+        for q, r in [((0, 0), (0, 0)), ((0, 0), (0, 1))]:
+            with pytest.raises(AssertionError):
+                enumerate_with(q, r)
+        with pytest.raises(DualInfeasibleError):
+            enumerate_with((2, 0), (0, 0))
+        assert [g.entries for g in enumerate_with((1, 0), (0, 1))] == [((0, 0, 1), (1, 1, 1))]
+
+    def test_components_are_walked_one_by_one(self):
+        # Two flat 4x4 blocks: each component is a Birkhoff face of 24
+        # vertices and the face is their product.  One walk over both blocks
+        # would exceed the bases guard.
+        unit = DiscreteMarginal((1,) * 8)
+        c = CostMatrix(tuple(tuple(0 if i // 4 == j // 4 else 1 for j in range(8)) for i in range(8)))
+        assert len(enumerate_optimal_vertices(unit, unit, c)) == 576
 
     def test_float_copy_of_a_unique_optimum_is_unique(self):
         # The demo's unique vertex is degenerate: several spanning trees
