@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import ne, sub
+from itertools import accumulate, repeat
+from operator import or_, sub
 
 from .errors import LimbsysError
 from .extremality import ExtremalityCertificate, is_extremal, support_graph
@@ -136,27 +136,78 @@ def subtwist_check(c: CostMatrix, periodic: bool = True) -> SubtwistReport:
     Differences within the cost threshold of ``c`` count as zero for float
     data; exact data is compared exactly.
 
-    The consecutive differences of d are those of column j1 minus those of
-    column j2, so each column's steps (wrapping round when periodic) are
-    taken once and every pair only subtracts them.
-    """
-    _, zero_tol = thresholds(costs=c.rows)
-    steps = [
-        [b - a for a, b in zip(col, col[1:] + col[:1] if periodic else col[1:])]
-        for col in zip(*c.rows)
-    ]
-    violations = []
-    degenerate = []
-    for j1, j2 in combinations(range(c.n), 2):
-        signs = [d > zero_tol for d in map(sub, steps[j1], steps[j2]) if abs(d) > zero_tol]
-        if not signs:
-            degenerate.append((j1, j2))
-            continue
-        changes = sum(map(ne, signs, signs[1:] + signs[:1] if periodic else signs[1:]))
-        if (periodic and changes != 2) or (not periodic and changes > 2):
-            violations.append((j1, j2))
+    The consecutive differences of d are the row steps s of column j1 minus
+    those of column j2 (wrapping round when periodic), and all pairs are
+    scanned at once, one row step at a time, as bitsets in Python ints with
+    pair (j1, j2) at bit ``j1 * stride + j2``.  Subtraction is monotone and
+    s[j2] - s[j1] is -(s[j1] - s[j2]), so once a row's steps are sorted the
+    columns j2 with s[j1] - s[j2] above the threshold are a prefix of that
+    order, and those with s[j2] - s[j1] above it a suffix; one two-pointer
+    sweep finds both for every j1.  Each pair keeps its last nonzero sign
+    (``pos``, ``neg``) and counts its sign changes L along the steps,
+    saturating at 3 (``c1``, ``c2``, ``c3``: L at least 1, 2, 3).  Signs
+    alternate, so the wrap from the last sign to the first is a change
+    exactly when L is odd: round the circle a pair has two changes exactly
+    when L is 1 or 2.
 
-    return SubtwistReport(not violations, tuple(violations), tuple(degenerate))
+    The interpreter takes O(m n) steps and the bitset operations O(m n^2)
+    bits, against O(m n^2) steps pair by pair.  Monotone subtraction holds
+    for exact data and for float data; steps mixing floats with Fractions,
+    or with integers beyond 2**53, are subtracted in two arithmetics, and a
+    difference rounded onto the threshold may then get another verdict than
+    it would pair by pair.
+    """
+    _, tol = thresholds(costs=c.rows)
+    n = c.n
+    width = -(-n // 8)
+    stride = 8 * width
+    bits = [1 << j for j in range(n)]
+
+    def pack(masks):
+        return int.from_bytes(b"".join(map(int.to_bytes, masks, repeat(width), repeat("little"))), "little")
+
+    pos = neg = c1 = c2 = c3 = 0
+    rows = c.rows
+    for row, after in zip(rows, rows[1:] + rows[:1] if periodic else rows[1:]):
+        s = list(map(sub, after, row))
+        order = sorted(range(n), key=s.__getitem__)
+        steps = list(map(s.__getitem__, order))
+        # Column j steps more than tol above the columns order[:below[j]], a
+        # prefix that grows along ``order`` and never reaches j; the columns
+        # stepping more than tol above j are order[first[j]:].
+        below, first, k = [0] * n, [n] * n, 0
+        for t, j in enumerate(order):
+            v = s[j]
+            while v - steps[k] > tol:
+                first[order[k]] = t
+                k += 1
+            below[j] = k
+        low = list(accumulate(map(bits.__getitem__, order), or_, initial=0))
+        high = list(accumulate(map(bits.__getitem__, reversed(order)), or_, initial=0))[::-1]
+        up = pack(map(low.__getitem__, below))
+        down = pack(map(high.__getitem__, first))
+        was_pos, was_neg = pos & down, neg & up
+        turned = was_pos | was_neg
+        c3 |= c2 & turned
+        c2 |= c1 & turned
+        c1 |= turned
+        pos, neg = up | (pos ^ was_pos), down | (neg ^ was_neg)
+
+    upper = pack((bits[-1] << 1) - (2 << j) for j in range(n))
+    signed = (pos | neg) & upper
+    bad = signed & ~(c1 & ~c3) if periodic else c3 & upper
+    violations, degenerate = _pairs(bad, stride), _pairs(upper ^ signed, stride)
+    return SubtwistReport(not violations, violations, degenerate)
+
+
+def _pairs(mask: int, stride: int) -> tuple:
+    """(j1, j2) of every set bit j1 * stride + j2 of ``mask``, lowest first."""
+    digits = format(mask, "b")[::-1]
+    found, k = [], digits.find("1")
+    while k >= 0:
+        found.append(divmod(k, stride))
+        k = digits.find("1", k + 1)
+    return tuple(found)
 
 
 def demo_instance(cfg: DemoConfig):

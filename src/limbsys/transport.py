@@ -295,18 +295,20 @@ def zero_set(c: CostMatrix, p: DualPotentials) -> SupportGraph:
     return SupportGraph(c.m, c.n, frozenset(edges))
 
 
-def _feasible_bases(nodes, edges, supplies, eps, budget):
+def _feasible_bases(nodes, edges, supplies, eps, gap, budget):
     """Yield the arc masses, as (edge, mass) pairs, of every spanning tree of
     a connected component whose flow is nonnegative and meets every supply;
-    masses in [-eps, 0) are clamped to 0.
+    masses in [-eps - gap, 0) are clamped to 0.
 
     One walk over the sorted edges.  A leaf's one edge lies in every
     spanning tree of what is left and carries the leaf's remaining supply,
-    so leaves are peeled, and a mass below ``-eps`` prunes the branch.  Then
-    the walk branches on the lowest undecided edge: keep it, unless it
-    closes a cycle of kept edges, then delete it, unless that disconnects
-    the component.  A finished tree counts when the one point left unpeeled
-    has at most ``len(nodes) * eps`` net supply, none on exact data.  State
+    so leaves are peeled, and a mass below ``-eps - gap`` prunes the
+    branch.  Then the walk branches on the lowest undecided edge: keep it,
+    unless it closes a cycle of kept edges, then delete it, unless that
+    disconnects the component.  A finished tree counts when the one point
+    left unpeeled has at most ``len(nodes) * eps + gap`` net supply, none on
+    exact data.  ``gap`` bounds the gap between the instance's totals, which
+    may sit in any point of the component and so in any leaf's mass.  State
     changes in place and is undone on return; each walk state is charged to
     ``budget``.
     """
@@ -322,14 +324,14 @@ def _feasible_bases(nodes, edges, supplies, eps, budget):
     tree = []  # peeled (leaf, edge, other end, mass, other end's net before)
 
     def peel(leaves):
-        """Peel ``leaves`` and every leaf that exposes; False at a mass below -eps."""
+        """Peel ``leaves`` and every leaf that exposes; False at a mass below -eps - gap."""
         while leaves:
             v = leaves.pop()
             if degree[v] == 1:
                 e, u = next(pair for pair in incident[v] if alive[pair[0]])
                 w = net[v]
                 if w < 0:
-                    if w < -eps:
+                    if w < -eps - gap:
                         return False
                     w = 0
                 tree.append((v, e, u, w, net[u]))
@@ -361,7 +363,7 @@ def _feasible_bases(nodes, edges, supplies, eps, budget):
             raise SizeLimitError("optimal face has too many spanning-forest bases to enumerate")
         if len(tree) == len(nodes) - 1:
             # The other end of the last peeled edge is the one point left.
-            if abs(net[tree[-1][2] if tree else nodes[0]]) <= len(nodes) * eps:
+            if abs(net[tree[-1][2] if tree else nodes[0]]) <= len(nodes) * eps + gap:
                 yield [(ends[f], w) for _, f, _, w, _ in tree]
             return
         while not alive[e]:  # a connected graph without leaves has an undecided edge
@@ -402,14 +404,16 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
     subgraph whose flow is nonnegative and meets every supply lists every
     vertex of the face.  Such a flow proves the potentials optimal, by weak
     duality; were they not, some component would have no such tree and an
-    ``AssertionError`` is raised.  Masses at or below the mass threshold are
-    dropped as dust, as in :func:`solve`; each vertex is listed once per
+    ``AssertionError`` is raised.  On float data the totals may differ by
+    the slack the instance check allows, and that gap can ride on any edge
+    of a tree, so masses at or below the mass threshold plus the slack are
+    dropped as dust; exact data get neither.  Each vertex is listed once per
     support, and the list is sorted by entries.
 
     Refuses grids above ``ORACLE_MAX_CELLS`` cells and faces whose walk
     visits more than ``ORACLE_MAX_BASES`` states.
     """
-    eps_mass, _, _ = _check_instance(mu, nu, c)
+    eps_mass, _, slack = _check_instance(mu, nu, c)
     m, n = mu.size, nu.size
     if m * n > ORACLE_MAX_CELLS:
         raise SizeLimitError(
@@ -437,8 +441,8 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
         # A vertex is fixed by its support, a forest; keyed by support, float
         # copies of one vertex that differ in the last digits count once.
         options = {}
-        for masses in _feasible_bases(nodes, comp_edges[root], supplies, eps_mass, budget):
-            entries = tuple(sorted((u, v - m, w) for (u, v), w in masses if w > eps_mass))
+        for masses in _feasible_bases(nodes, comp_edges[root], supplies, eps_mass, slack, budget):
+            entries = tuple(sorted((u, v - m, w) for (u, v), w in masses if w > eps_mass + slack))
             options.setdefault(tuple(cell[:2] for cell in entries), entries)
         if not options:
             raise AssertionError("every component of the zero set supports an optimal restriction")

@@ -20,7 +20,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from operator import mul
+from operator import mul, ne, sub
 
 import networkx as nx
 import numpy as np
@@ -71,6 +71,33 @@ def subtwist_by_definition(rows, periodic: bool):
             changes = sum(1 for a, b in neighbours if (a > 0) != (b > 0))
             if (periodic and changes != 2) or (not periodic and changes > 2):
                 violations.append((j1, j2))
+    return tuple(violations), tuple(degenerate)
+
+
+def subtwist_by_steps(c, periodic: bool):
+    """(violations, degenerate) column pairs of a cost matrix, any data.
+
+    The pair-by-pair column-step scan: each column's consecutive
+    differences are taken once (wrapping round when periodic), every pair
+    j1 < j2 subtracts them, drops the values within the cost threshold and
+    counts the sign changes of what is left.  A reference for the package's
+    bitset scan on float data, where the threshold matters.
+    """
+    _, zero_tol = thresholds(costs=c.rows)
+    steps = [
+        [b - a for a, b in zip(col, col[1:] + col[:1] if periodic else col[1:])]
+        for col in zip(*c.rows)
+    ]
+    violations = []
+    degenerate = []
+    for j1, j2 in itertools.combinations(range(c.n), 2):
+        signs = [d > zero_tol for d in map(sub, steps[j1], steps[j2]) if abs(d) > zero_tol]
+        if not signs:
+            degenerate.append((j1, j2))
+            continue
+        changes = sum(map(ne, signs, signs[1:] + signs[:1] if periodic else signs[1:]))
+        if (periodic and changes != 2) or (not periodic and changes > 2):
+            violations.append((j1, j2))
     return tuple(violations), tuple(degenerate)
 
 

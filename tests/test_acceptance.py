@@ -218,14 +218,14 @@ def test_a6_uniform_2x2_witness():
 
 
 def test_a7_subtwist_verdicts():
-    """The angular cost passes the subtwist scan at N in {8, 16, 64, 256};
-    its double-frequency variant fails with a reported pair at every tested
-    N from 5 up."""
-    for n in (8, 16, 64, 256):
+    """The angular cost passes the subtwist scan at N in {8, 16, 64, 256,
+    512}; its double-frequency variant fails with a reported pair at every
+    tested N from 5 up."""
+    for n in (8, 16, 64, 256, 512):
         result = subtwist_check(build_circle_cost(CircleGrid(n)))
         assert result.passed, (n, result.violations[:3])
 
-    for n in list(range(5, 33)) + [64, 128, 256]:
+    for n in list(range(5, 33)) + [64, 128, 256, 512]:
         angles = CircleGrid(n).angles
         doubled = CostMatrix(
             tuple(
@@ -236,7 +236,7 @@ def test_a7_subtwist_verdicts():
         result = subtwist_check(doubled)
         assert not result.passed, n
         assert len(result.violations) >= 1, n
-    report("A7", "single frequency passes up to N=256, doubled fails from N=5")
+    report("A7", "single frequency passes up to N=512, doubled fails from N=5")
 
 
 def test_a8_circle_demo_structure():

@@ -2,9 +2,12 @@
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limbsys import (
     CircleGrid,
@@ -21,6 +24,7 @@ from limbsys import (
     support_graph,
     support_rows,
 )
+from limbsys.measures import thresholds
 
 import oracles
 
@@ -33,6 +37,28 @@ def double_frequency_cost(n):
             for i in range(n)
         )
     )
+
+
+# Multiples of the cost threshold planted between the steps of two columns.
+NEAR_TIES = (0.0, 0.5, 0.999, 1.0, 1.001, 1.5, 2.0)
+
+
+@st.composite
+def float_costs(draw):
+    """Float matrices of 1e-300 up to the float maximum, where steps
+    overflow to +-inf, some columns a copy of an earlier one with each row
+    moved by a multiple of the cost threshold."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    top = draw(st.sampled_from((1e-300, 1e-20, 1.0, 1e20, 1e300, sys.float_info.max)))
+    rows = [[draw(st.floats(-1, 1)) * top for _ in range(n)] for _ in range(m)]
+    _, tol = thresholds(costs=rows)
+    for j in range(1, n):
+        if draw(st.booleans()):
+            source = draw(st.integers(0, j - 1))
+            for row in rows:
+                moved = row[source] + draw(st.sampled_from(NEAR_TIES)) * draw(st.sampled_from((-tol, tol)))
+                row[j] = moved if math.isfinite(moved) else row[source]
+    return CostMatrix(tuple(map(tuple, rows)))
 
 
 class TestCircleCost:
@@ -148,6 +174,22 @@ class TestSubtwist:
                 violations, degenerate = oracles.subtwist_by_definition(rows, periodic)
                 assert (report.violations, report.degenerate) == (violations, degenerate), rows
                 assert report.passed == (not violations)
+
+    def test_demo_costs_match_the_column_step_reference(self):
+        for n in range(3, 65):
+            for c in (build_circle_cost(CircleGrid(n)), double_frequency_cost(n)):
+                for periodic in (True, False):
+                    report = subtwist_check(c, periodic=periodic)
+                    violations, degenerate = oracles.subtwist_by_steps(c, periodic)
+                    assert (report.violations, report.degenerate) == (violations, degenerate), n
+
+    @settings(max_examples=600, deadline=None)
+    @given(float_costs(), st.booleans())
+    def test_matches_the_column_step_reference_on_floats(self, c, periodic):
+        report = subtwist_check(c, periodic=periodic)
+        violations, degenerate = oracles.subtwist_by_steps(c, periodic)
+        assert (report.violations, report.degenerate) == (violations, degenerate)
+        assert report.passed == (not violations)
 
 
 def mass_on_limb(report, k):

@@ -536,6 +536,46 @@ class TestEnumerateOptimalVertices:
         assert vertex.cells() == exact.cells()
         assert is_unique_optimum(*floats)
 
+    @pytest.mark.parametrize("short", ["first", "second"])
+    def test_total_gap_within_the_allowed_slack_is_absorbed(self, short):
+        # 3e-12 is above the balance allowance 2 * 1e-12 of the 2-point
+        # component {row 1, column 1} and below the slack (m + n) * 1e-12
+        # the instance check allows between the totals.
+        even, over = DiscreteMarginal((1.0, 1.0)), DiscreteMarginal((1.0, 1.0 + 3e-12))
+        mu, nu = (even, over) if short == "first" else (over, even)
+        c = CostMatrix(((0.0, 1.0), (1.0, 0.0)))
+        [vertex] = enumerate_optimal_vertices(mu, nu, c)
+        assert vertex.cells() == {(0, 0), (1, 1)}
+        assert is_unique_optimum(mu, nu, c)
+
+    def test_random_total_gaps_keep_the_exact_supports(self):
+        # Integer masses make degenerate faces, whose zero-mass edges carry
+        # whatever part of the gap lies beyond them: some trees peel a leaf
+        # mass below -eps, others keep a gap-sized cell.
+        rng = random.Random(5)
+        for trial in range(300):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            mu = [rng.randint(1, 3) for _ in range(m)]
+            cuts = sorted(rng.randint(0, sum(mu)) for _ in range(n - 1))
+            nu = [b - a for a, b in zip([0] + cuts, cuts + [sum(mu)])]
+            c = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+            exact = enumerate_optimal_vertices(
+                DiscreteMarginal(tuple(mu)), DiscreteMarginal(tuple(nu)), CostMatrix(tuple(map(tuple, c)))
+            )
+            fmu, fnu = [float(w) for w in mu], [float(w) for w in nu]
+            side = fnu if trial % 2 else fmu
+            k = rng.choice([i for i, w in enumerate(side) if w > 0])
+            slack = (m + n) * 1e-12 * max(fmu + fnu)
+            side[k] += rng.choice((-1, 1)) * rng.uniform(0.1, 0.99) * slack
+            floats = (
+                DiscreteMarginal(tuple(fmu)),
+                DiscreteMarginal(tuple(fnu)),
+                CostMatrix(tuple(tuple(map(float, row)) for row in c)),
+            )
+            supports = sorted(sorted(g.cells()) for g in enumerate_optimal_vertices(*floats))
+            assert supports == sorted(sorted(g.cells()) for g in exact), (c, fmu, fnu)
+            assert is_unique_optimum(*floats) == (len(exact) == 1)
+
     def test_bases_guard(self, monkeypatch):
         # The flat 4x4 face is the Birkhoff polytope: its 24 vertices are the
         # permutations, and its walk takes more than 100 states.
