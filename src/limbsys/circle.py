@@ -152,10 +152,10 @@ def subtwist_check(c: CostMatrix, periodic: bool = True) -> SubtwistReport:
 
     The interpreter takes O(m n) steps and the bitset operations O(m n^2)
     bits, against O(m n^2) steps pair by pair.  Monotone subtraction holds
-    for exact data and for float data; steps mixing floats with Fractions,
-    or with integers beyond 2**53, are subtracted in two arithmetics, and a
-    difference rounded onto the threshold may then get another verdict than
-    it would pair by pair.
+    for exact data and for float data; steps mixing floats with Fractions
+    or large integers are subtracted in two arithmetics, and a difference
+    rounded onto the threshold may then get another verdict than it would
+    pair by pair.
     """
     _, tol = thresholds(costs=c.rows)
     n = c.n
