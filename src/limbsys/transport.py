@@ -89,7 +89,8 @@ class SolveReport:
 
 def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix):
     """Reject mismatched shapes and unbalanced totals; return the instance's
-    (mass, cost) thresholds and the gap it allows between the totals."""
+    (mass, cost) thresholds, the gap it allows between the totals and the
+    gap between them, which is at most the allowed one and 0 on exact data."""
     if (c.m, c.n) != (mu.size, nu.size):
         raise ShapeMismatchError(
             f"cost matrix is {c.m}x{c.n} but marginals have sizes {mu.size} and {nu.size}"
@@ -104,15 +105,17 @@ def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix):
         k = -(mu.size + nu.size).bit_length()
         sa, sb = (sum(math.ldexp(w, k) for w in x.weights) for x in (mu, nu))
         unbalanced = abs(sa - sb) > math.ldexp(slack, k)
+        gap = 0 if unbalanced else math.ldexp(abs(sa - sb), -k)
     else:
         with float_range((ta, tb)):
-            unbalanced = abs(ta - tb) > slack
+            gap = abs(ta - tb)
+        unbalanced = gap > slack
     if unbalanced:
         raise InfeasibleError(
             f"total masses differ: first marginal carries {ta!r}, second {tb!r}; "
             "no coupling has both for marginals"
         )
-    return eps_mass, eps_cost, slack
+    return eps_mass, eps_cost, slack, gap
 
 
 def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveReport:
@@ -123,7 +126,7 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
     objective values.  Unbalanced or mismatched inputs raise; they are never
     repaired behind the caller's back.
     """
-    eps_mass, pivot_tol, slack = _check_instance(mu, nu, c)
+    eps_mass, pivot_tol, slack, _ = _check_instance(mu, nu, c)
     m, n = mu.size, nu.size
     c_rows = c.rows
 
@@ -405,15 +408,16 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
     vertex of the face.  Such a flow proves the potentials optimal, by weak
     duality; were they not, some component would have no such tree and an
     ``AssertionError`` is raised.  On float data the totals may differ by
-    the slack the instance check allows, and that gap can ride on any edge
-    of a tree, so masses at or below the mass threshold plus the slack are
-    dropped as dust; exact data get neither.  Each vertex is listed once per
+    up to the slack the instance check allows, and the gap between them
+    can ride on any edge of a tree, so masses at or below the mass
+    threshold plus that gap are dropped as dust; balanced totals add
+    nothing, and exact data get neither.  Each vertex is listed once per
     support, and the list is sorted by entries.
 
     Refuses grids above ``ORACLE_MAX_CELLS`` cells and faces whose walk
     visits more than ``ORACLE_MAX_BASES`` states.
     """
-    eps_mass, _, slack = _check_instance(mu, nu, c)
+    eps_mass, _, _, gap = _check_instance(mu, nu, c)
     m, n = mu.size, nu.size
     if m * n > ORACLE_MAX_CELLS:
         raise SizeLimitError(
@@ -441,8 +445,8 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
         # A vertex is fixed by its support, a forest; keyed by support, float
         # copies of one vertex that differ in the last digits count once.
         options = {}
-        for masses in _feasible_bases(nodes, comp_edges[root], supplies, eps_mass, slack, budget):
-            entries = tuple(sorted((u, v - m, w) for (u, v), w in masses if w > eps_mass + slack))
+        for masses in _feasible_bases(nodes, comp_edges[root], supplies, eps_mass, gap, budget):
+            entries = tuple(sorted((u, v - m, w) for (u, v), w in masses if w > eps_mass + gap))
             options.setdefault(tuple(cell[:2] for cell in entries), entries)
         if not options:
             raise AssertionError("every component of the zero set supports an optimal restriction")

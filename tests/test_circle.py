@@ -191,6 +191,22 @@ class TestSubtwist:
         assert (report.violations, report.degenerate) == (violations, degenerate)
         assert report.passed == (not violations)
 
+    def test_mixed_fraction_and_float_steps_depart_from_the_column_step_reference(self):
+        # A Fraction minus a float is taken in floats, a Fraction minus a
+        # Fraction exactly, so on mixed data subtraction is not monotone and
+        # the sorted sweep may miss a sign.  s1 lies just below 1 + tol but
+        # rounds to the float above it, and y = s1 - tol lies below 1:
+        # s1 - 1.0 rounds above tol while s1 - y is tol itself.  The bitset
+        # scan reports pair (0, 1) degenerate; pair by pair it has a sign.
+        s1 = F(9671406576259847368511395, 2**83)
+        _, tol = thresholds(costs=((2.0000001,),))
+        y = s1 - F(tol)
+        assert s1 - 1.0 > tol and s1 - y == tol and y < 1
+        c = CostMatrix(((0, 0, 0, 0), (s1, 1.0, y, 2.0000001)))
+        report = subtwist_check(c, periodic=False)
+        assert (report.violations, report.degenerate) == ((), ((0, 1), (0, 2), (1, 2)))
+        assert oracles.subtwist_by_steps(c, False) == ((), ((0, 2), (1, 2)))
+
 
 def mass_on_limb(report, k):
     """Mass the demo report puts on limb k; 0 when the system has no limb k."""

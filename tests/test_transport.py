@@ -548,6 +548,20 @@ class TestEnumerateOptimalVertices:
         assert vertex.cells() == {(0, 0), (1, 1)}
         assert is_unique_optimum(mu, nu, c)
 
+    def test_balanced_float_totals_keep_cells_above_the_mass_threshold(self):
+        # Equal totals leave no gap to absorb: the 3e-12 cells lie above the
+        # mass threshold 1e-12 and below the slack (m + n) * 1e-12, and both
+        # the diagonal and the anti-diagonal vertex of the flat face stay.
+        mu = nu = DiscreteMarginal((1.0, 3e-12))
+        c = CostMatrix(((0.0, 0.0), (0.0, 0.0)))
+        vertices = enumerate_optimal_vertices(mu, nu, c)
+        assert sorted(sorted(g.cells()) for g in vertices) == [
+            [(0, 0), (0, 1), (1, 0)],
+            [(0, 0), (1, 1)],
+        ]
+        assert not is_unique_optimum(mu, nu, c)
+        assert solve(mu, nu, c).coupling.entries in [g.entries for g in vertices]
+
     def test_random_total_gaps_keep_the_exact_supports(self):
         # Integer masses make degenerate faces, whose zero-mass edges carry
         # whatever part of the gap lies beyond them: some trees peel a leaf
