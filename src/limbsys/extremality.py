@@ -2,9 +2,11 @@
 
 A coupling with prescribed marginals is an extreme point of the feasible set
 exactly when its support, read as a bipartite graph on row and column nodes,
-contains no cycle.  This module decides that, cross-checks it through the
-rank of the additive-function evaluation matrix on the support, and, for
-cyclic supports, produces an explicit convex split certifying non-extremality.
+contains no cycle.  This module decides that by peeling leaves, the same
+pass that levels a forest support into limbs (``limbs.decompose``), walks
+what is left into a cycle witness, cross-checks the verdict through the rank
+of the additive-function evaluation matrix on the support, and, for cyclic
+supports, produces an explicit convex split certifying non-extremality.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._forest import find, tree_path
 from .errors import CycleError, SizeLimitError
 from .measures import Coupling, thresholds
 
@@ -44,9 +45,6 @@ class SupportGraph:
         for i, j in self.edges:
             if not (0 <= i < self.m and 0 <= j < self.n):
                 raise ValueError(f"edge ({i}, {j}) outside the {self.m}x{self.n} grid")
-
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
 
 
 @dataclass(frozen=True)
@@ -114,39 +112,76 @@ def support_graph(gamma: Coupling) -> SupportGraph:
 def _witness_from_node_cycle(node_cycle: list) -> CycleWitness:
     # node_cycle alternates row, col, row, col, ... starting at a row and is
     # closed by the edge (node_cycle[0], node_cycle[-1]).
-    xs = node_cycle[0::2]
-    ys = node_cycle[1::2]
-    rows = [xs[0]] + xs[:0:-1]
-    cols = [ys[0]] + ys[:0:-1]
-    k = len(rows)
-    edges = []
-    for t in range(k):
-        edges.append((rows[t], cols[t]))
-        edges.append((rows[t], cols[(t + 1) % k]))
-    return CycleWitness(tuple(edges))
+    rows, cols = node_cycle[0::2], node_cycle[1::2]
+    return CycleWitness(tuple((r, c) for t, r in enumerate(rows) for c in (cols[t - 1], cols[t])))
+
+
+def _peel(graph: SupportGraph):
+    """Peel the leaves of ``graph`` in rounds; return its adjacency, the
+    centre of every tree, and a cycle witness, None on a forest.
+
+    Points are numbered rows 0..m-1, then columns m..m+n-1.  A point falls
+    once at most one neighbour is left standing; a tree's centre is what
+    falls last, with no neighbour standing, and of two centres falling
+    together the column is taken.  Points on a cycle never fall, and every
+    point left standing keeps two standing neighbours.  So a walk from the
+    lowest standing point, always stepping to the lowest standing neighbour
+    other than the one it just left, comes back to a point it has met; the
+    loop it closes there, started at a row, is the witness.  It depends on
+    the edge set alone.
+    """
+    m = graph.m
+    adjacency = [[] for _ in range(m + graph.n)]
+    for i, j in graph.edges:
+        adjacency[i].append(m + j)
+        adjacency[m + j].append(i)
+
+    degree = [len(nbrs) for nbrs in adjacency]
+    standing = [d > 0 for d in degree]
+    falling = [v for v, d in enumerate(degree) if d == 1]
+    roots = []
+    while falling:
+        for v in falling:
+            standing[v] = False
+        peeled = set(falling)
+        upcoming = []
+        for v in falling:
+            alive = False
+            for u in adjacency[v]:
+                if standing[u]:
+                    alive = True
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        upcoming.append(u)
+            # A lone centre, or the column of two centres falling together.
+            if not alive and (v >= m or not any(u in peeled for u in adjacency[v])):
+                roots.append(v)
+        falling = upcoming
+    if not any(standing):
+        return adjacency, roots, None
+
+    met = {}  # walk position of every point met, in walk order
+    u, before = standing.index(True), None
+    while u not in met:
+        met[u] = len(met)
+        u, before = min(v for v in adjacency[u] if standing[v] and v != before), u
+    loop = list(met)[met[u]:]
+    if loop[0] >= m:
+        loop = loop[1:] + loop[:1]
+    return adjacency, roots, _witness_from_node_cycle([v if v < m else v - m for v in loop])
 
 
 def is_acyclic(graph: SupportGraph) -> tuple[bool, Optional[CycleWitness]]:
     """Decide whether the bipartite support graph is a forest.
 
-    Edges are inserted in canonical row-major order into a growing forest;
-    the first edge joining two already-connected nodes closes the unique
-    fundamental cycle, which is traced back through the forest and returned
-    as a witness.  Deterministic by the canonical ordering.
+    Leaves are peeled in rounds (:func:`_peel`); the graph is a forest
+    exactly when no point is left standing.  Otherwise the witness is the
+    loop closed by a walk from the lowest standing point that always steps
+    to the lowest standing neighbour other than the one it just left, so it
+    depends on the edge set alone.
     """
-    m = graph.m
-    parent = list(range(m + graph.n))  # rows 0..m-1, columns m..m+n-1
-    adjacency: dict = {}
-    for i, j in graph.sorted_edges():
-        u, v = i, m + j
-        ru, rv = find(parent, u), find(parent, v)
-        if ru == rv:
-            path = tree_path(adjacency, u, v)
-            return False, _witness_from_node_cycle([x if x < m else x - m for x in path])
-        parent[ru] = rv
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-    return True, None
+    witness = _peel(graph)[2]
+    return witness is None, witness
 
 
 def _integer_rank(matrix: list) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CyclicSupportError, InvalidSystemError, ShapeMismatchError
-from .extremality import SupportGraph, is_acyclic
+from .extremality import SupportGraph, _peel
 from .measures import Coupling, DiscreteMarginal, thresholds, validate_coupling
 
 __all__ = [
@@ -171,42 +171,16 @@ def decompose(support: SupportGraph) -> NumberedLimbSystem:
     a column root sits in I_0, a row root in I_1, one level more.  The fewest
     limbs therefore come from rooting each tree at its centre, taking the
     column when the two centres of an odd-diameter tree are a row and a
-    column.  A node on level d contributes its parent edge to limb d.  Points
-    without support edges go to I_1 (rows) and I_0 (columns).  Cyclic input
-    raises, carrying the cycle witness.
+    column.  The centres are what the leaf peel of ``extremality._peel``
+    leaves for last; the same pass decides acyclicity, so cyclic input
+    raises carrying the witness of :func:`~limbsys.extremality.is_acyclic`.
+    A node on level d contributes its parent edge to limb d.  Points
+    without support edges go to I_1 (rows) and I_0 (columns).
     """
     m, n = support.m, support.n
-    adjacency = [[] for _ in range(m + n)]  # rows 0..m-1, columns m..m+n-1
-    for i, j in support.edges:
-        adjacency[i].append(m + j)
-        adjacency[m + j].append(i)
-
-    # Peel leaves in rounds.  A point falls once at most one neighbour is
-    # left standing; a tree's centre is what falls last, with no neighbour
-    # standing.  Points on a cycle never fall.
-    degree = [len(nbrs) for nbrs in adjacency]
-    standing = [d > 0 for d in degree]
-    falling = [v for v in range(m + n) if degree[v] == 1]
-    roots = []
-    while falling:
-        for v in falling:
-            standing[v] = False
-        peeled = set(falling)
-        upcoming = []
-        for v in falling:
-            alive = False
-            for u in adjacency[v]:
-                if standing[u]:
-                    alive = True
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        upcoming.append(u)
-            # A lone centre, or the column of two centres falling together.
-            if not alive and (v >= m or not any(u in peeled for u in adjacency[v])):
-                roots.append(v)
-        falling = upcoming
-    if any(standing):
-        raise CyclicSupportError("support contains an alternating cycle", is_acyclic(support)[1])
+    adjacency, roots, witness = _peel(support)
+    if witness is not None:
+        raise CyclicSupportError("support contains an alternating cycle", witness)
 
     level = [1] * m + [0] * n
     limb_pairs: dict = {}

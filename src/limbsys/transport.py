@@ -33,7 +33,6 @@ from itertools import product
 from operator import mul, sub
 from typing import Sequence
 
-from ._forest import find
 from .errors import (
     DualInfeasibleError,
     InfeasibleError,
@@ -126,7 +125,7 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
     objective values.  Unbalanced or mismatched inputs raise; they are never
     repaired behind the caller's back.
     """
-    eps_mass, pivot_tol, slack, _ = _check_instance(mu, nu, c)
+    eps_mass, pivot_tol, slack, gap = _check_instance(mu, nu, c)
     m, n = mu.size, nu.size
     c_rows = c.rows
 
@@ -236,15 +235,16 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
             depth[w] = depth[parent[w]] + 1
             stack.extend(children[w])
 
-    # Pivots keep the net flow at the root, so the gap between the totals,
-    # which the instance check bounds by ``slack``, stays on the artificial
-    # arcs; it is dust and is dropped with them.
+    # Pivots keep the net flow at the root, but the gap between the totals,
+    # which the instance check bounds by ``slack``, may ride to it on real
+    # arcs as well as on artificial ones.  As in the vertex oracle, masses
+    # up to the mass threshold plus that gap are dust and are dropped.
     entries, stray = [], 0
     for u in range(m + n):
         p, w = parent[u], flow[u]
         if p == root:
             stray += w
-        elif w > eps_mass:
+        elif w > eps_mass + gap:
             entries.append((u - n, p, w) if u >= n else (p - n, u, w))
     if stray > slack:
         raise AssertionError(f"the artificial arcs still carry {stray!r}")
@@ -391,6 +391,14 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget):
         yield from walk(0)
 
 
+def _find(parent, v):
+    """Union-find root of ``v``, halving the path on the way up."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
 # Desk-scale guards of the oracle: the largest grid it accepts and the most
 # walk states it visits.
 ORACLE_MAX_CELLS = 64
@@ -424,18 +432,18 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
             f"instance has {m * n} cells, above the oracle guard of {ORACLE_MAX_CELLS}"
         )
 
-    zero_edges = [(i, m + j) for i, j in zero_set(c, solve(mu, nu, c).potentials).sorted_edges()]
+    zero_edges = [(i, m + j) for i, j in sorted(zero_set(c, solve(mu, nu, c).potentials).edges)]
 
     # Connected components of the zero-set subgraph over all m+n nodes.
     parent = list(range(m + n))
     for u, v in zero_edges:
-        parent[find(parent, u)] = find(parent, v)
+        parent[_find(parent, u)] = _find(parent, v)
     comp_nodes: dict = {}
     for v in range(m + n):
-        comp_nodes.setdefault(find(parent, v), []).append(v)
+        comp_nodes.setdefault(_find(parent, v), []).append(v)
     comp_edges: dict = {root: [] for root in comp_nodes}
     for u, v in zero_edges:
-        comp_edges[find(parent, u)].append((u, v))
+        comp_edges[_find(parent, u)].append((u, v))
 
     supplies = mu.weights + nu.weights
 

@@ -17,6 +17,7 @@ from limbsys import (
     build_circle_cost,
     build_peaked_density,
     decompose,
+    enumerate_optimal_vertices,
     limb_count,
     rational_demo_instance,
     run_demo,
@@ -274,6 +275,14 @@ class TestDemo:
         assert mass_on_limb(report, 2) > 0
         assert sum(report.limb_mass[2:]) > 0.05
         assert {k for _, _, _, k in support_rows(report)} == {1, 2, 3, 4, 5}
+
+    def test_optimum_off_the_default_centres_need_not_be_unique(self):
+        # With both peaks 0.3 rad off the default centres the even grids have
+        # whole optimal faces; at the default centres each n has one vertex.
+        for n, count in ((6, 4), (7, 1), (8, 16)):
+            shifted = DemoConfig(n=n, mu_center=math.pi / 2 + 0.3, nu_center=3 * math.pi / 2 + 0.3)
+            assert len(enumerate_optimal_vertices(*rational_demo_instance(shifted))) == count
+            assert len(enumerate_optimal_vertices(*rational_demo_instance(DemoConfig(n=n)))) == 1
 
     def test_rational_snapping_balances_exactly(self):
         mu, nu, cost = rational_demo_instance(DemoConfig(n=8))

@@ -6,12 +6,16 @@ from fractions import Fraction as F
 
 import networkx as nx
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from limbsys import (
     Coupling,
     CycleError,
     CycleWitness,
+    CyclicSupportError,
     SupportGraph,
+    decompose,
     dl_rank_test,
     is_acyclic,
     is_extremal,
@@ -104,6 +108,73 @@ class TestIsAcyclic:
             isolated = 5 + 7 - len(touched)
             components = isolated + nx.number_connected_components(oracles._bipartite_graph(cells))
             assert len(cells) <= 5 + 7 - components
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Support graphs up to 9x9 with at most m + n + 3 edges, so that forests
+    and cyclic graphs both come up."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cell = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    return SupportGraph(m, n, draw(st.frozensets(cell, max_size=m + n + 3)))
+
+
+def path_cells(path):
+    """Cells of the edges between consecutive ("r", i) / ("c", j) nodes."""
+    return {(a[1], b[1]) if a[0] == "r" else (b[1], a[1]) for a, b in zip(path, path[1:])}
+
+
+def lowest_walk_cells(graph):
+    """Cells of the loop closed by a walk through the 2-core of ``graph``
+    that starts at its lowest point and steps to the lowest neighbour other
+    than the one it just left; rows come before columns."""
+    core = nx.k_core(oracles._bipartite_graph(graph.edges), 2)
+    rank = lambda v: v[1] if v[0] == "r" else graph.m + v[1]
+    u, before, trail = min(core, key=rank), None, []
+    while u not in trail:
+        trail.append(u)
+        u, before = min((v for v in core[u] if v != before), key=rank), u
+    return path_cells(trail[trail.index(u) :] + [u])
+
+
+class TestPeelWitness:
+    @settings(max_examples=300, deadline=None)
+    @given(bipartite_graphs(), st.randoms(use_true_random=False))
+    def test_one_witness_per_edge_set(self, graph, rnd):
+        ok, witness = is_acyclic(graph)
+        assert ok == oracles.is_forest_nx(graph.edges)
+        cells = sorted(graph.edges)
+        rnd.shuffle(cells)
+        assert is_acyclic(SupportGraph(graph.m, graph.n, cells)) == (ok, witness)
+        if ok:
+            assert witness is None
+            return
+        assert set(witness.edges) <= graph.edges
+        assert set(witness.edges) == lowest_walk_cells(graph)
+        with pytest.raises(CyclicSupportError) as err:
+            decompose(graph)
+        assert err.value.witness == witness
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 9), st.integers(2, 9), st.randoms(use_true_random=False))
+    def test_forest_plus_one_cell_gives_its_fundamental_cycle(self, m, n, rnd):
+        forest = oracles.random_forest_cells(rnd, m, n)
+        tree = oracles._bipartite_graph(forest)
+        closing = [
+            (i, j)
+            for i in range(m)
+            for j in range(n)
+            if (i, j) not in forest
+            and ("r", i) in tree
+            and ("c", j) in tree
+            and nx.has_path(tree, ("r", i), ("c", j))
+        ]
+        assume(closing)
+        i, j = rnd.choice(closing)
+        cycle = path_cells(nx.shortest_path(tree, ("r", i), ("c", j)))
+        ok, witness = is_acyclic(SupportGraph(m, n, frozenset(forest) | {(i, j)}))
+        assert not ok
+        assert set(witness.edges) == cycle | {(i, j)}
 
 
 class TestCycleWitness:

@@ -177,6 +177,17 @@ class TestSolve:
             assert all(abs(a - b) <= slack for a, b in zip(row.weights + col.weights, mu.weights + nu.weights))
             assert report.coupling.cells() <= zero_set(c, report.potentials).edges
 
+    def test_total_gap_riding_on_a_real_arc_is_dropped(self):
+        # The gap of 6.93e-12 between the totals reaches the root through
+        # cell (2, 3), above the mass threshold 1e-12; no optimal vertex of
+        # the exact instance has that cell.
+        mu = DiscreteMarginal((1.0, 0.99999999999307, 1.0))
+        nu = DiscreteMarginal((1, 0, 1, 1))
+        c = CostMatrix(((1, 2, 0, 2), (2, 0, 2, 0), (1, 0, 0, 0)))
+        cells = solve(mu, nu, c).coupling.cells()
+        assert cells == {(0, 2), (1, 3), (2, 0)}
+        assert cells in [g.cells() for g in enumerate_optimal_vertices(mu, nu, c)]
+
     def test_costs_near_the_float_maximum_solve(self):
         # The artificial cost 2 (m + n + 1) max|c| would overflow; pricing
         # runs on costs scaled down by a power of two.
@@ -588,6 +599,7 @@ class TestEnumerateOptimalVertices:
             )
             supports = sorted(sorted(g.cells()) for g in enumerate_optimal_vertices(*floats))
             assert supports == sorted(sorted(g.cells()) for g in exact), (c, fmu, fnu)
+            assert sorted(solve(*floats).coupling.cells()) in supports, (c, fmu, fnu)
             assert is_unique_optimum(*floats) == (len(exact) == 1)
 
     def test_bases_guard(self, monkeypatch):
