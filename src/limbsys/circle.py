@@ -71,8 +71,8 @@ class DemoConfig:
     nu_kappa: float = 4.0
 
     def __post_init__(self):
-        if self.mu_kappa < 0 or self.nu_kappa < 0:
-            raise ValueError("concentrations must be nonnegative")
+        if not (self.mu_kappa >= 0 and self.nu_kappa >= 0):
+            raise ValueError("concentrations must be nonnegative numbers")
         if not (0 <= self.mu_center < TWO_PI and 0 <= self.nu_center < TWO_PI):
             raise ValueError("peak centers must lie in [0, 2*pi)")
 
@@ -119,10 +119,15 @@ def build_peaked_density(grid: CircleGrid, center: float, kappa: float) -> Discr
     """Smooth, everywhere-positive density peaked at ``center``:
     weights proportional to exp(kappa * cos(angle - center)), total mass 1.
     kappa = 0 gives the uniform density."""
-    if kappa < 0:
-        raise ValueError("concentration must be nonnegative")
-    raw = [math.exp(kappa * math.cos(a - center)) for a in grid.angles]
-    total = sum(raw)
+    if not kappa >= 0:
+        raise ValueError(f"concentration must be a nonnegative number, got {kappa!r}")
+    try:
+        raw = [math.exp(kappa * math.cos(a - center)) for a in grid.angles]
+        total = sum(raw)
+    except OverflowError:
+        total = math.inf
+    if not 0 < total < math.inf:
+        raise ValueError(f"concentration {kappa!r} is too large: the weights overflow a float")
     return DiscreteMarginal(tuple(w / total for w in raw))
 
 
@@ -244,11 +249,6 @@ def rational_demo_instance(cfg: DemoConfig):
     return DiscreteMarginal(tuple(mu_w)), DiscreteMarginal(tuple(nu_w)), CostMatrix(rows)
 
 
-def _limb_of(system: NumberedLimbSystem) -> dict:
-    """Limb index k of every support cell of ``system``."""
-    return {cell: limb.k for limb in system.limbs for cell in limb.cells()}
-
-
 def run_demo(cfg: DemoConfig) -> DemoReport:
     """Full demo pipeline: check the cost shape, solve, certify, decompose.
 
@@ -267,19 +267,20 @@ def run_demo(cfg: DemoConfig) -> DemoReport:
     report = solve(mu, nu, cost)
     # decompose raises on a cyclic support, so past it the optimizer is extremal.
     system = decompose(support_graph(report.coupling))
-    certificate = ExtremalityCertificate("extremal")
-    limb_of = _limb_of(system)
     mass = dict.fromkeys((limb.k for limb in system.limbs), 0)
+    x, y = system.x_levels, system.y_levels
     for i, j, w in report.coupling.entries:
-        mass[limb_of[i, j]] += w
-    return DemoReport(cfg, report, certificate, system, tuple(mass.values()))
+        # A pair of limb k has its source on level k and its image on k - 1.
+        mass[max(x[i], y[j])] += w
+    return DemoReport(cfg, report, ExtremalityCertificate(), system, tuple(mass.values()))
 
 
 def support_rows(report: DemoReport) -> list:
     """Plot-ready support: (theta, phi, mass, limb index k) per occupied cell."""
     angles = CircleGrid(report.config.n).angles
-    limb_of = _limb_of(report.system)
+    x, y = report.system.x_levels, report.system.y_levels
+    # A pair of limb k has its source on level k and its image on k - 1.
     return [
-        (angles[i], angles[j], w, limb_of[i, j])
+        (angles[i], angles[j], w, max(x[i], y[j]))
         for i, j, w in report.solve_report.coupling.entries
     ]

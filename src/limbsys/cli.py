@@ -18,7 +18,7 @@ from .errors import (
     InfeasibleError,
     LimbsysError,
 )
-from .extremality import is_extremal, support_graph
+from .extremality import is_extremal, split_witness, support_graph
 from .io import (
     coupling_payload,
     duals_payload,
@@ -56,7 +56,8 @@ def _cmd_check_extremal(args) -> int:
     if certificate.extremal:
         return 0
     if args.witness:
-        write_json(args.witness, witness_payload(certificate.cycle, *certificate.split))
+        split = split_witness(gamma, certificate.cycle)
+        write_json(args.witness, witness_payload(certificate.cycle, *split))
     return 3
 
 

@@ -4,9 +4,10 @@ A coupling with prescribed marginals is an extreme point of the feasible set
 exactly when its support, read as a bipartite graph on row and column nodes,
 contains no cycle.  This module decides that by peeling leaves, the same
 pass that levels a forest support into limbs (``limbs.decompose``), walks
-what is left into a cycle witness, cross-checks the verdict through the rank
-of the additive-function evaluation matrix on the support, and, for cyclic
-supports, produces an explicit convex split certifying non-extremality.
+what is left into a cycle witness, and cross-checks the verdict through the
+rank of the additive-function evaluation matrix on the support.  The cycle
+is the whole certificate of non-extremality: :func:`split_witness` turns it,
+on demand, into an explicit convex split of the coupling.
 """
 
 from __future__ import annotations
@@ -81,22 +82,18 @@ class CycleWitness:
 
 @dataclass(frozen=True)
 class ExtremalityCertificate:
-    """Verdict plus, when non-extremal, a cycle and a convex split that
-    averages back to the tested coupling."""
+    """A cycle in the support when the coupling is not extremal, None when
+    it is; :func:`split_witness` builds the convex split from the cycle."""
 
-    verdict: str
     cycle: Optional[CycleWitness] = None
-    split: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.verdict not in ("extremal", "non-extremal"):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == "non-extremal" and (self.cycle is None or self.split is None):
-            raise ValueError("a non-extremal certificate must carry a cycle and a split")
 
     @property
     def extremal(self) -> bool:
-        return self.verdict == "extremal"
+        return self.cycle is None
+
+    @property
+    def verdict(self) -> str:
+        return "extremal" if self.cycle is None else "non-extremal"
 
 
 def support_graph(gamma: Coupling) -> SupportGraph:
@@ -184,35 +181,6 @@ def is_acyclic(graph: SupportGraph) -> tuple[bool, Optional[CycleWitness]]:
     return witness is None, witness
 
 
-def _integer_rank(matrix: list) -> int:
-    """Exact rank by fraction-free Gaussian elimination (Bareiss).
-
-    The evaluation matrix is 0/1, so exact integer elimination decides the
-    rank without any threshold that could flap near a tolerance.
-    """
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    denom = 1
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col]
-            for c in range(col, ncols):
-                rows[r][c] = (pivot * rows[r][c] - factor * rows[rank][c]) // denom
-        denom = pivot
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 # Largest support the rank test accepts.
 RANK_TEST_MAX_CELLS = 4096
 
@@ -223,22 +191,27 @@ def dl_rank_test(gamma: Coupling) -> bool:
     Functions of the form (i, j) -> a_i + b_j span all functions on the
     support exactly when the |S| x (m+n) evaluation matrix has rank |S|.
     Agrees with :func:`is_acyclic` on every coupling; both say "extremal".
+
+    The matrix is the incidence matrix of a bipartite graph, which is
+    totally unimodular: every square minor is 0 or +-1.  A minor is nonzero
+    over the rationals exactly when it is odd, so the rank over GF(2)
+    equals the rank over the rationals, and elimination on rows held as
+    int bitmasks decides it exactly, with no threshold that could flap.
     """
     cells = sorted(support_graph(gamma).edges)
     if len(cells) > RANK_TEST_MAX_CELLS:
         raise SizeLimitError(
             f"support has {len(cells)} cells, above the cap of {RANK_TEST_MAX_CELLS}"
         )
-    if not cells:
-        return True
-    width = gamma.m + gamma.n
-    matrix = []
+    pivots = {}  # bit length -> the reduced row with that leading bit
     for i, j in cells:
-        row = [0] * width
-        row[i] = 1
-        row[gamma.m + j] = 1
-        matrix.append(row)
-    return _integer_rank(matrix) == len(cells)
+        row = 1 << i | 1 << (gamma.m + j)
+        while row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if not row:
+            return False
+        pivots[row.bit_length()] = row
+    return True
 
 
 def split_witness(gamma: Coupling, cycle: CycleWitness) -> tuple[Coupling, Coupling]:
@@ -247,32 +220,34 @@ def split_witness(gamma: Coupling, cycle: CycleWitness) -> tuple[Coupling, Coupl
     With eps the minimum mass along the cycle and sigma alternating +1/-1 on
     consecutive cycle cells, returns (gamma + eps*sigma, gamma - eps*sigma).
     Both parts share the marginals of ``gamma``, average back to it, and
-    differ, which is the convex decomposition disproving extremality.
+    differ, which is the convex decomposition disproving extremality.  Only
+    the 2k cycle cells change; a cell brought to exactly zero is dropped.
     """
-    support = support_graph(gamma).edges
+    threshold, _ = thresholds(masses=([w for _, _, w in gamma.entries],))
+    mass = {}
     for edge in cycle.edges:
-        if edge not in support:
+        mass[edge] = gamma.mass_at(*edge)
+        if not mass[edge] > threshold:
             raise CycleError(f"cycle edge {edge} is not in the coupling support")
-    mass = {(i, j): w for i, j, w in gamma.entries}
-    eps = min(mass[edge] for edge in cycle.edges)
-    plus, minus = dict(mass), dict(mass)
-    for t, edge in enumerate(cycle.edges):
-        step = eps if t % 2 == 0 else -eps
-        plus[edge] = mass[edge] + step
-        minus[edge] = mass[edge] - step
-    return tuple(
-        Coupling.from_entries(gamma.m, gamma.n, [(i, j, w) for (i, j), w in part.items()])
-        for part in (plus, minus)
-    )
+    eps = min(mass.values())
+    step = {edge: eps if t % 2 == 0 else -eps for t, edge in enumerate(cycle.edges)}
+    plus, minus = [], []
+    for i, j, w in gamma.entries:
+        s = step.get((i, j))
+        a, b = (w, w) if s is None else (w + s, w - s)
+        if a:
+            plus.append((i, j, a))
+        if b:
+            minus.append((i, j, b))
+    return Coupling(gamma.m, gamma.n, tuple(plus)), Coupling(gamma.m, gamma.n, tuple(minus))
 
 
 def is_extremal(gamma: Coupling) -> ExtremalityCertificate:
     """Certificate-producing extremality decision.
 
-    Extremality depends on the support alone; marginals only enter through
-    the feasibility of the split parts, which inherit them from ``gamma``.
+    Extremality depends on the support alone, so the certificate is the
+    cycle :func:`is_acyclic` finds in it, or None.  Call
+    :func:`split_witness` on that cycle for the convex split; its parts
+    inherit the marginals of ``gamma``.
     """
-    acyclic, witness = is_acyclic(support_graph(gamma))
-    if acyclic:
-        return ExtremalityCertificate("extremal")
-    return ExtremalityCertificate("non-extremal", witness, split_witness(gamma, witness))
+    return ExtremalityCertificate(is_acyclic(support_graph(gamma))[1])

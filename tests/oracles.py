@@ -544,11 +544,10 @@ def random_coupling(rng: random.Random, m: int, n: int, density: float = 0.4) ->
     return Coupling.from_entries(m, n, entries)
 
 
-def planted_tie_instance(rng: random.Random, m: int, n: int, extra: int):
-    """Exact m-by-n costs in {0, 1, 2} whose optimal face is planted: a
-    random spanning tree with positive masses fixes the marginals, costs are
-    q[i] in {0, 1} on the tree and on ``extra`` further cells and above q[i]
-    elsewhere, so those cells are the zero set of the only optimal duals."""
+def random_spanning_tree(rng: random.Random, m: int, n: int) -> set:
+    """Cells of a random spanning tree of the m-by-n grid: after row 0 and
+    column 0, points in random order each attach to a random earlier point
+    of the other side."""
     rows, cols = [0], [0]
     tree = {(0, 0)}
     later = [(True, i) for i in range(1, m)] + [(False, j) for j in range(1, n)]
@@ -560,6 +559,15 @@ def planted_tie_instance(rng: random.Random, m: int, n: int, extra: int):
         else:
             tree.add((rng.choice(rows), v))
             cols.append(v)
+    return tree
+
+
+def planted_tie_instance(rng: random.Random, m: int, n: int, extra: int):
+    """Exact m-by-n costs in {0, 1, 2} whose optimal face is planted: a
+    random spanning tree with positive masses fixes the marginals, costs are
+    q[i] in {0, 1} on the tree and on ``extra`` further cells and above q[i]
+    elsewhere, so those cells are the zero set of the only optimal duals."""
+    tree = random_spanning_tree(rng, m, n)
     others = sorted(set(itertools.product(range(m), range(n))) - tree)
     zero = tree | set(rng.sample(others, extra))
     mu, nu = [Fraction(0)] * m, [Fraction(0)] * n

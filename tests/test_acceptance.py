@@ -32,6 +32,7 @@ from limbsys import (
     reconstruct,
     run_demo,
     solve,
+    split_witness,
     subtwist_check,
     support_graph,
     tv_distance,
@@ -205,7 +206,7 @@ def test_a6_uniform_2x2_witness():
     gamma = Coupling(2, 2, tuple((i, j, F(1, 4)) for i in range(2) for j in range(2)))
     certificate = is_extremal(gamma)
     assert certificate.verdict == "non-extremal"
-    a, b = certificate.split
+    a, b = split_witness(gamma, certificate.cycle)
     assert {a, b} == {
         Coupling(2, 2, ((0, 0, F(1, 2)), (1, 1, F(1, 2)))),
         Coupling(2, 2, ((0, 1, F(1, 2)), (1, 0, F(1, 2)))),

@@ -120,6 +120,17 @@ class TestPeakedDensity:
         mu = build_peaked_density(CircleGrid(64), 0.0, 8.0)
         assert all(w > 0 for w in mu.weights)
 
+    @pytest.mark.parametrize("kappa", [-1.0, math.nan])
+    def test_negative_or_nan_concentration_rejected(self, kappa):
+        with pytest.raises(ValueError, match=f"concentration must be a nonnegative number, got {kappa}"):
+            build_peaked_density(CircleGrid(5), 0.0, kappa)
+
+    @pytest.mark.parametrize("n, kappa", [(8, 1000.0), (200, 709.0)])
+    def test_overflowing_concentration_rejected(self, n, kappa):
+        # exp overflows at n = 8; at n = 200 each weight fits but their sum does not.
+        with pytest.raises(ValueError, match=f"concentration {kappa}"):
+            build_peaked_density(CircleGrid(n), 1.5, kappa)
+
 
 class TestSubtwist:
     def test_circle_cost_passes(self):
@@ -215,6 +226,20 @@ def mass_on_limb(report, k):
 
 
 class TestDemo:
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("mu_kappa", -1.0, "concentrations"),
+            ("nu_kappa", -0.5, "concentrations"),
+            ("mu_kappa", math.nan, "concentrations"),
+            ("mu_center", -0.1, "centers"),
+            ("nu_center", 2 * math.pi, "centers"),
+        ],
+    )
+    def test_config_rejects(self, field, value, named):
+        with pytest.raises(ValueError, match=named):
+            DemoConfig(**{field: value})
+
     def test_identical_marginals_stay_home(self):
         cfg = DemoConfig(n=16, mu_center=1.0, mu_kappa=3.0, nu_center=1.0, nu_kappa=3.0)
         report = run_demo(cfg)

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import limbsys
-from limbsys import Coupling, CostMatrix, DemoConfig, run_demo, tv_distance
+from limbsys import Coupling, CostMatrix, DemoConfig, cli, extremality, is_extremal, run_demo, tv_distance
 from limbsys.cli import main
 from limbsys.io import (
     canonical_json,
@@ -292,6 +292,33 @@ class TestCli:
     def test_demo_circle_rejects_rational(self, capsys):
         assert main(["demo-circle", "--n", "16", "--rational"]) == 1
         assert "--rational" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, kappa", [("8", "1000"), ("200", "709")])
+    def test_demo_circle_overflowing_concentration_is_exit_1(self, capsys, n, kappa):
+        assert main(["demo-circle", "--n", n, "--mu-kappa", kappa]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"concentration {kappa}.0" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_missing_key_is_exit_1_naming_file_and_key(self, tmp_path, capsys):
+        path = tmp_path / "nokey.json"
+        path.write_text('{"m": 2, "n": 2}\n')
+        assert main(["check-extremal", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "nokey.json" in err and "'entries'" in err
+
+    def test_check_extremal_builds_the_split_only_for_a_witness(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("split_witness called")
+
+        monkeypatch.setattr(extremality, "split_witness", refuse)
+        monkeypatch.setattr(cli, "split_witness", refuse)
+        uniform = Coupling(2, 2, tuple((i, j, F(1, 4)) for i in range(2) for j in range(2)))
+        assert is_extremal(uniform).verdict == "non-extremal"
+        cyclic = tmp_path / "cyclic.json"
+        write_coupling(cyclic, 2, 2, [[i, j, 0.25] for i in range(2) for j in range(2)])
+        assert main(["check-extremal", str(cyclic)]) == 3
+        assert capsys.readouterr().out == "non-extremal\n"
 
     def test_demo_report_counts_pivots(self, tmp_path):
         report = tmp_path / "report.json"

@@ -33,6 +33,17 @@ def uniform_2x2():
     return Coupling(2, 2, tuple((i, j, F(1, 4)) for i in range(2) for j in range(2)))
 
 
+def random_coupling(rng, m, n, exact, density=0.4):
+    """``oracles.random_coupling``, with its masses turned to floats unless exact."""
+    gamma = oracles.random_coupling(rng, m, n, density)
+    return gamma if exact else Coupling(m, n, tuple((i, j, float(w)) for i, j, w in gamma.entries))
+
+
+def close(a, b, exact):
+    """Equal on exact data, equal up to rounding on floats."""
+    return a == b if exact else abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1)
+
+
 def grid_supports_3x3():
     cells = [(i, j) for i in range(3) for j in range(3)]
     for mask in range(512):
@@ -64,6 +75,14 @@ class TestSupportGraph:
     def test_dust_excluded(self):
         gamma = Coupling(2, 2, ((0, 0, 0.5), (1, 1, 1e-15)))
         assert support_graph(gamma).edges == frozenset({(0, 0)})
+
+    @pytest.mark.parametrize(
+        "m, n, edges, named",
+        [(0, 2, (), "dimensions"), (2, -1, (), "dimensions"), (2, 2, ((0, 2),), r"edge \(0, 2\)")],
+    )
+    def test_rejects(self, m, n, edges, named):
+        with pytest.raises(ValueError, match=named):
+            SupportGraph(m, n, frozenset(edges))
 
 
 class TestIsAcyclic:
@@ -186,6 +205,17 @@ class TestCycleWitness:
         with pytest.raises(ValueError):
             CycleWitness(((0, 0), (1, 1), (1, 0), (0, 1)))
 
+    @pytest.mark.parametrize(
+        "edges, named",
+        [
+            (((0, 0), (1, 1), (1, 1), (0, 0)), "edges 0 and 1 do not share a row"),
+            (((0, 0), (0, 0), (1, 1), (1, 0)), "edges 1 and 2 do not share a column"),
+        ],
+    )
+    def test_names_the_edges_that_break_alternation(self, edges, named):
+        with pytest.raises(ValueError, match=named):
+            CycleWitness(edges)
+
 
 class TestDlRankTest:
     def test_diagonal_rank_equals_support(self):
@@ -205,6 +235,20 @@ class TestDlRankTest:
         gamma = Coupling(4097, 4097, tuple((i, i, 1) for i in range(4097)))
         with pytest.raises(SizeLimitError):
             dl_rank_test(gamma)
+
+    def test_large_spanning_tree_and_one_more_cell(self):
+        # 1,999 cells on 1000 + 1000 points: rank |S| for the tree, and one
+        # cell more closes a cycle.  Elimination over the integers takes
+        # minutes here.
+        rng = random.Random(1999)
+        m = n = 1000
+        cells = oracles.random_spanning_tree(rng, m, n)
+        extra = (0, 0)
+        while extra in cells:
+            extra = (rng.randrange(m), rng.randrange(n))
+        for support in (cells, cells | {extra}):
+            gamma = Coupling.from_entries(m, n, [(i, j, 1) for i, j in support])
+            assert dl_rank_test(gamma) == is_acyclic(support_graph(gamma))[0] == (support is cells)
 
     def test_agrees_with_acyclicity_everywhere(self):
         rng = random.Random(41)
@@ -226,14 +270,14 @@ class TestSplitWitness:
 
     def test_tv_between_parts_is_two_eps_times_length(self):
         rng = random.Random(57)
-        for _ in range(40):
-            gamma = oracles.random_coupling(rng, 5, 6, density=0.5)
+        for exact in [True, False] * 40:
+            gamma = random_coupling(rng, 5, 6, exact, density=0.5)
             ok, witness = is_acyclic(support_graph(gamma))
             if ok:
                 continue
             a, b = split_witness(gamma, witness)
             eps = min(gamma.mass_at(i, j) for i, j in witness.edges)
-            assert tv_distance(a, b) == 2 * eps * len(witness.edges)
+            assert close(tv_distance(a, b), 2 * eps * len(witness.edges), exact)
 
     def test_invalid_cycle_names_edge(self):
         gamma = Coupling(2, 2, ((0, 0, F(1, 2)), (1, 1, F(1, 2))))
@@ -253,7 +297,7 @@ class TestIsExtremal:
     def test_uniform_2x2_certificate(self):
         cert = is_extremal(uniform_2x2())
         assert cert.verdict == "non-extremal"
-        a, b = cert.split
+        a, b = split_witness(uniform_2x2(), cert.cycle)
         mu, nu = marginals_of(uniform_2x2())
         assert validate_coupling(a, mu, nu) and validate_coupling(b, mu, nu)
         avg = Coupling.from_entries(2, 2, [(i, j, w / 2) for g in (a, b) for i, j, w in g.entries])
@@ -270,18 +314,18 @@ class TestIsExtremal:
 
     def test_witness_soundness_on_random_couplings(self):
         rng = random.Random(99)
-        for _ in range(80):
-            gamma = oracles.random_coupling(rng, rng.randint(2, 6), rng.randint(2, 6))
+        for exact in [True, False] * 80:
+            gamma = random_coupling(rng, rng.randint(2, 6), rng.randint(2, 6), exact)
             cert = is_extremal(gamma)
             if cert.extremal:
                 continue
             mu, nu = marginals_of(gamma)
-            a, b = cert.split
+            a, b = split_witness(gamma, cert.cycle)
             assert validate_coupling(a, mu, nu) and validate_coupling(b, mu, nu)
             avg = Coupling.from_entries(
                 gamma.m, gamma.n, [(i, j, w / 2) for g in (a, b) for i, j, w in g.entries]
             )
-            assert avg == gamma
+            assert close(tv_distance(avg, gamma), 0, exact)
             assert tv_distance(a, b) > 0
 
     def test_agreement_with_numpy_vertex_rank(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -56,6 +57,26 @@ class TestLimbType:
         with pytest.raises(ValueError, match="odd"):
             NumberedLimbSystem(1, 1, (), (2,), (0,))
 
+    @pytest.mark.parametrize(
+        "k, kind, named", [(0, "graph", "limb indices start at 1"), (1, "tree", "'tree'")]
+    )
+    def test_limb_rejects(self, k, kind, named):
+        with pytest.raises(ValueError, match=named):
+            Limb(k, kind, ())
+
+    @pytest.mark.parametrize(
+        "m, n, limbs, x_levels, y_levels, named",
+        [
+            (0, 1, (), (), (0,), "dimensions"),
+            (1, 1, (), (1, 1), (0,), "level arrays"),
+            (1, 1, (), (1,), (1,), "column point 0"),
+            (1, 1, (Limb(1, "graph", ()), Limb(1, "graph", ())), (1,), (0,), "strictly increasing"),
+        ],
+    )
+    def test_system_rejects(self, m, n, limbs, x_levels, y_levels, named):
+        with pytest.raises(ValueError, match=named):
+            NumberedLimbSystem(m, n, limbs, x_levels, y_levels)
+
 
 class TestValidateSystem:
     def test_single_total_limb(self):
@@ -76,6 +97,17 @@ class TestValidateSystem:
             (2, 0),
         )
         assert any("disjoint" in v for v in system_violations(bad))
+
+    @pytest.mark.parametrize(
+        "limb, y_level, named",
+        [
+            (Limb(1, "graph", ((0, 3),)), 0, r"limb 1: pair \(0, 3\) out of bounds"),
+            (Limb(3, "graph", ((0, 0),)), 2, "limb 3: domain point 0 sits in I_1, not I_3"),
+        ],
+    )
+    def test_violations_name_the_pair(self, limb, y_level, named):
+        violations = system_violations(NumberedLimbSystem(1, 1, (limb,), (1,), (y_level,)))
+        assert len(violations) == 1 and re.fullmatch(named, violations[0])
 
     def test_path_system_is_valid(self):
         assert validate_system(path_system())

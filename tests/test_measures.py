@@ -52,6 +52,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             CostMatrix(((0.0, float("inf")),))
 
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda: DiscreteMarginal(()), "at least one point"),
+            (lambda: CostMatrix(()), "positive dimensions"),
+            (lambda: CostMatrix(((),)), "positive dimensions"),
+            (lambda: CostMatrix(((0, 1), (0,))), "row 1 has 1 entries, row 0 has 2"),
+            (lambda: Coupling(0, 2), "coupling dimensions"),
+            (lambda: Coupling(2, -1), "coupling dimensions"),
+        ],
+    )
+    def test_rejects_empty_and_ragged(self, build, named):
+        with pytest.raises(ValueError, match=named):
+            build()
+
     def test_coupling_bounds(self):
         with pytest.raises(ValueError, match="outside"):
             Coupling(2, 2, ((0, 5, 1),))

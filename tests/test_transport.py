@@ -367,6 +367,11 @@ class TestZeroSet:
         z = zero_set(c, DualPotentials((0, 0, 0), (0, 0, 0)))
         assert z.edges == {(0, 0), (1, 1), (2, 2)}
 
+    def test_shape_mismatch_names_both_shapes(self):
+        c = CostMatrix(((0, 0), (0, 0)))
+        with pytest.raises(ShapeMismatchError, match="sizes 1 and 2 but cost is 2x2"):
+            zero_set(c, DualPotentials((0,), (0, 0)))
+
     def test_infeasible_potentials_raise(self):
         c = CostMatrix(((0, 0), (0, 0)))
         with pytest.raises(DualInfeasibleError):
