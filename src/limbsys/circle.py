@@ -19,7 +19,7 @@ from itertools import accumulate, repeat
 from operator import or_, sub
 
 from .errors import LimbsysError
-from .extremality import ExtremalityCertificate, support_graph
+from .extremality import support_graph
 from .limbs import NumberedLimbSystem, decompose
 from .measures import CostMatrix, DiscreteMarginal, thresholds
 from .transport import SolveReport, solve
@@ -83,22 +83,29 @@ class SubtwistReport:
 
     ``violations`` lists column pairs whose difference has the wrong number
     of sign changes; ``degenerate`` lists pairs with a constant difference,
-    which are flagged but do not fail the check on their own.
+    which are flagged but do not fail the check on their own.  ``passed``
+    is derived: the scan passes exactly when no pair violates.
     """
 
-    passed: bool
     violations: tuple
     degenerate: tuple
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
 class DemoReport:
     """``system`` is the fewest-limb system of the optimal support and
-    ``limb_mass`` the coupling mass on each of its limbs, in limb order."""
+    ``limb_mass`` the coupling mass on each of its limbs, in limb order.
+
+    The optimum is extremal: its support decomposed into limbs, which only
+    an acyclic support does, so the report holds no certificate.
+    """
 
     config: DemoConfig
     solve_report: SolveReport
-    certificate: ExtremalityCertificate
     system: NumberedLimbSystem
     limb_mass: tuple
 
@@ -201,8 +208,7 @@ def subtwist_check(c: CostMatrix, periodic: bool = True) -> SubtwistReport:
     upper = pack((bits[-1] << 1) - (2 << j) for j in range(n))
     signed = (pos | neg) & upper
     bad = signed & ~(c1 & ~c3) if periodic else c3 & upper
-    violations, degenerate = _pairs(bad, stride), _pairs(upper ^ signed, stride)
-    return SubtwistReport(not violations, violations, degenerate)
+    return SubtwistReport(_pairs(bad, stride), _pairs(upper ^ signed, stride))
 
 
 def _pairs(mask: int, stride: int) -> tuple:
@@ -272,7 +278,7 @@ def run_demo(cfg: DemoConfig) -> DemoReport:
     for i, j, w in report.coupling.entries:
         # A pair of limb k has its source on level k and its image on k - 1.
         mass[max(x[i], y[j])] += w
-    return DemoReport(cfg, report, ExtremalityCertificate(), system, tuple(mass.values()))
+    return DemoReport(cfg, report, system, tuple(mass.values()))
 
 
 def support_rows(report: DemoReport) -> list:

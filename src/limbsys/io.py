@@ -1,4 +1,4 @@
-"""File formats: problem/coupling/duals/system JSON and cost CSV.
+"""File formats: problem, coupling, duals, system and witness JSON.
 
 All JSON written here is canonical: keys sorted, floats rendered with 17
 significant digits, newline terminated.  Identical data therefore produces
@@ -9,7 +9,6 @@ literals into exact Fractions; writers always emit plain JSON numbers.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from fractions import Fraction
@@ -28,8 +27,6 @@ __all__ = [
     "load_system",
     "system_payload",
     "witness_payload",
-    "load_cost_csv",
-    "save_cost_csv",
 ]
 
 
@@ -98,10 +95,12 @@ def _coupling(data):
 
 
 def _system(data):
-    limbs = tuple(
-        Limb(int(item["k"]), item["kind"], tuple((p[0], p[1]) for p in item["map"]))
-        for item in data["limbs"]
-    )
+    limbs = []
+    for item in data["limbs"]:
+        limb = Limb(int(item["k"]), tuple((p[0], p[1]) for p in item["map"]))
+        if item["kind"] != limb.kind:
+            raise ValueError(f"limb {limb.k} must have kind {limb.kind!r}, not {item['kind']!r}")
+        limbs.append(limb)
     return NumberedLimbSystem(
         int(data["m"]), int(data["n"]), limbs, tuple(data["I_odd"]), tuple(data["I_even"])
     )
@@ -148,18 +147,3 @@ def witness_payload(cycle, gamma0: Coupling, gamma1: Coupling) -> dict:
         "gamma0": coupling_payload(gamma0),
         "gamma1": coupling_payload(gamma1),
     }
-
-
-def load_cost_csv(path, rational: bool = False) -> CostMatrix:
-    """Plain rectangular grid of numbers, one matrix row per line."""
-    convert = Fraction if rational else float
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [tuple(convert(cell) for cell in line) for line in csv.reader(fh) if line]
-    return CostMatrix(tuple(rows))
-
-
-def save_cost_csv(path, cost: CostMatrix):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in cost.rows:
-            writer.writerow([_render(v) for v in row])

@@ -35,28 +35,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Limb:
-    """One limb: index k, its kind, and the map as (source, image) pairs.
+    """One limb: index k and the map as (source, image) pairs.
 
     Odd k is a graph limb (map on row points), even k an antigraph limb
-    (map on column points).  The map must be single-valued on its domain.
+    (map on column points); ``kind`` is derived from that parity.  The map
+    must be single-valued on its domain.
     """
 
     k: int
-    kind: str
     pairs: tuple
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("limb indices start at 1")
-        if self.kind not in ("graph", "antigraph"):
-            raise ValueError(f"unknown limb kind {self.kind!r}")
-        if (self.k % 2 == 1) != (self.kind == "graph"):
-            raise ValueError(f"limb {self.k} parity does not match kind {self.kind!r}")
         pairs = tuple(sorted((int(s), int(d)) for s, d in self.pairs))
         object.__setattr__(self, "pairs", pairs)
         sources = [s for s, _ in pairs]
         if len(set(sources)) != len(sources):
             raise ValueError(f"limb {self.k} map is not single-valued")
+
+    @property
+    def kind(self) -> str:
+        return "graph" if self.k % 2 == 1 else "antigraph"
 
     def cells(self) -> frozenset:
         """Support cells on the product grid, as (row, column) pairs."""
@@ -103,13 +103,20 @@ class NumberedLimbSystem:
 
 @dataclass(frozen=True)
 class ReconstructionReport:
-    """Outcome of the backward recursion: the candidate coupling, the limb
-    marginals eta_k in ascending k order, and whether it is feasible."""
+    """Outcome of the backward recursion: the candidate coupling and, when
+    it fails, a message naming the failure.
+
+    ``feasible`` is derived: a report is feasible exactly when it carries
+    no message.  The limb marginal eta_k is the coupling's mass on limb k's
+    cells, read on Dom f_k, so it is not stored.
+    """
 
     coupling: Coupling
-    eta: tuple
-    feasible: bool
     message: Optional[str] = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.message is None
 
 
 def system_violations(system: NumberedLimbSystem) -> list:
@@ -117,14 +124,15 @@ def system_violations(system: NumberedLimbSystem) -> list:
     out = []
     seen_cells: dict = {}
     for limb in system.limbs:
-        src_size = system.m if limb.kind == "graph" else system.n
-        dst_size = system.n if limb.kind == "graph" else system.m
+        graph = limb.kind == "graph"
+        src_size = system.m if graph else system.n
+        dst_size = system.n if graph else system.m
         for s, d in limb.pairs:
             if not (0 <= s < src_size) or not (0 <= d < dst_size):
                 out.append(f"limb {limb.k}: pair ({s}, {d}) out of bounds")
                 continue
-            src_level = system.x_levels[s] if limb.kind == "graph" else system.y_levels[s]
-            dst_level = system.y_levels[d] if limb.kind == "graph" else system.x_levels[d]
+            src_level = system.x_levels[s] if graph else system.y_levels[s]
+            dst_level = system.y_levels[d] if graph else system.x_levels[d]
             if src_level != limb.k:
                 out.append(
                     f"limb {limb.k}: domain point {s} sits in I_{src_level}, not I_{limb.k}"
@@ -194,10 +202,7 @@ def decompose(support: SupportGraph) -> NumberedLimbSystem:
                     limb_pairs.setdefault(d, []).append((v, u - m) if v < m else (v - m, u))
                     stack.append((v, u))
 
-    limbs = tuple(
-        Limb(k, "graph" if k % 2 == 1 else "antigraph", tuple(limb_pairs[k]))
-        for k in sorted(limb_pairs)
-    )
+    limbs = tuple(Limb(k, tuple(limb_pairs[k])) for k in sorted(limb_pairs))
     return NumberedLimbSystem(m, n, limbs, tuple(level[:m]), tuple(level[m:]))
 
 
@@ -212,15 +217,17 @@ def reconstruct(
         eta_k = (mu - row marginal of gamma_{k+1}) restricted to Dom f_k   (k odd)
         eta_k = (nu - column marginal of gamma_{k+1}) restricted to Dom f_k (k even)
 
-    and pushes it through its map.  In a valid system only limb k+1 sends
+    and pushes it through its map, so eta_k is the coupling's mass on limb
+    k's cells, read on Dom f_k.  In a valid system only limb k+1 sends
     mass into I_k, so one sweep over the pairs suffices: ``sent_to_row`` and
     ``sent_to_col`` hold the mass each point has been sent by the limb
     directly above it, added in pair order, which is the canonical entry
     order of gamma_{k+1}.  A negative eta entry below minus the mass
     threshold of (mu, nu), or a final marginal mismatch, makes the report
     infeasible, naming the lowest failing point of the highest failing limb;
-    small negative round-off is clamped to zero.  When feasible, the sum of the limb pieces is the one
-    coupling of (mu, nu) vanishing outside the system support.
+    small negative round-off is clamped to zero.  When feasible, the sum of
+    the limb pieces is the one coupling of (mu, nu) vanishing outside the
+    system support.
     """
     violations = system_violations(system)
     if violations:
@@ -234,7 +241,6 @@ def reconstruct(
     eps, _ = thresholds(masses=(mu.weights, nu.weights))
     sent_to_row, sent_to_col = [0] * m, [0] * n
     entries = []
-    etas = []
     failure: Optional[str] = None
 
     for limb in reversed(system.limbs):  # highest k first; indices strictly increase
@@ -243,27 +249,23 @@ def reconstruct(
             base, sent_src, sent_dst = mu.weights, sent_to_row, sent_to_col
         else:
             base, sent_src, sent_dst = nu.weights, sent_to_col, sent_to_row
-        weights = [0] * len(base)
         for s, d in limb.pairs:
             w = base[s] - sent_src[s]
-            if w < 0:
-                if w < -eps and failure is None:
-                    failure = (
-                        f"limb {limb.k} needs mass {w!r} at point {s}; "
-                        "the marginals cannot feed this system"
-                    )
-                w = 0
-            weights[s] = w
             if w > 0:
                 entries.append((s, d, w) if graph else (d, s, w))
                 sent_dst[d] = sent_dst[d] + w
-        etas.append(DiscreteMarginal(tuple(weights)))
+            elif w < -eps and failure is None:
+                failure = (
+                    f"limb {limb.k} needs mass {w!r} at point {s}; "
+                    "the marginals cannot feed this system"
+                )
 
-    coupling = Coupling.from_entries(m, n, entries)
-    feasible = failure is None and validate_coupling(coupling, mu, nu)
-    if failure is None and not feasible:
+    # The system is valid, so its cells are distinct and every mass kept is
+    # positive: sorting alone makes the entries canonical.
+    coupling = Coupling(m, n, tuple(sorted(entries)))
+    if failure is None and not validate_coupling(coupling, mu, nu):
         failure = "reconstructed coupling does not reproduce the requested marginals"
-    return ReconstructionReport(coupling, tuple(reversed(etas)), feasible, failure)
+    return ReconstructionReport(coupling, failure)
 
 
 def two_limb_check(support: SupportGraph):

@@ -18,6 +18,7 @@ from limbsys import (
     build_peaked_density,
     decompose,
     enumerate_optimal_vertices,
+    is_extremal,
     limb_count,
     rational_demo_instance,
     run_demo,
@@ -257,7 +258,7 @@ class TestDemo:
 
     def test_opposed_peaks_cross_town(self):
         report = run_demo(DemoConfig(n=24))
-        assert report.certificate.extremal
+        assert is_extremal(report.solve_report.coupling).extremal
         assert limb_count(report.system) <= 2
         assert mass_on_limb(report, 2) > 0
 

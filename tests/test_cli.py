@@ -12,16 +12,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import limbsys
-from limbsys import Coupling, CostMatrix, DemoConfig, cli, extremality, is_extremal, run_demo, tv_distance
+from limbsys import Coupling, DemoConfig, cli, extremality, is_extremal, run_demo, tv_distance
 from limbsys.cli import main
 from limbsys.io import (
     canonical_json,
     coupling_payload,
     load_coupling,
-    load_cost_csv,
     load_problem,
     load_system,
-    save_cost_csv,
     system_payload,
     write_json,
 )
@@ -97,14 +95,6 @@ class TestFileFormats:
         path = tmp_path / "s.json"
         write_json(path, system_payload(system))
         assert load_system(path) == system
-
-    def test_cost_csv_round_trip(self, tmp_path):
-        cost = CostMatrix(((0.5, 1.25), (2.0, -0.75)))
-        path = tmp_path / "c.csv"
-        save_cost_csv(path, cost)
-        assert load_cost_csv(path) == cost
-        exact = load_cost_csv(path, rational=True)
-        assert exact.rows == ((F(1, 2), F(5, 4)), (F(2), F(-3, 4)))
 
 
 @pytest.fixture
@@ -251,6 +241,26 @@ class TestCli:
         assert main(["decompose", str(row), "--out", str(system)]) == 0
         assert [limb["k"] for limb in json.loads(system.read_text())["limbs"]] == [2]
         assert capsys.readouterr().out == "2 limbs\n"
+
+    @pytest.mark.parametrize(
+        "k, kind, named",
+        [(2, "graph", "limb 2"), (1, "tree", "limb 1"), (2, None, "system.json: missing key 'kind'")],
+    )
+    def test_system_kind_must_match_the_limb_index(
+        self, tmp_path, balanced_problem, capsys, k, kind, named
+    ):
+        limb = {"k": k, "map": [[0, 0]]}
+        if kind is not None:
+            limb["kind"] = kind
+        system = tmp_path / "system.json"
+        system.write_text(
+            json.dumps({"m": 2, "n": 2, "limbs": [limb], "I_odd": [1, 1], "I_even": [0, 0]}) + "\n"
+        )
+        argv = ["reconstruct", str(system), str(balanced_problem), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_reconstruct_infeasible_is_exit_4(self, tmp_path, balanced_problem, capsys):
         diag = tmp_path / "diag.json"

@@ -35,9 +35,9 @@ def path_system():
         2,
         2,
         (
-            Limb(1, "graph", ((0, 0),)),
-            Limb(2, "antigraph", ((1, 0),)),
-            Limb(3, "graph", ((1, 1),)),
+            Limb(1, ((0, 0),)),
+            Limb(2, ((1, 0),)),
+            Limb(3, ((1, 1),)),
         ),
         (1, 3),
         (0, 2),
@@ -45,24 +45,20 @@ def path_system():
 
 
 class TestLimbType:
-    def test_parity_enforced(self):
-        with pytest.raises(ValueError, match="parity"):
-            Limb(2, "graph", ((0, 0),))
+    def test_kind_alternates_with_parity(self):
+        assert [Limb(k, ()).kind for k in (1, 2, 3, 4)] == ["graph", "antigraph"] * 2
+
+    def test_indices_start_at_one(self):
+        with pytest.raises(ValueError, match="limb indices start at 1"):
+            Limb(0, ())
 
     def test_single_valuedness(self):
         with pytest.raises(ValueError, match="single-valued"):
-            Limb(1, "graph", ((0, 0), (0, 1)))
+            Limb(1, ((0, 0), (0, 1)))
 
     def test_level_parity_enforced(self):
         with pytest.raises(ValueError, match="odd"):
             NumberedLimbSystem(1, 1, (), (2,), (0,))
-
-    @pytest.mark.parametrize(
-        "k, kind, named", [(0, "graph", "limb indices start at 1"), (1, "tree", "'tree'")]
-    )
-    def test_limb_rejects(self, k, kind, named):
-        with pytest.raises(ValueError, match=named):
-            Limb(k, kind, ())
 
     @pytest.mark.parametrize(
         "m, n, limbs, x_levels, y_levels, named",
@@ -70,7 +66,7 @@ class TestLimbType:
             (0, 1, (), (), (0,), "dimensions"),
             (1, 1, (), (1, 1), (0,), "level arrays"),
             (1, 1, (), (1,), (1,), "column point 0"),
-            (1, 1, (Limb(1, "graph", ()), Limb(1, "graph", ())), (1,), (0,), "strictly increasing"),
+            (1, 1, (Limb(1, ()), Limb(1, ())), (1,), (0,), "strictly increasing"),
         ],
     )
     def test_system_rejects(self, m, n, limbs, x_levels, y_levels, named):
@@ -80,11 +76,11 @@ class TestLimbType:
 
 class TestValidateSystem:
     def test_single_total_limb(self):
-        system = NumberedLimbSystem(2, 2, (Limb(1, "graph", ((0, 1), (1, 0))),), (1, 1), (0, 0))
+        system = NumberedLimbSystem(2, 2, (Limb(1, ((0, 1), (1, 0))),), (1, 1), (0, 0))
         assert validate_system(system)
 
     def test_range_outside_previous_index_set(self):
-        bad = NumberedLimbSystem(1, 1, (Limb(1, "graph", ((0, 0),)),), (1,), (2,))
+        bad = NumberedLimbSystem(1, 1, (Limb(1, ((0, 0),)),), (1,), (2,))
         assert not validate_system(bad)
         assert any("I_2" in v for v in system_violations(bad))
 
@@ -92,7 +88,7 @@ class TestValidateSystem:
         bad = NumberedLimbSystem(
             2,
             2,
-            (Limb(1, "graph", ((0, 0),)), Limb(2, "antigraph", ((0, 0),))),
+            (Limb(1, ((0, 0),)), Limb(2, ((0, 0),))),
             (1, 1),
             (2, 0),
         )
@@ -101,8 +97,8 @@ class TestValidateSystem:
     @pytest.mark.parametrize(
         "limb, y_level, named",
         [
-            (Limb(1, "graph", ((0, 3),)), 0, r"limb 1: pair \(0, 3\) out of bounds"),
-            (Limb(3, "graph", ((0, 0),)), 2, "limb 3: domain point 0 sits in I_1, not I_3"),
+            (Limb(1, ((0, 3),)), 0, r"limb 1: pair \(0, 3\) out of bounds"),
+            (Limb(3, ((0, 0),)), 2, "limb 3: domain point 0 sits in I_1, not I_3"),
         ],
     )
     def test_violations_name_the_pair(self, limb, y_level, named):
@@ -126,7 +122,7 @@ class TestDecompose:
     def test_diagonal_single_limb(self):
         system = decompose(SupportGraph(3, 3, frozenset((i, i) for i in range(3))))
         assert len(system.limbs) == 1
-        assert system.limbs[0] == Limb(1, "graph", ((0, 0), (1, 1), (2, 2)))
+        assert system.limbs[0] == Limb(1, ((0, 0), (1, 1), (2, 2)))
         assert system.x_levels == (1, 1, 1)
         assert system.y_levels == (0, 0, 0)
 
@@ -206,7 +202,7 @@ class TestDecompose:
 
 class TestReconstruct:
     def test_identity_system(self):
-        system = NumberedLimbSystem(2, 2, (Limb(1, "graph", ((0, 0), (1, 1))),), (1, 1), (0, 0))
+        system = NumberedLimbSystem(2, 2, (Limb(1, ((0, 0), (1, 1))),), (1, 1), (0, 0))
         half = DiscreteMarginal((F(1, 2), F(1, 2)))
         report = reconstruct(system, half, half)
         assert report.feasible
@@ -220,10 +216,6 @@ class TestReconstruct:
         assert report.coupling == Coupling(
             2, 2, ((0, 0, F(1, 5)), (0, 1, F(3, 10)), (1, 1, F(1, 2)))
         )
-        # eta per limb, ascending: eta_1 on rows, eta_2 on columns, eta_3 on rows.
-        assert report.eta[0].weights == (F(1, 5), 0)
-        assert report.eta[1].weights == (0, F(3, 10))
-        assert report.eta[2].weights == (0, F(1, 2))
 
     def test_three_limb_path_infeasible_marginals(self):
         mu = DiscreteMarginal((F(1, 2), F(1, 2)))
@@ -238,7 +230,7 @@ class TestReconstruct:
         system = NumberedLimbSystem(
             9,
             3,
-            (Limb(1, "graph", ((1, 0), (8, 0))), Limb(2, "antigraph", ((1, 8), (2, 1)))),
+            (Limb(1, ((1, 0), (8, 0))), Limb(2, ((1, 8), (2, 1)))),
             (1,) * 9,
             (0, 2, 2),
         )
@@ -250,14 +242,14 @@ class TestReconstruct:
         assert report.message.startswith("limb 1 needs mass Fraction(-1, 4) at point 1;")
 
     def test_invalid_system_raises(self):
-        bad = NumberedLimbSystem(1, 1, (Limb(1, "graph", ((0, 0),)),), (1,), (2,))
+        bad = NumberedLimbSystem(1, 1, (Limb(1, ((0, 0),)),), (1,), (2,))
         with pytest.raises(InvalidSystemError):
             reconstruct(bad, DiscreteMarginal((F(1),)), DiscreteMarginal((F(1),)))
 
     def test_marginal_sizes_must_match_system(self):
         from limbsys import ShapeMismatchError
 
-        system = NumberedLimbSystem(2, 2, (Limb(1, "graph", ((0, 0), (1, 1))),), (1, 1), (0, 0))
+        system = NumberedLimbSystem(2, 2, (Limb(1, ((0, 0), (1, 1))),), (1, 1), (0, 0))
         with pytest.raises(ShapeMismatchError):
             reconstruct(system, DiscreteMarginal((F(1),)), DiscreteMarginal((F(1, 2), F(1, 2))))
 
@@ -329,7 +321,7 @@ class TestGapInLimbIndices:
 
     @staticmethod
     def system():
-        limbs = (Limb(1, "graph", ((0, 0),)), Limb(3, "graph", ((1, 1),)))
+        limbs = (Limb(1, ((0, 0),)), Limb(3, ((1, 1),)))
         return NumberedLimbSystem(2, 3, limbs, (1, 3), (0, 2, 2))
 
     def test_feasible_marginals(self):
@@ -342,7 +334,6 @@ class TestGapInLimbIndices:
         assert report.feasible
         assert report.message is None
         assert report.coupling == Coupling(2, 3, ((0, 0, F(1, 4)), (1, 1, F(3, 4))))
-        assert [eta.weights for eta in report.eta] == [(F(1, 4), 0), (0, F(3, 4))]
 
     def test_mass_on_the_bare_column_is_infeasible(self):
         mu = DiscreteMarginal((F(1, 4), F(3, 4)))
@@ -354,7 +345,7 @@ class TestGapInLimbIndices:
 
 class TestLimbCount:
     def test_examples(self):
-        identity = NumberedLimbSystem(2, 2, (Limb(1, "graph", ((0, 0), (1, 1))),), (1, 1), (0, 0))
+        identity = NumberedLimbSystem(2, 2, (Limb(1, ((0, 0), (1, 1))),), (1, 1), (0, 0))
         assert limb_count(identity) == 1
         assert limb_count(path_system()) == 3
 

@@ -156,7 +156,7 @@ class TestThresholds:
             ),
             lambda: support_graph(Coupling(1, 2, ((0, 0, HUGE), (0, 1, 0.5)))),
             lambda: reconstruct(
-                NumberedLimbSystem(1, 2, (Limb(2, "antigraph", ((0, 0), (1, 0))),), (1,), (2, 2)),
+                NumberedLimbSystem(1, 2, (Limb(2, ((0, 0), (1, 0))),), (1,), (2, 2)),
                 DiscreteMarginal((0.5,)),
                 DiscreteMarginal((HUGE, 0.5)),
             ),
