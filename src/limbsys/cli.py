@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from . import __version__
@@ -176,9 +175,6 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.fn(args)
-    except json.JSONDecodeError as exc:
-        print(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
-        return 1
     except CyclicSupportError as exc:
         print(f"cyclic support: {exc}", file=sys.stderr)
         return 3

@@ -66,11 +66,17 @@ def write_json(path, payload):
 
 
 def _load(path, rational: bool, build):
-    """Parse a JSON file and build a value from it.  A file whose layout
-    does not fit (a list where an object belongs, a short entry, a missing
-    key) raises ValueError naming the file."""
+    """Parse a JSON file and build a value from it.  Malformed JSON, a
+    layout that does not fit (a list where an object belongs, a short entry,
+    a missing key) and data the value rejects (a negative mass, a limb
+    numbered 0) raise ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh, parse_float=Fraction) if rational else json.load(fh)
+        try:
+            data = json.load(fh, parse_float=Fraction) if rational else json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top level is a JSON {type(data).__name__}, not an object")
     try:
@@ -79,6 +85,8 @@ def _load(path, rational: bool, build):
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, IndexError) as exc:
         raise ValueError(f"{path}: unexpected layout: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _problem(data):

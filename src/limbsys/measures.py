@@ -51,9 +51,10 @@ def thresholds(masses=(), costs=()) -> tuple:
     """(mass, cost) thresholds for comparisons over the given value groups.
 
     The one exactness rule of the package: data count as exact when no
-    value in any group is a float, and exact data get thresholds (0, 0).
-    Float data get ``MASS_SCALE`` times the largest |mass| and
-    ``COST_SCALE`` times the largest |cost|; no values or only zeros give 0.
+    value in any group is a float, and exact data get the int thresholds
+    (0, 0).  Float data get the float thresholds ``MASS_SCALE`` times the
+    largest |mass| and ``COST_SCALE`` times the largest |cost|; no values or
+    only zeros give 0.0.
     Float masses at or below the mass threshold are dust left behind by
     floating-point solves; costs within the cost threshold count as equal.
     A magnitude beyond the float range next to float data raises ValueError.
@@ -70,6 +71,13 @@ def thresholds(masses=(), costs=()) -> tuple:
     )
     with float_range((top_mass, top_cost)):
         return MASS_SCALE * top_mass, COST_SCALE * top_cost
+
+
+def common_denominator(*groups) -> int:
+    """The least common multiple of the denominators of exact values: the
+    least positive integer whose product with each of them is an int.  It is
+    1 for int data, whose ``denominator`` is 1."""
+    return math.lcm(*{v.denominator for group in groups for v in group})
 
 
 @contextmanager

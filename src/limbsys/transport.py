@@ -10,7 +10,11 @@ potentials of the re-hung subtree only.  Strongly feasible bases
 needs no pivot budget.  With exact (int/Fraction) data every comparison is
 exact and the returned optimum is exact; with floats the pivot threshold and
 the dust below which masses are dropped scale with the largest cost and the
-largest mass of the instance (``measures.thresholds``).
+largest mass of the instance (``measures.thresholds``).  No comparison
+changes when the masses are multiplied by one positive number and the costs
+by another, so exact data are solved over ints: the masses are scaled once
+by the lcm of their denominators, the costs by that of theirs, and the
+optimum and its potentials are divided back into Fractions at the end.
 
 The optimal-vertex oracle lists the whole optimal face.  By complementary
 slackness every optimal dual cuts out the same face: the feasible couplings
@@ -22,13 +26,15 @@ left unpeeled in its component carries no net supply, so every vertex
 listed is a coupling on the zero set.  That proves the potentials: a
 feasible coupling on the zero set of feasible potentials has the dual value
 as its cost, so both are optimal (weak duality), and potentials that are not
-optimal leave some component with no tree and raise.
+optimal leave some component with no tree and raise.  Exact supplies are
+scaled to ints as in the solver, so the walk runs on ints too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from operator import mul, sub
 from typing import Sequence
@@ -40,7 +46,7 @@ from .errors import (
     SizeLimitError,
 )
 from .extremality import SupportGraph
-from .measures import Coupling, CostMatrix, DiscreteMarginal, float_range, thresholds
+from .measures import Coupling, CostMatrix, DiscreteMarginal, common_denominator, float_range, thresholds
 
 __all__ = [
     "DualPotentials",
@@ -89,7 +95,8 @@ class SolveReport:
 def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix):
     """Reject mismatched shapes and unbalanced totals; return the instance's
     (mass, cost) thresholds, the gap it allows between the totals and the
-    gap between them, which is at most the allowed one and 0 on exact data."""
+    gap between them, which is at most the allowed one and the int 0 on
+    exact data, so that thresholds built from it stay ints."""
     if (c.m, c.n) != (mu.size, nu.size):
         raise ShapeMismatchError(
             f"cost matrix is {c.m}x{c.n} but marginals have sizes {mu.size} and {nu.size}"
@@ -114,7 +121,7 @@ def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix):
             f"total masses differ: first marginal carries {ta!r}, second {tb!r}; "
             "no coupling has both for marginals"
         )
-    return eps_mass, eps_cost, slack, gap
+    return eps_mass, eps_cost, slack, gap or 0
 
 
 def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveReport:
@@ -127,7 +134,15 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
     """
     eps_mass, pivot_tol, slack, gap = _check_instance(mu, nu, c)
     m, n = mu.size, nu.size
-    c_rows = c.rows
+    mu_w, nu_w, c_rows = mu.weights, nu.weights, c.rows
+    # Exact data pivot as ints: masses times L, the lcm of their
+    # denominators, and costs times K, that of theirs.  Masses are divided by
+    # L and potentials by K on the way out.
+    L = K = 1
+    if not isinstance(eps_mass, float):
+        L, K = common_denominator(mu_w, nu_w), common_denominator(*c_rows)
+        mu_w, nu_w = _times(mu_w, L), _times(nu_w, L)
+        c_rows = [_times(row, K) for row in c_rows]
 
     # Nodes: columns 0..n-1, rows n..n+m-1 and an artificial root m+n.  Arc
     # (i, j) runs from row n+i to column j.  The start joins every point to
@@ -150,8 +165,8 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
     parent = [root] * (m + n) + [None]
     depth = [1] * (m + n) + [0]
     children = [[] for _ in range(m + n)] + [list(range(m + n))]
-    flow = list(nu.weights) + list(mu.weights)  # mass on the arc to the parent
-    up = [w == 0 for w in nu.weights] + [True] * m  # that arc points to the parent
+    flow = list(nu_w) + list(mu_w)  # mass on the arc to the parent
+    up = [w == 0 for w in nu_w] + [True] * m  # that arc points to the parent
     pi = [0 if toward else art for toward in up] + [0]
     # The reduced cost of (i, j) is c[i][j] + pi[n + i] - pi[j].
 
@@ -249,9 +264,13 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
     if stray > slack:
         raise AssertionError(f"the artificial arcs still carry {stray!r}")
     entries.sort()
-    coupling = Coupling(m, n, tuple(entries))
     q = [pi[0] - pi[n + i] for i in range(m)]
     r = [pi[j] - pi[0] for j in range(n)]
+    if L > 1:
+        entries = [(i, j, Fraction(w, L)) for i, j, w in entries]
+    if K > 1:
+        q, r = ([Fraction(x, K) for x in xs] for xs in (q, r))
+    coupling = Coupling(m, n, tuple(entries))
     if shrink:
         try:
             q, r = ([math.ldexp(x, shrink) for x in xs] for xs in (q, r))
@@ -262,6 +281,12 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
         primal = sum(c.rows[i][j] * w for i, j, w in entries) if entries else 0
         dual = sum(map(mul, q, mu.weights)) + sum(map(mul, r, nu.weights))
     return SolveReport(coupling, DualPotentials(q, r), primal, dual, iterations, degenerate)
+
+
+def _times(values, s):
+    """Exact ``values`` times ``s``, a multiple of each of their
+    denominators, as ints."""
+    return [v.numerator * (s // v.denominator) for v in values]
 
 
 def c_transform(r: Sequence, c: CostMatrix) -> tuple:
@@ -445,7 +470,13 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
     for u, v in zero_edges:
         comp_edges[_find(parent, u)].append((u, v))
 
-    supplies = mu.weights + nu.weights
+    # Exact supplies are walked as ints, times the lcm of their denominators,
+    # which keeps every sign and order; the masses of the listed vertices
+    # are divided back at the end.
+    supplies, scale = mu.weights + nu.weights, 1
+    if not isinstance(eps_mass, float):
+        scale = common_denominator(supplies)
+        supplies = _times(supplies, scale)
 
     budget = [ORACLE_MAX_BASES]
     per_component = []
@@ -465,9 +496,11 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
         merged = []
         for part in combo:
             merged.extend(part)
-        vertices.append(Coupling(m, n, tuple(sorted(merged))))
-    vertices.sort(key=lambda g: g.entries)
-    return vertices
+        vertices.append(sorted(merged))
+    vertices.sort()
+    if scale > 1:
+        vertices = [[(i, j, Fraction(w, scale)) for i, j, w in entries] for entries in vertices]
+    return [Coupling(m, n, tuple(entries)) for entries in vertices]
 
 
 def is_unique_optimum(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> bool:

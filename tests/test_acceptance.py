@@ -309,3 +309,16 @@ def test_a10_solver_scale():
         assert solved.coupling.cells() <= zero_set(cost, solved.potentials).edges
         details.append(f"{label} {elapsed:.2f}s ({solved.iterations} pivots)")
     report("A10", ", ".join(details))
+
+
+def test_a11_exact_and_float_demo_supports_agree():
+    """At N=96, 128 and 192 the snapped exact demo and the float demo have
+    the same optimal support, so the float limb counts at those sizes are
+    those of the exact optimum."""
+    details = []
+    for n in (96, 128, 192):
+        exact = solve(*rational_demo_instance(DemoConfig(n=n)))
+        floats = solve(*demo_instance(DemoConfig(n=n))[1:])
+        assert exact.coupling.cells() == floats.coupling.cells(), n
+        details.append(f"N={n} {len(exact.coupling.entries)} cells")
+    report("A11", ", ".join(details))

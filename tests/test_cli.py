@@ -134,7 +134,32 @@ class TestCli:
         path.write_text('{"mu": [1, ]')
         assert main(["solve", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "line 1" in err and "column" in err
+        assert err == f"error: {path}: malformed JSON at line 1, column 12: Expecting value\n"
+
+    @pytest.mark.parametrize(
+        "content, said",
+        [
+            ('{"mu": [-1], "nu": [1], "cost": [[0]]}', "negative weight at index 0: -1"),
+            (
+                '{"m": 1, "n": 1, "limbs": [{"k": 0, "kind": "graph", "map": [[0, 0]]}], '
+                '"I_odd": [1], "I_even": [0]}',
+                "limb indices start at 1",
+            ),
+        ],
+        ids=["negative-mass", "limb-0"],
+    )
+    def test_rejected_values_name_the_file(self, tmp_path, capsys, content, said):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        if '"limbs"' in content:
+            problem = tmp_path / "p.json"
+            write_problem(problem, [1], [1])
+            argv = ["reconstruct", str(bad), str(problem), "--out", str(tmp_path / "r.json")]
+        else:
+            argv = ["solve", str(bad)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: {said}\n"
 
     def test_missing_cost_is_exit_1(self, tmp_path, capsys):
         path = tmp_path / "p.json"

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -30,7 +31,7 @@ from limbsys import (
     validate_coupling,
     zero_set,
 )
-from limbsys import transport
+from limbsys import measures, transport
 
 import oracles
 
@@ -290,6 +291,27 @@ def assert_scales(report, scaled, s, t):
     assert scaled.iterations == report.iterations
 
 
+# Many distinct denominators, so the common denominator of an instance
+# runs to dozens of digits.
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 7919)
+
+
+def mixed_exact_instance(rng, m, n):
+    """Balanced instance mixing ints and Fractions: the marginals of a grid of
+    zeros, ints and Fractions over distinct prime denominators, and costs of
+    both kinds."""
+
+    def value(low, high):
+        return rng.choice((rng.randint(low, high), F(rng.randint(30 * low, 30 * high), rng.choice(PRIMES))))
+
+    grid = [[rng.choice((0, value(1, 3))) for _ in range(n)] for _ in range(m)]
+    rows = [[value(-4, 4) for _ in range(n)] for _ in range(m)]
+    grid[0][0], rows[0][0] = F(1, rng.choice(PRIMES)), F(1, rng.choice(PRIMES)) + rows[0][0]
+    mu = DiscreteMarginal(tuple(sum(row) for row in grid))
+    nu = DiscreteMarginal(tuple(sum(col) for col in zip(*grid)))
+    return mu, nu, CostMatrix(rows)
+
+
 class TestScaleInvariance:
     """Rescaling the masses by s and the costs by t changes no decision of
     the solver: the optimum scales by s, its value by s * t."""
@@ -317,6 +339,24 @@ class TestScaleInvariance:
                 s = F(rng.randint(1, 10**6), rng.randint(1, 10**30))
                 t = F(rng.randint(1, 10**30), rng.randint(1, 10**6))
                 assert_scales(report, solve(*rescaled(mu, nu, c, s, t)), s, t)
+
+    def test_common_denominators_are_divided_back(self):
+        # Exact data pivot as ints, masses scaled by the lcm L of their
+        # denominators and costs by that of theirs, K.  Solving the scaled
+        # instance directly must take the same pivots, with masses L times
+        # and potentials K times those returned for the original.
+        rng = random.Random(1407)
+        for _ in range(20):
+            mu, nu, c = mixed_exact_instance(rng, rng.randint(2, 6), rng.randint(2, 6))
+            big_l = measures.common_denominator(mu.weights, nu.weights)
+            big_k = measures.common_denominator(*c.rows)
+            assert big_l > 1 and big_k > 1
+            report = solve(mu, nu, c)
+            scaled = solve(*rescaled(mu, nu, c, big_l, big_k))
+            assert_scales(report, scaled, big_l, big_k)
+            assert scaled.degenerate_pivots == report.degenerate_pivots
+            assert scaled.potentials.q == tuple(big_k * x for x in report.potentials.q)
+            assert scaled.potentials.r == tuple(big_k * x for x in report.potentials.r)
 
     def test_tiny_masses_are_not_dust(self):
         mu = DiscreteMarginal((1e-13, 1e-13))
@@ -646,3 +686,33 @@ def test_triple_transform_collapses(m, n, data):
     r1 = c_transform(q1, transposed)
     q2 = c_transform(r1, c)
     assert q2 == q1
+
+
+def exact_values(low, high):
+    """Ints, and Fractions over many distinct denominators, in [low, high]."""
+    return st.one_of(
+        st.integers(low, high),
+        st.builds(F, st.integers(30 * low, 30 * high), st.sampled_from(PRIMES)),
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4), st.data())
+def test_mixed_exact_data_match_the_reference_oracles(m, n, data):
+    # Solve and the vertex oracle run exact data as ints after one
+    # common-denominator scaling; on ints mixed with Fractions over many
+    # denominators they must agree with the references, which run on the
+    # data as given: the value of the shortest-path duals, the support
+    # inside their zero set, and the backtracking enumerator's vertices.
+    grid = [[data.draw(exact_values(0, 3)) for _ in range(n)] for _ in range(m)]
+    mu = DiscreteMarginal(tuple(sum(row) for row in grid))
+    nu = DiscreteMarginal(tuple(sum(col) for col in zip(*grid)))
+    c = CostMatrix(tuple(tuple(data.draw(exact_values(-4, 4)) for _ in range(n)) for _ in range(m)))
+    report = solve(mu, nu, c)
+    q, r = oracles._ssp_duals(mu.weights, nu.weights, c.rows, 0)
+    value = sum(map(mul, q, mu.weights)) + sum(map(mul, r, nu.weights))
+    assert report.primal_value == report.dual_value == value
+    assert report.coupling.cells() <= zero_set(c, DualPotentials(q, r)).edges
+    found = enumerate_optimal_vertices(mu, nu, c)
+    expected = oracles.optimal_vertices_by_backtracking(mu, nu, c)
+    assert [g.entries for g in found] == [g.entries for g in expected]
