@@ -9,125 +9,22 @@ immutable and every operation is a pure function, so everything here is safe
 to call concurrently.
 """
 
-from .errors import (
-    CycleError,
-    CyclicSupportError,
-    DualInfeasibleError,
-    InfeasibleError,
-    InvalidSystemError,
-    LimbsysError,
-    ShapeMismatchError,
-    SizeLimitError,
-)
-from .measures import (
-    Coupling,
-    CostMatrix,
-    DiscreteMarginal,
-    marginals_of,
-    pushforward_antigraph,
-    pushforward_graph,
-    tv_distance,
-    validate_coupling,
-)
-from .extremality import (
-    CycleWitness,
-    ExtremalityCertificate,
-    SupportGraph,
-    dl_rank_test,
-    is_acyclic,
-    is_extremal,
-    split_witness,
-    support_graph,
-)
-from .transport import (
-    DualPotentials,
-    SolveReport,
-    c_transform,
-    enumerate_optimal_vertices,
-    is_unique_optimum,
-    solve,
-    zero_set,
-)
-from .limbs import (
-    Limb,
-    NumberedLimbSystem,
-    ReconstructionReport,
-    decompose,
-    limb_count,
-    reconstruct,
-    system_support,
-    system_violations,
-    two_limb_check,
-    validate_system,
-)
-from .circle import (
-    CircleGrid,
-    DemoConfig,
-    DemoReport,
-    SubtwistReport,
-    build_circle_cost,
-    build_peaked_density,
-    demo_instance,
-    rational_demo_instance,
-    run_demo,
-    subtwist_check,
-    support_rows,
-)
+from . import circle, errors, extremality, limbs, measures, transport
+from .errors import *
+from .measures import *
+from .extremality import *
+from .transport import *
+from .limbs import *
+from .circle import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "LimbsysError",
-    "ShapeMismatchError",
-    "InfeasibleError",
-    "DualInfeasibleError",
-    "SizeLimitError",
-    "CycleError",
-    "CyclicSupportError",
-    "InvalidSystemError",
-    "DiscreteMarginal",
-    "CostMatrix",
-    "Coupling",
-    "marginals_of",
-    "validate_coupling",
-    "pushforward_graph",
-    "pushforward_antigraph",
-    "tv_distance",
-    "SupportGraph",
-    "CycleWitness",
-    "ExtremalityCertificate",
-    "support_graph",
-    "is_acyclic",
-    "dl_rank_test",
-    "split_witness",
-    "is_extremal",
-    "DualPotentials",
-    "SolveReport",
-    "solve",
-    "c_transform",
-    "zero_set",
-    "enumerate_optimal_vertices",
-    "is_unique_optimum",
-    "Limb",
-    "NumberedLimbSystem",
-    "ReconstructionReport",
-    "validate_system",
-    "system_violations",
-    "system_support",
-    "decompose",
-    "reconstruct",
-    "limb_count",
-    "two_limb_check",
-    "CircleGrid",
-    "DemoConfig",
-    "DemoReport",
-    "SubtwistReport",
-    "build_circle_cost",
-    "build_peaked_density",
-    "subtwist_check",
-    "demo_instance",
-    "rational_demo_instance",
-    "run_demo",
-    "support_rows",
+    *errors.__all__,
+    *measures.__all__,
+    *extremality.__all__,
+    *transport.__all__,
+    *limbs.__all__,
+    *circle.__all__,
 ]

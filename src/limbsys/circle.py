@@ -97,8 +97,7 @@ class SubtwistReport:
 
 @dataclass(frozen=True)
 class DemoReport:
-    """``system`` is the fewest-limb system of the optimal support and
-    ``limb_mass`` the coupling mass on each of its limbs, in limb order.
+    """``system`` is the fewest-limb system of the optimal support.
 
     The optimum is extremal: its support decomposed into limbs, which only
     an acyclic support does, so the report holds no certificate.
@@ -107,7 +106,14 @@ class DemoReport:
     config: DemoConfig
     solve_report: SolveReport
     system: NumberedLimbSystem
-    limb_mass: tuple
+
+    @property
+    def limb_mass(self) -> tuple:
+        """The coupling mass on each limb of ``system``, in limb order."""
+        mass = dict.fromkeys((limb.k for limb in self.system.limbs), 0)
+        for i, j, w in self.solve_report.coupling.entries:
+            mass[self.system.limb_of(i, j)] += w
+        return tuple(mass.values())
 
 
 def build_circle_cost(grid: CircleGrid) -> CostMatrix:
@@ -272,21 +278,13 @@ def run_demo(cfg: DemoConfig) -> DemoReport:
         )
     report = solve(mu, nu, cost)
     # decompose raises on a cyclic support, so past it the optimizer is extremal.
-    system = decompose(support_graph(report.coupling))
-    mass = dict.fromkeys((limb.k for limb in system.limbs), 0)
-    x, y = system.x_levels, system.y_levels
-    for i, j, w in report.coupling.entries:
-        # A pair of limb k has its source on level k and its image on k - 1.
-        mass[max(x[i], y[j])] += w
-    return DemoReport(cfg, report, system, tuple(mass.values()))
+    return DemoReport(cfg, report, decompose(support_graph(report.coupling)))
 
 
 def support_rows(report: DemoReport) -> list:
     """Plot-ready support: (theta, phi, mass, limb index k) per occupied cell."""
     angles = CircleGrid(report.config.n).angles
-    x, y = report.system.x_levels, report.system.y_levels
-    # A pair of limb k has its source on level k and its image on k - 1.
     return [
-        (angles[i], angles[j], w, max(x[i], y[j]))
+        (angles[i], angles[j], w, report.system.limb_of(i, j))
         for i, j, w in report.solve_report.coupling.entries
     ]

@@ -40,12 +40,13 @@ def _cmd_solve(args) -> int:
         print("problem file has no cost matrix", file=sys.stderr)
         return 1
     report = solve(mu, nu, cost)
+    with float_range((report.primal_value,)):
+        summary = f"optimum {float(report.primal_value):.17g} in {report.iterations} pivots"
     if args.out:
         write_json(args.out, coupling_payload(report.coupling))
     if args.duals:
         write_json(args.duals, duals_payload(report.potentials, report.primal_value))
-    with float_range((report.primal_value,)):
-        print(f"optimum {float(report.primal_value):.17g} in {report.iterations} pivots")
+    print(summary)
     return 0
 
 
@@ -82,13 +83,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_demo_circle(args) -> int:
-    cfg = DemoConfig(
-        n=args.n,
-        mu_center=args.mu_center,
-        mu_kappa=args.mu_kappa,
-        nu_center=args.nu_center,
-        nu_kappa=args.nu_kappa,
-    )
+    cfg = DemoConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(DemoConfig)})
     # run_demo returns only optima whose support decomposed, so the verdict
     # is always "extremal".
     report = run_demo(cfg)
@@ -154,11 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_reconstruct)
 
     p = sub.add_parser("demo-circle", help="run the circular town example")
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--mu-center", type=float, default=DemoConfig.mu_center)
-    p.add_argument("--mu-kappa", type=float, default=DemoConfig.mu_kappa)
-    p.add_argument("--nu-center", type=float, default=DemoConfig.nu_center)
-    p.add_argument("--nu-kappa", type=float, default=DemoConfig.nu_kappa)
+    for field in dataclasses.fields(DemoConfig):
+        flag = "--" + field.name.replace("_", "-")
+        p.add_argument(flag, type=type(field.default), default=field.default)
     p.add_argument("--out", help="write the demo report here")
     p.add_argument("--plot", help="write plot-ready support rows here")
     p.set_defaults(fn=_cmd_demo_circle)
@@ -181,7 +174,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (LimbsysError, OSError, ValueError, KeyError) as exc:
+    except (LimbsysError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

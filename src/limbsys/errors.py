@@ -1,5 +1,16 @@
 """Exception hierarchy shared by all limbsys modules."""
 
+__all__ = [
+    "LimbsysError",
+    "ShapeMismatchError",
+    "InfeasibleError",
+    "DualInfeasibleError",
+    "SizeLimitError",
+    "CycleError",
+    "CyclicSupportError",
+    "InvalidSystemError",
+]
+
 
 class LimbsysError(Exception):
     """Base class for all errors raised by this package."""

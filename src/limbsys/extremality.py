@@ -13,6 +13,7 @@ on demand, into an explicit convex split of the coupling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Optional
 
 from .errors import CycleError, SizeLimitError
@@ -40,7 +41,7 @@ class SupportGraph:
     edges: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset((int(i), int(j)) for i, j in self.edges))
+        object.__setattr__(self, "edges", frozenset((index(i), index(j)) for i, j in self.edges))
         if self.m <= 0 or self.n <= 0:
             raise ValueError("support graph dimensions must be positive")
         for i, j in self.edges:
@@ -61,7 +62,7 @@ class CycleWitness:
     edges: tuple
 
     def __post_init__(self):
-        edges = tuple((int(i), int(j)) for i, j in self.edges)
+        edges = tuple((index(i), index(j)) for i, j in self.edges)
         object.__setattr__(self, "edges", edges)
         if len(edges) < 4 or len(edges) % 2 != 0:
             raise ValueError("a cycle witness needs an even number of edges, at least 4")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from operator import index
 
 from .limbs import Limb, NumberedLimbSystem
 from .measures import Coupling, CostMatrix, DiscreteMarginal
@@ -61,8 +62,9 @@ def canonical_json(payload) -> str:
 
 
 def write_json(path, payload):
+    text = canonical_json(payload)  # a payload that fails to render leaves the file alone
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(payload))
+        fh.write(text)
 
 
 def _load(path, rational: bool, build):
@@ -98,19 +100,19 @@ def _problem(data):
 
 def _coupling(data):
     return Coupling.from_entries(
-        int(data["m"]), int(data["n"]), [(e[0], e[1], e[2]) for e in data["entries"]]
+        index(data["m"]), index(data["n"]), [(e[0], e[1], e[2]) for e in data["entries"]]
     )
 
 
 def _system(data):
     limbs = []
     for item in data["limbs"]:
-        limb = Limb(int(item["k"]), tuple((p[0], p[1]) for p in item["map"]))
+        limb = Limb(index(item["k"]), tuple((p[0], p[1]) for p in item["map"]))
         if item["kind"] != limb.kind:
             raise ValueError(f"limb {limb.k} must have kind {limb.kind!r}, not {item['kind']!r}")
         limbs.append(limb)
     return NumberedLimbSystem(
-        int(data["m"]), int(data["n"]), limbs, tuple(data["I_odd"]), tuple(data["I_even"])
+        index(data["m"]), index(data["n"]), limbs, tuple(data["I_odd"]), tuple(data["I_even"])
     )
 
 

@@ -13,6 +13,7 @@ recovered here by the backward recursion over limbs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Optional
 
 from .errors import CyclicSupportError, InvalidSystemError, ShapeMismatchError
@@ -48,7 +49,7 @@ class Limb:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("limb indices start at 1")
-        pairs = tuple(sorted((int(s), int(d)) for s, d in self.pairs))
+        pairs = tuple(sorted((index(s), index(d)) for s, d in self.pairs))
         object.__setattr__(self, "pairs", pairs)
         sources = [s for s, _ in pairs]
         if len(set(sources)) != len(sources):
@@ -84,8 +85,8 @@ class NumberedLimbSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "limbs", tuple(self.limbs))
-        object.__setattr__(self, "x_levels", tuple(int(v) for v in self.x_levels))
-        object.__setattr__(self, "y_levels", tuple(int(v) for v in self.y_levels))
+        object.__setattr__(self, "x_levels", tuple(map(index, self.x_levels)))
+        object.__setattr__(self, "y_levels", tuple(map(index, self.y_levels)))
         if self.m <= 0 or self.n <= 0:
             raise ValueError("system dimensions must be positive")
         if len(self.x_levels) != self.m or len(self.y_levels) != self.n:
@@ -99,6 +100,11 @@ class NumberedLimbSystem:
         ks = [limb.k for limb in self.limbs]
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("limb indices must be strictly increasing")
+
+    def limb_of(self, i: int, j: int) -> int:
+        """The limb holding support cell (i, j): a pair of limb k has its
+        source on level k and its image on level k - 1."""
+        return max(self.x_levels[i], self.y_levels[j])
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,12 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Optional, Sequence
 
 from .errors import InfeasibleError, ShapeMismatchError
 
 __all__ = [
-    "thresholds",
     "DiscreteMarginal",
     "CostMatrix",
     "Coupling",
@@ -172,7 +172,7 @@ class Coupling:
     def __post_init__(self):
         if self.m <= 0 or self.n <= 0:
             raise ValueError("coupling dimensions must be positive")
-        entries = tuple((int(i), int(j), w) for (i, j, w) in self.entries)
+        entries = tuple((index(i), index(j), w) for (i, j, w) in self.entries)
         object.__setattr__(self, "entries", entries)
         prev = None
         for i, j, w in entries:
@@ -190,7 +190,7 @@ class Coupling:
         drop exact zeros.  Construction rejects negative and non-finite masses."""
         acc: dict = {}
         for i, j, w in entries:
-            key = (int(i), int(j))
+            key = (index(i), index(j))
             if key in acc:
                 with float_range((acc[key], w)):
                     acc[key] = acc[key] + w

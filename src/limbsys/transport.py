@@ -26,8 +26,8 @@ left unpeeled in its component carries no net supply, so every vertex
 listed is a coupling on the zero set.  That proves the potentials: a
 feasible coupling on the zero set of feasible potentials has the dual value
 as its cost, so both are optimal (weak duality), and potentials that are not
-optimal leave some component with no tree and raise.  Exact supplies are
-scaled to ints as in the solver, so the walk runs on ints too.
+optimal leave some component with no tree and raise.  The oracle and the
+solver run on one checked instance, so the walk runs on ints too.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import mul, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DualInfeasibleError,
@@ -92,11 +92,28 @@ class SolveReport:
     degenerate_pivots: int
 
 
-def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix):
-    """Reject mismatched shapes and unbalanced totals; return the instance's
-    (mass, cost) thresholds, the gap it allows between the totals and the
-    gap between them, which is at most the allowed one and the int 0 on
-    exact data, so that thresholds built from it stay ints."""
+class _Instance(NamedTuple):
+    """A checked instance as the loops run it: the masses times ``L`` and
+    the costs times ``K``, the lcms of their denominators, as ints on exact
+    data, and the caller's values with L = K = 1 on float data; the (mass,
+    cost) thresholds; the gap allowed between the totals, and the gap
+    between them, the int 0 on exact data so that thresholds built from it
+    stay ints."""
+
+    mu: Sequence
+    nu: Sequence
+    rows: Sequence
+    L: int
+    K: int
+    eps_mass: object
+    eps_cost: object
+    slack: object
+    gap: object
+
+
+def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> _Instance:
+    """Reject mismatched shapes and unbalanced totals; return the instance
+    the loops run on."""
     if (c.m, c.n) != (mu.size, nu.size):
         raise ShapeMismatchError(
             f"cost matrix is {c.m}x{c.n} but marginals have sizes {mu.size} and {nu.size}"
@@ -121,7 +138,11 @@ def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix):
             f"total masses differ: first marginal carries {ta!r}, second {tb!r}; "
             "no coupling has both for marginals"
         )
-    return eps_mass, eps_cost, slack, gap or 0
+    mu_w, nu_w, rows, L, K = mu.weights, nu.weights, c.rows, 1, 1
+    if not isinstance(eps_mass, float):
+        L, K = common_denominator(mu_w, nu_w), common_denominator(*rows)
+        mu_w, nu_w, rows = _times(mu_w, L), _times(nu_w, L), [_times(row, K) for row in rows]
+    return _Instance(mu_w, nu_w, rows, L, K, eps_mass, eps_cost, slack, gap or 0)
 
 
 def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveReport:
@@ -132,17 +153,15 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
     objective values.  Unbalanced or mismatched inputs raise; they are never
     repaired behind the caller's back.
     """
-    eps_mass, pivot_tol, slack, gap = _check_instance(mu, nu, c)
+    return _solve(mu, nu, c, _check_instance(mu, nu, c))
+
+
+def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
+    """:func:`solve` on ``instance``, the checked form of (mu, nu, c).  Exact
+    data pivot as ints; masses are divided by L and potentials by K on the
+    way out, and both objective values come from the caller's values."""
     m, n = mu.size, nu.size
-    mu_w, nu_w, c_rows = mu.weights, nu.weights, c.rows
-    # Exact data pivot as ints: masses times L, the lcm of their
-    # denominators, and costs times K, that of theirs.  Masses are divided by
-    # L and potentials by K on the way out.
-    L = K = 1
-    if not isinstance(eps_mass, float):
-        L, K = common_denominator(mu_w, nu_w), common_denominator(*c_rows)
-        mu_w, nu_w = _times(mu_w, L), _times(nu_w, L)
-        c_rows = [_times(row, K) for row in c_rows]
+    mu_w, nu_w, c_rows, L, K, eps_mass, pivot_tol, slack, gap = instance
 
     # Nodes: columns 0..n-1, rows n..n+m-1 and an artificial root m+n.  Arc
     # (i, j) runs from row n+i to column j.  The start joins every point to
@@ -348,7 +367,7 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget):
     degree = {v: len(incident[v]) for v in nodes}
     net = {v: supplies[v] for v in nodes}
     alive = [True] * len(ends)  # neither deleted nor peeled
-    kept = {v: v for v in nodes}  # union-find of kept edges, never compressed
+    kept = {v: v for v in nodes}  # union-find of kept edges
     tree = []  # peeled (leaf, edge, other end, mass, other end's net before)
 
     def peel(leaves):
@@ -367,11 +386,6 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget):
                 if degree[u] == 1:
                     leaves.append(u)
         return True
-
-    def root(v):
-        while kept[v] != v:
-            v = kept[v]
-        return v
 
     def bypassed(e, a, b):
         """True when ``a`` and ``b`` stay connected without edge ``e``."""
@@ -397,7 +411,7 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget):
         while not alive[e]:  # a connected graph without leaves has an undecided edge
             e += 1
         a, b = ends[e]
-        ra, rb = root(a), root(b)
+        ra, rb = _root(kept, a), _root(kept, b)
         if ra != rb:
             kept[ra] = rb
             yield from walk(e + 1)
@@ -416,10 +430,10 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget):
         yield from walk(0)
 
 
-def _find(parent, v):
-    """Union-find root of ``v``, halving the path on the way up."""
+def _root(parent, v):
+    """Union-find root of ``v``.  Paths are never compressed, so resetting
+    the one link a union set undoes it."""
     while parent[v] != v:
-        parent[v] = parent[parent[v]]
         v = parent[v]
     return v
 
@@ -450,34 +464,30 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
     Refuses grids above ``ORACLE_MAX_CELLS`` cells and faces whose walk
     visits more than ``ORACLE_MAX_BASES`` states.
     """
-    eps_mass, _, _, gap = _check_instance(mu, nu, c)
-    m, n = mu.size, nu.size
+    instance = _check_instance(mu, nu, c)
+    m, n, eps_mass, gap = mu.size, nu.size, instance.eps_mass, instance.gap
     if m * n > ORACLE_MAX_CELLS:
         raise SizeLimitError(
             f"instance has {m * n} cells, above the oracle guard of {ORACLE_MAX_CELLS}"
         )
 
-    zero_edges = [(i, m + j) for i, j in sorted(zero_set(c, solve(mu, nu, c).potentials).edges)]
+    potentials = _solve(mu, nu, c, instance).potentials
+    zero_edges = [(i, m + j) for i, j in sorted(zero_set(c, potentials).edges)]
 
     # Connected components of the zero-set subgraph over all m+n nodes.
     parent = list(range(m + n))
     for u, v in zero_edges:
-        parent[_find(parent, u)] = _find(parent, v)
+        parent[_root(parent, u)] = _root(parent, v)
     comp_nodes: dict = {}
     for v in range(m + n):
-        comp_nodes.setdefault(_find(parent, v), []).append(v)
+        comp_nodes.setdefault(_root(parent, v), []).append(v)
     comp_edges: dict = {root: [] for root in comp_nodes}
     for u, v in zero_edges:
-        comp_edges[_find(parent, u)].append((u, v))
+        comp_edges[_root(parent, u)].append((u, v))
 
-    # Exact supplies are walked as ints, times the lcm of their denominators,
-    # which keeps every sign and order; the masses of the listed vertices
-    # are divided back at the end.
-    supplies, scale = mu.weights + nu.weights, 1
-    if not isinstance(eps_mass, float):
-        scale = common_denominator(supplies)
-        supplies = _times(supplies, scale)
-
+    # Exact supplies are walked as ints, times L, which keeps every sign and
+    # order; the masses of the listed vertices are divided back at the end.
+    supplies = instance.mu + instance.nu
     budget = [ORACLE_MAX_BASES]
     per_component = []
     for root, nodes in sorted(comp_nodes.items()):
@@ -498,8 +508,8 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
             merged.extend(part)
         vertices.append(sorted(merged))
     vertices.sort()
-    if scale > 1:
-        vertices = [[(i, j, Fraction(w, scale)) for i, j, w in entries] for entries in vertices]
+    if instance.L > 1:
+        vertices = [[(i, j, Fraction(w, instance.L)) for i, j, w in entries] for entries in vertices]
     return [Coupling(m, n, tuple(entries)) for entries in vertices]
 
 

@@ -14,6 +14,7 @@ from limbsys import (
     CostMatrix,
     Coupling,
     DemoConfig,
+    LimbsysError,
     build_circle_cost,
     build_peaked_density,
     decompose,
@@ -315,3 +316,9 @@ class TestDemo:
         assert mu.total() == nu.total()
         assert all(isinstance(w, F) and w > 0 for w in mu.weights + nu.weights)
         assert all(isinstance(v, F) for row in cost.rows for v in row)
+
+    def test_rational_snapping_too_coarse_raises(self):
+        # The sharp second peak snaps its point 0 to mass 0, and the snapped
+        # totals differ by -1e-6, which rebalancing takes from that point.
+        with pytest.raises(LimbsysError, match="too coarse"):
+            rational_demo_instance(DemoConfig(n=8, mu_kappa=10, nu_kappa=20))

@@ -1,5 +1,6 @@
 """File formats and the command-line front end."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -44,6 +45,12 @@ def run_python(*args):
 
 def write_coupling(path, m, n, entries):
     path.write_text(json.dumps({"m": m, "n": n, "entries": entries}) + "\n")
+
+
+def one_limb_system(k=1, level=1, m=1, pair=(0, 0)):
+    """A limb-system file of one graph limb on a 1x1 grid."""
+    limb = {"k": k, "kind": "graph", "map": [list(pair)]}
+    return json.dumps({"m": m, "n": 1, "limbs": [limb], "I_odd": [level], "I_even": [0]})
 
 
 # A JSON integer literal of 310 digits: valid input, but too large for a float.
@@ -160,6 +167,63 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: {bad}: {said}\n"
+
+    @pytest.mark.parametrize("rational", [False, True])
+    @pytest.mark.parametrize(
+        "verb, content",
+        [
+            (verb, '{"m": 2.9, "n": "2", "entries": [[0.5, 0, 0.5], [1.7, "1", 0.5]]}')
+            for verb in ("check-extremal", "decompose")
+        ]
+        + [
+            ("check-extremal", '{"m": 2, "n": 2, "entries": [[0, "1", 0.5]]}'),
+            ("reconstruct", one_limb_system(k=1.9, level=1.5)),
+            ("reconstruct", one_limb_system(k=1.9)),
+            ("reconstruct", one_limb_system(level=1.5)),
+            ("reconstruct", one_limb_system(m=1.0)),
+            ("reconstruct", one_limb_system(pair=[0, 0.0])),
+        ],
+        ids=[
+            "coupling-check", "coupling-decompose", "entry-column",
+            "limb-and-level", "limb", "level", "system-size", "map",
+        ],
+    )
+    def test_fractional_or_string_indices_are_exit_1_naming_the_file(
+        self, tmp_path, capsys, verb, content, rational
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        argv = [verb, str(bad)] + (["--rational"] if rational else [])
+        if verb == "reconstruct":
+            problem = tmp_path / "p.json"
+            write_problem(problem, [1], [1])
+            argv.append(str(problem))
+        if verb != "check-extremal":
+            argv += ["--out", str(tmp_path / "out.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "cannot be interpreted as an integer" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unrenderable_coupling_leaves_the_out_file_alone(self, tmp_path, capsys):
+        # The optimum costs 0, so the summary renders, but the mass 10**400
+        # on cell (0, 1) has no JSON float.
+        path = tmp_path / "p.json"
+        path.write_text('{"mu": [1e400, 0.5], "nu": [0.5, 1e400], "cost": [[1, 0], [0, 1]]}')
+        out = tmp_path / "out.json"
+        out.write_text("kept\n")
+        assert main(["solve", "--rational", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot serialize")
+        assert out.read_text() == "kept\n"
+
+    def test_unrenderable_summary_writes_no_file(self, tmp_path, capsys):
+        # The optimum 10**400 has no float to print; nothing is written.
+        path = tmp_path / "p.json"
+        path.write_text('{"mu": [1e400], "nu": [1e400], "cost": [[1]]}')
+        out, duals = tmp_path / "out.json", tmp_path / "duals.json"
+        assert main(["solve", "--rational", str(path), "--out", str(out), "--duals", str(duals)]) == 1
+        assert capsys.readouterr().err.startswith("error: value")
+        assert not out.exists() and not duals.exists()
 
     def test_missing_cost_is_exit_1(self, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -323,6 +387,17 @@ class TestCli:
         assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {str(limb["k"]) for limb in limbs}
         out = capsys.readouterr().out
         assert "value" in out and f"{len(limbs)} limbs" in out
+
+    def test_demo_flags_are_the_config_fields(self):
+        parser = cli.build_parser()
+        defaults = vars(parser.parse_args(["demo-circle"]))
+        fields = {field.name: field.default for field in dataclasses.fields(DemoConfig)}
+        assert set(defaults) - {"verb", "fn", "out", "plot"} == set(fields)
+        for name, default in fields.items():
+            assert defaults[name] == default
+            flag = "--" + name.replace("_", "-")
+            value = vars(parser.parse_args(["demo-circle", flag, "3"]))[name]
+            assert value == 3 and type(value) is type(default)
 
     def test_demo_circle_rejects_rational(self, capsys):
         assert main(["demo-circle", "--n", "16", "--rational"]) == 1

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from limbsys import (
     Coupling,
     CostMatrix,
+    CycleWitness,
     DiscreteMarginal,
     InfeasibleError,
     Limb,
     NumberedLimbSystem,
     ShapeMismatchError,
+    SupportGraph,
     c_transform,
     is_extremal,
     marginals_of,
@@ -88,6 +90,24 @@ class TestValidation:
     def test_from_entries_rejects_negative_and_nan(self, bad):
         with pytest.raises(ValueError, match=r"\(1, 0\)"):
             Coupling.from_entries(2, 2, [(0, 0, F(1)), (1, 0, bad)])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Coupling(2, 2, ((0.0, 0, 1),)),
+            lambda: Coupling.from_entries(2, 2, [(0, "1", 1)]),
+            lambda: SupportGraph(2, 2, frozenset({(1.5, 0)})),
+            lambda: CycleWitness(((0, 0), (0, 1), (1, 1), (1, 0.0))),
+            lambda: Limb(1, ((0, F(1)),)),
+            lambda: NumberedLimbSystem(1, 1, (), (1.0,), (0,)),
+            lambda: NumberedLimbSystem(1, 1, (), (1,), ("0",)),
+        ],
+        ids=["coupling", "from-entries", "support-graph", "cycle", "limb", "x-levels", "y-levels"],
+    )
+    def test_indices_are_checked_not_coerced(self, build):
+        # A fractional or string index is an error, not silently truncated.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build()
 
 
 class TestMarginals:

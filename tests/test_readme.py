@@ -23,8 +23,7 @@ def test_python_fences_run(monkeypatch):
 def test_export_lists_agree():
     # Every name a module exports exists there.  The package re-exports them
     # all except io's, which are reached through the CLI and their own
-    # module, and thresholds, an internal rule that tests import from
-    # limbsys.measures.
+    # module.
     exported = limbsys.__all__
     assert len(exported) == len(set(exported))
     for name in exported:
@@ -38,5 +37,4 @@ def test_export_lists_agree():
             getattr(module, name)
         if info.name == "io":
             continue
-        names -= {"thresholds"} if info.name == "measures" else set()
         assert names <= set(exported), f"{info.name}: {sorted(names - set(exported))}"

@@ -559,7 +559,7 @@ class TestEnumerateOptimalVertices:
 
         def enumerate_with(q, r):
             fake = SimpleNamespace(potentials=DualPotentials(q, r))
-            monkeypatch.setattr(transport, "solve", lambda *_: fake)
+            monkeypatch.setattr(transport, "_solve", lambda *_: fake)
             return enumerate_optimal_vertices(ones, ones, c)
 
         for q, r in [((0, 0), (0, 0)), ((0, 0), (0, 1))]:
