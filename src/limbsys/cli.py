@@ -34,83 +34,74 @@ from .measures import float_range
 from .transport import solve
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     mu, nu, cost = load_problem(args.problem, args.rational)
     if cost is None:
         print("problem file has no cost matrix", file=sys.stderr)
-        return 1
+        return 1, None, {}
     report = solve(mu, nu, cost)
     with float_range((report.primal_value,)):
         summary = f"optimum {float(report.primal_value):.17g} in {report.iterations} pivots"
-    if args.out:
-        write_json(args.out, coupling_payload(report.coupling))
-    if args.duals:
-        write_json(args.duals, duals_payload(report.potentials, report.primal_value))
-    print(summary)
-    return 0
+    return 0, summary, {
+        args.out: coupling_payload(report.coupling),
+        args.duals: duals_payload(report.potentials, report.primal_value),
+    }
 
 
-def _cmd_check_extremal(args) -> int:
+def _cmd_check_extremal(args):
     gamma = load_coupling(args.coupling, args.rational)
     certificate = is_extremal(gamma)
-    print(certificate.verdict)
     if certificate.extremal:
-        return 0
-    if args.witness:
-        split = split_witness(gamma, certificate.cycle)
-        write_json(args.witness, witness_payload(certificate.cycle, *split))
-    return 3
+        return 0, certificate.verdict, {}
+    if not args.witness:
+        return 3, certificate.verdict, {}
+    split = split_witness(gamma, certificate.cycle)
+    return 3, certificate.verdict, {args.witness: witness_payload(certificate.cycle, *split)}
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     gamma = load_coupling(args.coupling, args.rational)
     system = decompose(support_graph(gamma))
-    write_json(args.out, system_payload(system))
-    print(f"{limb_count(system)} limbs")
-    return 0
+    return 0, f"{limb_count(system)} limbs", {args.out: system_payload(system)}
 
 
-def _cmd_reconstruct(args) -> int:
+def _cmd_reconstruct(args):
     system = load_system(args.system, args.rational)
     mu, nu, _ = load_problem(args.problem, args.rational)
     report = reconstruct(system, mu, nu)
     if not report.feasible:
         print(f"infeasible: {report.message}", file=sys.stderr)
-        return 4
-    write_json(args.out, coupling_payload(report.coupling))
-    print(f"coupling with {len(report.coupling.entries)} cells")
-    return 0
+        return 4, None, {}
+    summary = f"coupling with {len(report.coupling.entries)} cells"
+    return 0, summary, {args.out: coupling_payload(report.coupling)}
 
 
-def _cmd_demo_circle(args) -> int:
+def _cmd_demo_circle(args):
     cfg = DemoConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(DemoConfig)})
     # run_demo returns only optima whose support decomposed, so the verdict
     # is always "extremal".
     report = run_demo(cfg)
-    if args.out:
-        write_json(
-            args.out,
-            dataclasses.asdict(cfg)
-            | {
-                "value": report.solve_report.primal_value,
-                "iterations": report.solve_report.iterations,
-                "degenerate_pivots": report.solve_report.degenerate_pivots,
-                "verdict": "extremal",
-                "system": system_payload(report.system),
-                "limb_mass": list(report.limb_mass),
-                "coupling": coupling_payload(report.solve_report.coupling),
-            },
-        )
-    if args.plot:
-        with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write("theta,phi,mass,limb\n")
-            for theta, phi, mass, k in support_rows(report):
-                fh.write(f"{theta:.17g},{phi:.17g},{float(mass):.17g},{k}\n")
-    print(
+    summary = (
         f"value {float(report.solve_report.primal_value):.17g}, "
         f"extremal, {limb_count(report.system)} limbs"
     )
-    return 0
+    outputs = {}
+    if args.out:
+        outputs[args.out] = dataclasses.asdict(cfg) | {
+            "value": report.solve_report.primal_value,
+            "iterations": report.solve_report.iterations,
+            "degenerate_pivots": report.solve_report.degenerate_pivots,
+            "verdict": "extremal",
+            "system": system_payload(report.system),
+            "limb_mass": list(report.limb_mass),
+            "coupling": coupling_payload(report.solve_report.coupling),
+        }
+    if args.plot:
+        outputs[args.plot] = "theta,phi,mass,limb\n" + "".join(
+            f"{theta:.17g},{phi:.17g},{float(mass):.17g},{k}\n"
+            for theta, phi, mass, k in support_rows(report)
+        )
+    return 0, summary, outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +158,13 @@ def main(argv=None) -> int:
         # instance here; --help and --version exit 0.
         return 1 if exc.code else 0
     try:
-        return args.fn(args)
+        # A verb returns its exit code, its stdout summary and its outputs by
+        # path; the outputs are written together, before the summary.
+        code, summary, outputs = args.fn(args)
+        write_json({path: payload for path, payload in outputs.items() if path})
+        if summary:
+            print(summary)
+        return code
     except CyclicSupportError as exc:
         print(f"cyclic support: {exc}", file=sys.stderr)
         return 3

@@ -41,6 +41,8 @@ class SupportGraph:
     edges: frozenset
 
     def __post_init__(self):
+        object.__setattr__(self, "m", index(self.m))
+        object.__setattr__(self, "n", index(self.n))
         object.__setattr__(self, "edges", frozenset((index(i), index(j)) for i, j in self.edges))
         if self.m <= 0 or self.n <= 0:
             raise ValueError("support graph dimensions must be positive")

@@ -9,10 +9,12 @@ literals into exact Fractions; writers always emit plain JSON numbers.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
 from fractions import Fraction
-from operator import index
 
 from .limbs import Limb, NumberedLimbSystem
 from .measures import Coupling, CostMatrix, DiscreteMarginal
@@ -61,10 +63,31 @@ def canonical_json(payload) -> str:
     return _render(payload) + "\n"
 
 
-def write_json(path, payload):
-    text = canonical_json(payload)  # a payload that fails to render leaves the file alone
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def write_json(outputs):
+    """Write each payload of ``outputs``, a dict from path to payload: a str
+    as it is, anything else as canonical JSON.  Every payload is rendered
+    and every path opened before any is written, so a payload that fails to
+    render or a path that fails to open leaves every path as it was."""
+    texts = {path: p if isinstance(p, str) else canonical_json(p) for path, p in outputs.items()}
+    with contextlib.ExitStack() as stack:
+        files, created = [], []
+        try:
+            for path in texts:
+                try:
+                    files.append(stack.enter_context(open(path, "x", encoding="utf-8")))
+                    created.append(path)
+                except FileExistsError:
+                    fd = os.open(path, os.O_WRONLY)  # no O_TRUNC until every path is open
+                    files.append(stack.enter_context(open(fd, "w", encoding="utf-8")))
+        except OSError:
+            stack.close()
+            for path in created:
+                os.remove(path)
+            raise
+        for fh, text in zip(files, texts.values()):
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # what O_TRUNC would empty
+                fh.truncate(0)
+            fh.write(text)
 
 
 def _load(path, rational: bool, build):
@@ -99,21 +122,17 @@ def _problem(data):
 
 
 def _coupling(data):
-    return Coupling.from_entries(
-        index(data["m"]), index(data["n"]), [(e[0], e[1], e[2]) for e in data["entries"]]
-    )
+    return Coupling.from_entries(data["m"], data["n"], [(e[0], e[1], e[2]) for e in data["entries"]])
 
 
 def _system(data):
     limbs = []
     for item in data["limbs"]:
-        limb = Limb(index(item["k"]), tuple((p[0], p[1]) for p in item["map"]))
+        limb = Limb(item["k"], tuple((p[0], p[1]) for p in item["map"]))
         if item["kind"] != limb.kind:
             raise ValueError(f"limb {limb.k} must have kind {limb.kind!r}, not {item['kind']!r}")
         limbs.append(limb)
-    return NumberedLimbSystem(
-        index(data["m"]), index(data["n"]), limbs, tuple(data["I_odd"]), tuple(data["I_even"])
-    )
+    return NumberedLimbSystem(data["m"], data["n"], limbs, tuple(data["I_odd"]), tuple(data["I_even"]))
 
 
 def load_problem(path, rational: bool = False):

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import CyclicSupportError, InvalidSystemError, ShapeMismatchError
 from .extremality import SupportGraph, _peel
-from .measures import Coupling, DiscreteMarginal, thresholds, validate_coupling
+from .measures import Coupling, DiscreteMarginal, float_range, thresholds
 
 __all__ = [
     "Limb",
@@ -47,6 +47,7 @@ class Limb:
     pairs: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "k", index(self.k))
         if self.k < 1:
             raise ValueError("limb indices start at 1")
         pairs = tuple(sorted((index(s), index(d)) for s, d in self.pairs))
@@ -72,9 +73,9 @@ class NumberedLimbSystem:
 
     ``x_levels[i]`` is the odd index of the I-set holding row point i,
     ``y_levels[j]`` the even index holding column point j.  Construction
-    checks only structural sanity; the containment and disjointness clauses
-    are checked by :func:`validate_system`, which reports rather than raises
-    so that invalid systems can be described.
+    checks only structural sanity; the containment clauses, which also make
+    limb supports disjoint, are checked by :func:`validate_system`, which
+    reports rather than raises so that invalid systems can be described.
     """
 
     m: int
@@ -84,6 +85,8 @@ class NumberedLimbSystem:
     y_levels: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "m", index(self.m))
+        object.__setattr__(self, "n", index(self.n))
         object.__setattr__(self, "limbs", tuple(self.limbs))
         object.__setattr__(self, "x_levels", tuple(map(index, self.x_levels)))
         object.__setattr__(self, "y_levels", tuple(map(index, self.y_levels)))
@@ -126,35 +129,22 @@ class ReconstructionReport:
 
 
 def system_violations(system: NumberedLimbSystem) -> list:
-    """Every violated clause of the limb-system definition, as messages."""
+    """Every violated clause of the limb-system definition, as messages.
+    Row levels are odd and column levels even, so a cell's two levels fix
+    the one limb it can sit in: limb supports need no disjointness check."""
     out = []
-    seen_cells: dict = {}
     for limb in system.limbs:
-        graph = limb.kind == "graph"
-        src_size = system.m if graph else system.n
-        dst_size = system.n if graph else system.m
+        src, dst = system.x_levels, system.y_levels
+        if limb.kind == "antigraph":
+            src, dst = dst, src
         for s, d in limb.pairs:
-            if not (0 <= s < src_size) or not (0 <= d < dst_size):
+            if not (0 <= s < len(src) and 0 <= d < len(dst)):
                 out.append(f"limb {limb.k}: pair ({s}, {d}) out of bounds")
                 continue
-            src_level = system.x_levels[s] if graph else system.y_levels[s]
-            dst_level = system.y_levels[d] if graph else system.x_levels[d]
-            if src_level != limb.k:
-                out.append(
-                    f"limb {limb.k}: domain point {s} sits in I_{src_level}, not I_{limb.k}"
-                )
-            if dst_level != limb.k - 1:
-                out.append(
-                    f"limb {limb.k}: image point {d} sits in I_{dst_level}, not I_{limb.k - 1}"
-                )
-        for cell in limb.cells():
-            if cell in seen_cells:
-                out.append(
-                    f"cell {cell} belongs to limbs {seen_cells[cell]} and {limb.k}; "
-                    "limb supports must be disjoint"
-                )
-            else:
-                seen_cells[cell] = limb.k
+            if src[s] != limb.k:
+                out.append(f"limb {limb.k}: domain point {s} sits in I_{src[s]}, not I_{limb.k}")
+            if dst[d] != limb.k - 1:
+                out.append(f"limb {limb.k}: image point {d} sits in I_{dst[d]}, not I_{limb.k - 1}")
     return out
 
 
@@ -226,14 +216,15 @@ def reconstruct(
     and pushes it through its map, so eta_k is the coupling's mass on limb
     k's cells, read on Dom f_k.  In a valid system only limb k+1 sends
     mass into I_k, so one sweep over the pairs suffices: ``sent_to_row`` and
-    ``sent_to_col`` hold the mass each point has been sent by the limb
-    directly above it, added in pair order, which is the canonical entry
-    order of gamma_{k+1}.  A negative eta entry below minus the mass
-    threshold of (mu, nu), or a final marginal mismatch, makes the report
-    infeasible, naming the lowest failing point of the highest failing limb;
-    small negative round-off is clamped to zero.  When feasible, the sum of
-    the limb pieces is the one coupling of (mu, nu) vanishing outside the
-    system support.
+    ``sent_to_col`` hold the mass each point got from the limb above it,
+    added in the entry order of gamma_{k+1}, and a point of Dom f_k then
+    takes its marginal, (marginal - sent) + sent, so the sweep ends with
+    the coupling's marginals.  A negative eta entry below minus the mass
+    threshold of (mu, nu), or a final marginal off by more, makes the
+    report infeasible, naming the lowest failing point of the highest
+    failing limb; small negative round-off is clamped to zero.  When
+    feasible, the sum of the limb pieces is the one coupling of (mu, nu)
+    vanishing outside the system support.
     """
     violations = system_violations(system)
     if violations:
@@ -249,29 +240,31 @@ def reconstruct(
     entries = []
     failure: Optional[str] = None
 
-    for limb in reversed(system.limbs):  # highest k first; indices strictly increase
-        graph = limb.kind == "graph"
-        if graph:
-            base, sent_src, sent_dst = mu.weights, sent_to_row, sent_to_col
-        else:
-            base, sent_src, sent_dst = nu.weights, sent_to_col, sent_to_row
-        for s, d in limb.pairs:
-            w = base[s] - sent_src[s]
-            if w > 0:
-                entries.append((s, d, w) if graph else (d, s, w))
-                sent_dst[d] = sent_dst[d] + w
-            elif w < -eps and failure is None:
-                failure = (
-                    f"limb {limb.k} needs mass {w!r} at point {s}; "
-                    "the marginals cannot feed this system"
-                )
-
+    # Sums of exact masses may leave the float range where they meet floats.
+    with float_range(sent_to_row, sent_to_col):
+        for limb in reversed(system.limbs):  # highest k first; indices strictly increase
+            graph = limb.kind == "graph"
+            if graph:
+                base, sent_src, sent_dst = mu.weights, sent_to_row, sent_to_col
+            else:
+                base, sent_src, sent_dst = nu.weights, sent_to_col, sent_to_row
+            for s, d in limb.pairs:
+                w = base[s] - sent_src[s]
+                sent_src[s] = base[s]
+                if w > 0:
+                    entries.append((s, d, w) if graph else (d, s, w))
+                    sent_dst[d] = sent_dst[d] + w
+                elif w < -eps and failure is None:
+                    failure = (
+                        f"limb {limb.k} needs mass {w!r} at point {s}; "
+                        "the marginals cannot feed this system"
+                    )
+        sent, marginals = sent_to_row + sent_to_col, mu.weights + nu.weights
+        if failure is None and any(abs(a - b) > eps for a, b in zip(sent, marginals)):
+            failure = "reconstructed coupling does not reproduce the requested marginals"
     # The system is valid, so its cells are distinct and every mass kept is
     # positive: sorting alone makes the entries canonical.
-    coupling = Coupling(m, n, tuple(sorted(entries)))
-    if failure is None and not validate_coupling(coupling, mu, nu):
-        failure = "reconstructed coupling does not reproduce the requested marginals"
-    return ReconstructionReport(coupling, failure)
+    return ReconstructionReport(Coupling(m, n, tuple(sorted(entries))), failure)
 
 
 def two_limb_check(support: SupportGraph):

@@ -170,6 +170,8 @@ class Coupling:
     entries: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "m", index(self.m))
+        object.__setattr__(self, "n", index(self.n))
         if self.m <= 0 or self.n <= 0:
             raise ValueError("coupling dimensions must be positive")
         entries = tuple((index(i), index(j), w) for (i, j, w) in self.entries)

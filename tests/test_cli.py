@@ -91,7 +91,7 @@ class TestFileFormats:
     def test_coupling_round_trip(self, tmp_path):
         gamma = Coupling(2, 3, ((0, 1, 0.25), (1, 2, 0.75)))
         path = tmp_path / "g.json"
-        write_json(path, coupling_payload(gamma))
+        write_json({path: coupling_payload(gamma)})
         assert load_coupling(path) == gamma
 
     def test_system_round_trip(self, tmp_path):
@@ -100,7 +100,7 @@ class TestFileFormats:
         gamma = Coupling(3, 3, tuple((i, 0 if i < 2 else 2, 0.3) for i in range(3)))
         system = decompose(support_graph(gamma))
         path = tmp_path / "s.json"
-        write_json(path, system_payload(system))
+        write_json({path: system_payload(system)})
         assert load_system(path) == system
 
 
@@ -215,6 +215,31 @@ class TestCli:
         assert main(["solve", "--rational", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot serialize")
         assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("verb", ["solve", "demo-circle"])
+    def test_unopenable_second_output_leaves_the_first_alone(
+        self, tmp_path, balanced_problem, capsys, verb, existing
+    ):
+        # The second output lies in a missing directory, so the verb fails
+        # after rendering both; the first path must stay as it was.
+        first, second = tmp_path / "o.json", str(tmp_path / "missing" / "x")
+        if existing:
+            first.write_text("kept\n")
+        if verb == "solve":
+            argv = ["solve", str(balanced_problem), "--out", str(first), "--duals", second]
+        else:
+            argv = ["demo-circle", "--n", "12", "--out", str(first), "--plot", second]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert first.read_text() == "kept\n" if existing else not first.exists()
+
+    def test_an_output_replaces_a_longer_file(self, tmp_path, balanced_problem):
+        out = tmp_path / "o.json"
+        out.write_text("x" * 10000)
+        assert main(["solve", str(balanced_problem), "--out", str(out)]) == 0
+        assert load_coupling(out).total_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_unrenderable_summary_writes_no_file(self, tmp_path, capsys):
         # The optimum 10**400 has no float to print; nothing is written.

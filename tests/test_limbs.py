@@ -23,6 +23,7 @@ from limbsys import (
     system_support,
     system_violations,
     two_limb_check,
+    validate_coupling,
     validate_system,
 )
 
@@ -55,6 +56,21 @@ class TestLimbType:
     def test_single_valuedness(self):
         with pytest.raises(ValueError, match="single-valued"):
             Limb(1, ((0, 0), (0, 1)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Coupling(2.5, 2, ((0, 0, 1),)),
+            lambda: Coupling(2, "2"),
+            lambda: SupportGraph(2.0, 2, frozenset()),
+            lambda: NumberedLimbSystem(1, 1.0, (), (1,), (0,)),
+            lambda: Limb(1.5, ()),
+        ],
+        ids=["coupling-m", "coupling-n", "support-graph-m", "system-n", "limb-k"],
+    )
+    def test_sizes_and_limb_numbers_must_be_integers(self, build):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build()
 
     def test_level_parity_enforced(self):
         with pytest.raises(ValueError, match="odd"):
@@ -92,7 +108,8 @@ class TestValidateSystem:
             (1, 1),
             (2, 0),
         )
-        assert any("disjoint" in v for v in system_violations(bad))
+        assert not validate_system(bad)
+        assert system_violations(bad) == ["limb 1: image point 0 sits in I_2, not I_0"]
 
     @pytest.mark.parametrize(
         "limb, y_level, named",
@@ -104,6 +121,32 @@ class TestValidateSystem:
     def test_violations_name_the_pair(self, limb, y_level, named):
         violations = system_violations(NumberedLimbSystem(1, 1, (limb,), (1,), (y_level,)))
         assert len(violations) == 1 and re.fullmatch(named, violations[0])
+
+    def test_overlapping_cells_break_bounds_or_levels(self):
+        # A cell in two limbs is reported as a bounds or level violation, so
+        # disjointness needs no check of its own.
+        rng = random.Random(16)
+        overlapping = 0
+        for _ in range(3000):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            limbs = []
+            for k in sorted(rng.sample(range(1, 7), rng.randint(0, 4))):
+                src, dst = (m, n) if k % 2 else (n, m)
+                sources = rng.sample(range(src + 1), rng.randint(0, src + 1))
+                limbs.append(Limb(k, tuple((s, rng.randrange(dst + 1)) for s in sources)))
+            system = NumberedLimbSystem(
+                m,
+                n,
+                tuple(limbs),
+                tuple(rng.choice((1, 3, 5)) for _ in range(m)),
+                tuple(rng.choice((0, 2, 4)) for _ in range(n)),
+            )
+            cells = [cell for limb in limbs for cell in limb.cells()]
+            if len(set(cells)) < len(cells):
+                overlapping += 1
+                assert not validate_system(system)
+                assert any(re.search(r"out of bounds|sits in I_", v) for v in system_violations(system))
+        assert overlapping > 300
 
     def test_path_system_is_valid(self):
         assert validate_system(path_system())
@@ -283,6 +326,37 @@ class TestReconstruct:
             assert report.feasible
             assert from_oracle is not None
             assert report.coupling == from_oracle == gamma
+
+    def test_feasible_exactly_when_the_sweep_holds_and_the_marginals_match(self):
+        # The verdict equals no negative eta entry in the sweep together with
+        # validate_coupling on the returned coupling, for exact and float
+        # data, on marginals that fit, nearly fit and do not fit.
+        rng = random.Random(1616)
+        seen = set()
+        for t in range(400):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            gamma = oracles.random_forest_coupling(rng, m, n)
+            system = decompose(support_graph(gamma))
+            kind = ("exact", "perturbed", "float", "float-1e-14", "float-1e-3", "random")[t % 6]
+            if kind.startswith("float"):
+                gamma = Coupling(m, n, tuple((i, j, float(w)) for i, j, w in gamma.entries))
+            mu, nu = marginals_of(gamma)
+            weights = list(mu.weights + nu.weights)
+            p = rng.randrange(m + n)
+            if kind == "perturbed":
+                weights[p] = abs(weights[p] + F(rng.choice((-1, 1)), 80))
+            elif kind.startswith("float-"):
+                weights[p] *= 1 + rng.choice((-1, 1)) * float(kind[6:])
+            elif kind == "random":
+                weights = [F(rng.randint(0, 4), 3) for _ in weights]
+            mu, nu = DiscreteMarginal(weights[:m]), DiscreteMarginal(weights[m:])
+            report = reconstruct(system, mu, nu)
+            swept = report.message is None or not report.message.startswith("limb ")
+            assert report.feasible == (swept and validate_coupling(report.coupling, mu, nu))
+            seen.add((kind, report.feasible, swept))
+        assert {(kind, False, True) for kind in ("perturbed", "float-1e-3", "random")} < seen
+        assert {(kind, True, True) for kind in ("exact", "float", "float-1e-14")} < seen
+        assert ("random", False, False) in seen
 
     def test_monotone_truncation(self):
         # Dropping the highest limb and the mass it consumed reproduces the

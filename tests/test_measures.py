@@ -204,8 +204,37 @@ class TestThresholds:
             lambda: Coupling.from_entries(1, 1, [(0, 0, 0.5), (0, 0, HUGE)]),
             lambda: tv_distance(Coupling(1, 1, ((0, 0, HUGE),)), Coupling(1, 1, ((0, 0, 0.5),))),
             lambda: c_transform((0.5,), CostMatrix(((HUGE,),))),
+            # Ten masses of HUGE / 10 reach the row point of limb 1 through
+            # limb 2 (the sweep), or the column point of limb 1 (the final
+            # marginal check).
+            lambda: reconstruct(
+                NumberedLimbSystem(
+                    1,
+                    11,
+                    (Limb(1, ((0, 0),)), Limb(2, tuple((j, 0) for j in range(1, 11)))),
+                    (1,),
+                    (0,) + (2,) * 10,
+                ),
+                DiscreteMarginal((1.0,)),
+                DiscreteMarginal((1.0,) + (HUGE // 10,) * 10),
+            ),
+            lambda: reconstruct(
+                NumberedLimbSystem(10, 1, (Limb(1, tuple((i, 0) for i in range(10))),), (1,) * 10, (0,)),
+                DiscreteMarginal((HUGE // 10,) * 10),
+                DiscreteMarginal((1.0,)),
+            ),
         ],
-        ids=["total", "total_mass", "marginals_of", "validate_coupling", "from_entries", "tv_distance", "c_transform"],
+        ids=[
+            "total",
+            "total_mass",
+            "marginals_of",
+            "validate_coupling",
+            "from_entries",
+            "tv_distance",
+            "c_transform",
+            "reconstruct-sweep",
+            "reconstruct-check",
+        ],
     )
     def test_sums_beyond_float_range_name_the_value(self, run):
         with pytest.raises(ValueError, match=f"value {HUGE} is beyond the float range"):

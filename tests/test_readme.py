@@ -1,6 +1,8 @@
 """The Python examples in README.md run against the package in this checkout,
-and the package exports every public name its modules export."""
+the package exports every public name its modules export, and its sources
+keep to the oldest Python the README supports."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -38,3 +40,12 @@ def test_export_lists_agree():
         if info.name == "io":
             continue
         assert names <= set(exported), f"{info.name}: {sorted(names - set(exported))}"
+
+
+def test_sources_parse_as_python_3_10():
+    # The README requires Python 3.10+, so no module may use later syntax,
+    # such as except* or type parameter lists.
+    sources = sorted((ROOT / "src" / "limbsys").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
