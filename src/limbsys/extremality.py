@@ -117,13 +117,15 @@ def _witness_from_node_cycle(node_cycle: list) -> CycleWitness:
 
 
 def _peel(graph: SupportGraph):
-    """Peel the leaves of ``graph`` in rounds; return its adjacency, the
-    centre of every tree, and a cycle witness, None on a forest.
+    """Peel the leaves of ``graph`` in rounds; return the point each point
+    hangs from, the order the points fall in, and a cycle witness, None on
+    a forest.
 
     Points are numbered rows 0..m-1, then columns m..m+n-1.  A point falls
-    once at most one neighbour is left standing; a tree's centre is what
-    falls last, with no neighbour standing, and of two centres falling
-    together the column is taken.  Points on a cycle never fall, and every
+    once at most one neighbour is left standing, and hangs from it: the next
+    point toward its tree's centre.  A centre falls with no neighbour
+    standing and hangs from nothing, but of two centres falling together the
+    row hangs from the column.  Points on a cycle never fall, and every
     point left standing keeps two standing neighbours.  So a walk from the
     lowest standing point, always stepping to the lowest standing neighbour
     other than the one it just left, comes back to a point it has met; the
@@ -139,26 +141,25 @@ def _peel(graph: SupportGraph):
     degree = [len(nbrs) for nbrs in adjacency]
     standing = [d > 0 for d in degree]
     falling = [v for v, d in enumerate(degree) if d == 1]
-    roots = []
+    above = [None] * len(adjacency)
+    order = []
     while falling:
         for v in falling:
             standing[v] = False
-        peeled = set(falling)
+        order += falling
         upcoming = []
         for v in falling:
-            alive = False
             for u in adjacency[v]:
                 if standing[u]:
-                    alive = True
+                    above[v] = u
                     degree[u] -= 1
                     if degree[u] == 1:
                         upcoming.append(u)
-            # A lone centre, or the column of two centres falling together.
-            if not alive and (v >= m or not any(u in peeled for u in adjacency[v])):
-                roots.append(v)
+            if above[v] is None and v < m:  # of two centres, the row hangs from the column
+                above[v] = next((u for u in adjacency[v] if above[u] != v), None)
         falling = upcoming
     if not any(standing):
-        return adjacency, roots, None
+        return above, order, None
 
     met = {}  # walk position of every point met, in walk order
     u, before = standing.index(True), None
@@ -168,7 +169,7 @@ def _peel(graph: SupportGraph):
     loop = list(met)[met[u]:]
     if loop[0] >= m:
         loop = loop[1:] + loop[:1]
-    return adjacency, roots, _witness_from_node_cycle([v if v < m else v - m for v in loop])
+    return above, order, _witness_from_node_cycle([v if v < m else v - m for v in loop])
 
 
 def is_acyclic(graph: SupportGraph) -> tuple[bool, Optional[CycleWitness]]:

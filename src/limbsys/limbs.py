@@ -167,36 +167,33 @@ def limb_count(system: NumberedLimbSystem) -> int:
 
 
 def decompose(support: SupportGraph) -> NumberedLimbSystem:
-    """Level an acyclic support into the fewest limbs, by a search from the
-    centre of each tree.
+    """Level an acyclic support into the fewest limbs, reading them off the
+    leaf peel of ``extremality._peel``.
 
     In a limb system every point has at most one neighbour on a lower level,
     so each tree has a single root and its levels are depths from that root:
     a column root sits in I_0, a row root in I_1, one level more.  The fewest
     limbs therefore come from rooting each tree at its centre, taking the
     column when the two centres of an odd-diameter tree are a row and a
-    column.  The centres are what the leaf peel of ``extremality._peel``
-    leaves for last; the same pass decides acyclicity, so cyclic input
-    raises carrying the witness of :func:`~limbsys.extremality.is_acyclic`.
-    A node on level d contributes its parent edge to limb d.  Points
-    without support edges go to I_1 (rows) and I_0 (columns).
+    column.  The peel hangs every point from its neighbour toward that root,
+    so in reverse fall order each point sits one level above the point it
+    hangs from, and their pair joins the limb of its level.  The same pass
+    decides acyclicity, so cyclic input raises carrying the witness of
+    :func:`~limbsys.extremality.is_acyclic`.  Roots and points without
+    support edges stay in I_1 (rows) and I_0 (columns).
     """
     m, n = support.m, support.n
-    adjacency, roots, witness = _peel(support)
+    above, order, witness = _peel(support)
     if witness is not None:
         raise CyclicSupportError("support contains an alternating cycle", witness)
 
     level = [1] * m + [0] * n
     limb_pairs: dict = {}
-    for root in roots:
-        stack = [(root, None)]
-        while stack:
-            u, above = stack.pop()
-            for v in adjacency[u]:
-                if v != above:
-                    d = level[v] = level[u] + 1
-                    limb_pairs.setdefault(d, []).append((v, u - m) if v < m else (v - m, u))
-                    stack.append((v, u))
+    for v in reversed(order):
+        u = above[v]
+        if u is not None:
+            d = level[v] = level[u] + 1
+            limb_pairs.setdefault(d, []).append((v, u - m) if v < m else (v - m, u))
 
     limbs = tuple(Limb(k, tuple(limb_pairs[k])) for k in sorted(limb_pairs))
     return NumberedLimbSystem(m, n, limbs, tuple(level[:m]), tuple(level[m:]))

@@ -214,11 +214,6 @@ class Coupling:
         return frozenset((i, j) for i, j, _ in self.entries)
 
 
-def _require_same_shape(a: Coupling, b: Coupling, what: str):
-    if (a.m, a.n) != (b.m, b.n):
-        raise ShapeMismatchError(f"{what}: shapes {a.m}x{a.n} and {b.m}x{b.n} differ")
-
-
 def marginals_of(gamma: Coupling) -> tuple[DiscreteMarginal, DiscreteMarginal]:
     """Project a coupling onto its row and column marginals.
 
@@ -245,9 +240,10 @@ def validate_coupling(gamma: Coupling, mu: DiscreteMarginal, nu: DiscreteMargina
         )
     row, col = marginals_of(gamma)
     eps, _ = thresholds(masses=(row.weights, mu.weights, nu.weights))
-    return all(abs(a - b) <= eps for a, b in zip(row.weights, mu.weights)) and all(
-        abs(a - b) <= eps for a, b in zip(col.weights, nu.weights)
-    )
+    with float_range(row.weights, col.weights, mu.weights, nu.weights):
+        return all(abs(a - b) <= eps for a, b in zip(row.weights, mu.weights)) and all(
+            abs(a - b) <= eps for a, b in zip(col.weights, nu.weights)
+        )
 
 
 def pushforward_graph(f: Sequence[Optional[int]], eta: DiscreteMarginal, n: int) -> Coupling:
@@ -292,19 +288,11 @@ def tv_distance(a: Coupling, b: Coupling):
     A metric on couplings of a fixed shape; zero exactly when the two agree
     as sparse measures.
     """
-    _require_same_shape(a, b, "tv_distance")
-    it_a, it_b = iter(a.entries), iter(b.entries)
-    ea, eb = next(it_a, None), next(it_b, None)
+    if (a.m, a.n) != (b.m, b.n):
+        raise ShapeMismatchError(f"tv_distance: shapes {a.m}x{a.n} and {b.m}x{b.n} differ")
+    mass_a, mass_b = ({(i, j): w for i, j, w in g.entries} for g in (a, b))
     total = 0
-    with float_range(*((w for _, _, w in g.entries) for g in (a, b))):
-        while ea is not None or eb is not None:
-            if eb is None or (ea is not None and ea[:2] < eb[:2]):
-                total = total + abs(ea[2])
-                ea = next(it_a, None)
-            elif ea is None or eb[:2] < ea[:2]:
-                total = total + abs(eb[2])
-                eb = next(it_b, None)
-            else:
-                total = total + abs(ea[2] - eb[2])
-                ea, eb = next(it_a, None), next(it_b, None)
+    with float_range(mass_a.values(), mass_b.values()):
+        for c in sorted(mass_a.keys() | mass_b.keys()):
+            total = total + abs(mass_a.get(c, 0) - mass_b.get(c, 0))
     return total

@@ -242,6 +242,21 @@ class TestDecompose:
             assert validate_system(system)
             assert limb_count(system) == best, sorted(cells)
 
+            # The whole system is each tree levelled from its centre, the
+            # column of two centres, each point paired with its parent.
+            level, pairs = [1] * m + [0] * n, {}
+            for tree in {frozenset(levels(v)) for v in range(m + n) if adjacency[v]}:
+                ecc = {v: max(levels(v).values()) - levels(v)[v] for v in tree}
+                centre = max(v for v in tree if ecc[v] == min(ecc.values()))
+                depth = levels(centre)
+                for v, d in depth.items():
+                    level[v] = d
+                    if v != centre:
+                        u = next(u for u in adjacency[v] if depth[u] == d - 1)
+                        pairs.setdefault(d, []).append((v, u - m) if v < m else (v - m, u))
+            limbs = tuple(Limb(k, tuple(pairs[k])) for k in sorted(pairs))
+            assert system == NumberedLimbSystem(m, n, limbs, level[:m], level[m:]), sorted(cells)
+
 
 class TestReconstruct:
     def test_identity_system(self):

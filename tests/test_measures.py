@@ -240,6 +240,14 @@ class TestThresholds:
         with pytest.raises(ValueError, match=f"value {HUGE} is beyond the float range"):
             run()
 
+    def test_column_sum_beyond_float_range_names_the_sum(self):
+        with pytest.raises(ValueError, match=f"value {2 * 10**308} is beyond the float range"):
+            validate_coupling(
+                Coupling(2, 1, ((0, 0, 10**308), (1, 0, 10**308))),
+                DiscreteMarginal((10**308, 10**308)),
+                DiscreteMarginal((1.0,)),
+            )
+
 
 class TestPushforward:
     def test_identity_map(self):
