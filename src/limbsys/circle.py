@@ -132,6 +132,8 @@ def build_peaked_density(grid: CircleGrid, center: float, kappa: float) -> Discr
     """Smooth, everywhere-positive density peaked at ``center``:
     weights proportional to exp(kappa * cos(angle - center)), total mass 1.
     kappa = 0 gives the uniform density."""
+    if not math.isfinite(center):
+        raise ValueError(f"center must be a finite number, got {center!r}")
     if not kappa >= 0:
         raise ValueError(f"concentration must be a nonnegative number, got {kappa!r}")
     try:

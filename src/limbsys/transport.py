@@ -21,13 +21,14 @@ slackness every optimal dual cuts out the same face: the feasible couplings
 supported on the zero set of its reduced costs.  So the oracle takes the
 simplex's potentials, and one peel-and-branch walk per component of that
 zero set visits every spanning tree whose flow is nonnegative, pruning a
-branch at its first negative leaf mass.  A tree counts only when the point
-left unpeeled in its component carries no net supply, so every vertex
-listed is a coupling on the zero set.  That proves the potentials: a
-feasible coupling on the zero set of feasible potentials has the dual value
-as its cost, so both are optimal (weak duality), and potentials that are not
-optimal leave some component with no tree and raise.  The oracle and the
-solver run on one checked instance, so the walk runs on ints too.
+branch at its first negative leaf mass or at a point the peel strands.  A
+tree counts only when the point left unpeeled in its component carries no
+net supply, so every vertex listed is a coupling on the zero set.  That
+proves the potentials: a feasible coupling on the zero set of feasible
+potentials has the dual value as its cost, so both are optimal (weak
+duality), and potentials that are not optimal leave some component with no
+tree and raise.  The oracle and the solver run on one checked instance, so
+the walk runs on ints too.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .errors import (
     SizeLimitError,
 )
 from .extremality import SupportGraph
-from .measures import Coupling, CostMatrix, DiscreteMarginal, common_denominator, float_range, thresholds
+from .measures import Coupling, CostMatrix, DiscreteMarginal, _is_finite_number, common_denominator
+from .measures import float_range, thresholds
 
 __all__ = [
     "DualPotentials",
@@ -72,8 +74,18 @@ class DualPotentials:
     r: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "q", tuple(self.q))
-        object.__setattr__(self, "r", tuple(self.r))
+        for name in ("q", "r"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+
+
+def _finite(name, values) -> tuple:
+    """``values`` as a tuple; ValueError names the first entry of ``name``
+    that is not a finite number."""
+    values = tuple(values)
+    for i, x in enumerate(values):
+        if not _is_finite_number(x):
+            raise ValueError(f"potential {name} at index {i} is not a finite number: {x!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -313,6 +325,7 @@ def c_transform(r: Sequence, c: CostMatrix) -> tuple:
     q[i] = min_j (c[i][j] - r[j])."""
     if len(r) != c.n:
         raise ShapeMismatchError(f"potential has {len(r)} entries but cost has {c.n} columns")
+    _finite("r", r)
     with float_range(r, *c.rows):
         return tuple(min(row[j] - r[j] for j in range(c.n)) for row in c.rows)
 
@@ -347,31 +360,32 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget):
     a connected component whose flow is nonnegative and meets every supply;
     masses in [-eps - gap, 0) are clamped to 0.
 
-    One walk over the sorted edges.  A leaf's one edge lies in every
-    spanning tree of what is left and carries the leaf's remaining supply,
-    so leaves are peeled, and a mass below ``-eps - gap`` prunes the
-    branch.  Then the walk branches on the lowest undecided edge: keep it,
-    unless it closes a cycle of kept edges, then delete it, unless that
-    disconnects the component.  A finished tree counts when the one point
-    left unpeeled has at most ``len(nodes) * eps + gap`` net supply, none on
-    exact data.  ``gap`` bounds the gap between the instance's totals, which
-    may sit in any point of the component and so in any leaf's mass.  State
-    changes in place and is undone on return; each walk state is charged to
+    One walk over the edges, which come sorted.  A leaf's one edge lies in
+    every spanning tree of what is left and carries the leaf's remaining
+    supply, so leaves are peeled, and a mass below ``-eps - gap`` prunes
+    the branch; so does a point stranded with no edge while others stand,
+    as the component has come apart.  Then the walk branches on the lowest
+    undecided edge: keep it, unless it closes a cycle of kept edges, then
+    delete it.  A finished tree counts when the one point left unpeeled has
+    at most ``len(nodes) * eps + gap`` net supply, none on exact data.
+    ``gap`` bounds the gap between the instance's totals, which may sit in
+    any point of the component and so in any leaf's mass.  State changes in
+    place and is undone on return; each walk state is charged to
     ``budget``.
     """
-    ends = sorted(edges)
     incident = {v: [] for v in nodes}
-    for e, (u, v) in enumerate(ends):
+    for e, (u, v) in enumerate(edges):
         incident[u].append((e, v))
         incident[v].append((e, u))
     degree = {v: len(incident[v]) for v in nodes}
     net = {v: supplies[v] for v in nodes}
-    alive = [True] * len(ends)  # neither deleted nor peeled
+    alive = [True] * len(edges)  # neither deleted nor peeled
     kept = {v: v for v in nodes}  # union-find of kept edges
     tree = []  # peeled (leaf, edge, other end, mass, other end's net before)
 
     def peel(leaves):
-        """Peel ``leaves`` and every leaf that exposes; False at a mass below -eps - gap."""
+        """Peel ``leaves`` and every leaf that exposes; False at a mass below
+        -eps - gap or at a stranded point."""
         while leaves:
             v = leaves.pop()
             if degree[v] == 1:
@@ -385,19 +399,9 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget):
                 alive[e], degree[v], degree[u], net[u] = False, 0, degree[u] - 1, net[u] - w
                 if degree[u] == 1:
                     leaves.append(u)
+                elif degree[u] == 0 and len(tree) < len(nodes) - 1:
+                    return False
         return True
-
-    def bypassed(e, a, b):
-        """True when ``a`` and ``b`` stay connected without edge ``e``."""
-        seen, stack = {a}, [a]
-        while stack:
-            for f, u in incident[stack.pop()]:
-                if alive[f] and f != e and u not in seen:
-                    if u == b:
-                        return True
-                    seen.add(u)
-                    stack.append(u)
-        return False
 
     def walk(e):
         budget[0] -= 1
@@ -406,25 +410,26 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget):
         if len(tree) == len(nodes) - 1:
             # The other end of the last peeled edge is the one point left.
             if abs(net[tree[-1][2] if tree else nodes[0]]) <= len(nodes) * eps + gap:
-                yield [(ends[f], w) for _, f, _, w, _ in tree]
+                yield [(edges[f], w) for _, f, _, w, _ in tree]
             return
-        while not alive[e]:  # a connected graph without leaves has an undecided edge
+        # Every standing point keeps two alive edges, so they hold a cycle,
+        # which kept edges never close: an undecided edge remains.
+        while not alive[e]:
             e += 1
-        a, b = ends[e]
+        a, b = edges[e]
         ra, rb = _root(kept, a), _root(kept, b)
         if ra != rb:
             kept[ra] = rb
             yield from walk(e + 1)
             kept[ra] = ra
-        if ra == rb or bypassed(e, a, b):
-            mark = len(tree)
-            alive[e], degree[a], degree[b] = False, degree[a] - 1, degree[b] - 1
-            if peel([a, b]):
-                yield from walk(e + 1)
-            while len(tree) > mark:
-                v, f, u, _, old = tree.pop()
-                alive[f], degree[v], degree[u], net[u] = True, 1, degree[u] + 1, old
-            alive[e], degree[a], degree[b] = True, degree[a] + 1, degree[b] + 1
+        mark = len(tree)
+        alive[e], degree[a], degree[b] = False, degree[a] - 1, degree[b] - 1
+        if peel([a, b]):
+            yield from walk(e + 1)
+        while len(tree) > mark:
+            v, f, u, _, old = tree.pop()
+            alive[f], degree[v], degree[u], net[u] = True, 1, degree[u] + 1, old
+        alive[e], degree[a], degree[b] = True, degree[a] + 1, degree[b] + 1
 
     if peel([v for v in nodes if degree[v] == 1]):
         yield from walk(0)

@@ -127,6 +127,11 @@ class TestPeakedDensity:
         with pytest.raises(ValueError, match=f"concentration must be a nonnegative number, got {kappa}"):
             build_peaked_density(CircleGrid(5), 0.0, kappa)
 
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(ValueError, match=f"center must be a finite number, got {center}"):
+            build_peaked_density(CircleGrid(8), center, 4.0)
+
     @pytest.mark.parametrize("n, kappa", [(8, 1000.0), (200, 709.0)])
     def test_overflowing_concentration_rejected(self, n, kappa):
         # exp overflows at n = 8; at n = 200 each weight fits but their sum does not.

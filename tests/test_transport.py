@@ -1,6 +1,7 @@
 """Network simplex solver, dual potentials, and the optimal-vertex oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 from operator import mul
@@ -412,6 +413,18 @@ class TestZeroSet:
         with pytest.raises(ShapeMismatchError, match="sizes 1 and 2 but cost is 2x2"):
             zero_set(c, DualPotentials((0,), (0, 0)))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, "x"])
+    def test_non_finite_potentials_rejected(self, bad):
+        # Rejected when built, so zero_set never sees them, and as the
+        # argument of c_transform.
+        c = CostMatrix(((1.0, 2.0), (2.0, 1.0)))
+        with pytest.raises(ValueError, match="potential q at index 0 is not a finite number"):
+            DualPotentials((bad, 0.0), (0.0, 0.0))
+        with pytest.raises(ValueError, match="potential r at index 1 is not a finite number"):
+            DualPotentials((0.0, 0.0), (0.0, bad))
+        with pytest.raises(ValueError, match="potential r at index 0 is not a finite number"):
+            c_transform((bad, 0.0), c)
+
     def test_infeasible_potentials_raise(self):
         c = CostMatrix(((0, 0), (0, 0)))
         with pytest.raises(DualInfeasibleError):
@@ -577,6 +590,29 @@ class TestEnumerateOptimalVertices:
         c = CostMatrix(tuple(tuple(0 if i // 4 == j // 4 else 1 for j in range(8)) for i in range(8)))
         assert len(enumerate_optimal_vertices(unit, unit, c)) == 576
 
+    @pytest.mark.parametrize("k, count", [(2, 4), (3, 36)])
+    @pytest.mark.parametrize("row", ["last", "first"])
+    def test_bridged_blocks_match_the_backtracking_reference(self, k, count, row):
+        # Two flat kxk blocks joined by one zero-cost bridge cell, the last
+        # or the first in row-major order, whose two ends carry one unit
+        # more, which must cross it.  Deleting the bridge leaves a
+        # cycle on both sides, so that branch dies only once one side peels
+        # down to a point stranded while the other still stands.
+        bridge = (k - 1 if row == "last" else 0, k)
+        mu = DiscreteMarginal(tuple(2 if i == bridge[0] else 1 for i in range(2 * k)))
+        nu = DiscreteMarginal(tuple(2 if j == bridge[1] else 1 for j in range(2 * k)))
+        c = CostMatrix(
+            tuple(
+                tuple(0 if i // k == j // k or (i, j) == bridge else 1 for j in range(2 * k))
+                for i in range(2 * k)
+            )
+        )
+        found = enumerate_optimal_vertices(mu, nu, c)
+        expected = oracles.optimal_vertices_by_backtracking(mu, nu, c)
+        assert [g.entries for g in found] == [g.entries for g in expected]
+        assert len(found) == count
+        assert all((*bridge, 1) in g.entries for g in found)
+
     def test_float_copy_of_a_unique_optimum_is_unique(self):
         # The demo's unique vertex is degenerate: several spanning trees
         # carry it, and in floats they peel to masses that differ in the
@@ -655,9 +691,13 @@ class TestEnumerateOptimalVertices:
         assert [g.entries for g in found] == sorted(
             tuple((i, p[i], F(1, 4)) for i in range(4)) for p in itertools.permutations(range(4))
         )
-        monkeypatch.setattr(transport, "ORACLE_MAX_BASES", 100)
-        with pytest.raises(SizeLimitError):
-            enumerate_optimal_vertices(uniform(4), uniform(4), flat)
+        # The README's 12,119 walk states: that budget suffices, one less does not.
+        monkeypatch.setattr(transport, "ORACLE_MAX_BASES", 12119)
+        assert enumerate_optimal_vertices(uniform(4), uniform(4), flat) == found
+        for budget in (12118, 100):
+            monkeypatch.setattr(transport, "ORACLE_MAX_BASES", budget)
+            with pytest.raises(SizeLimitError):
+                enumerate_optimal_vertices(uniform(4), uniform(4), flat)
 
     def test_unbalanced_instance_rejected(self):
         with pytest.raises(InfeasibleError):
