@@ -38,31 +38,31 @@ def _cmd_solve(args):
     mu, nu, cost = load_problem(args.problem, args.rational)
     if cost is None:
         print("problem file has no cost matrix", file=sys.stderr)
-        return 1, None, {}
+        return 1, None, []
     report = solve(mu, nu, cost)
     with float_range((report.primal_value,)):
         summary = f"optimum {float(report.primal_value):.17g} in {report.iterations} pivots"
-    return 0, summary, {
-        args.out: coupling_payload(report.coupling),
-        args.duals: duals_payload(report.potentials, report.primal_value),
-    }
+    return 0, summary, [
+        (args.out, coupling_payload(report.coupling)),
+        (args.duals, duals_payload(report.potentials, report.primal_value)),
+    ]
 
 
 def _cmd_check_extremal(args):
     gamma = load_coupling(args.coupling, args.rational)
     certificate = is_extremal(gamma)
     if certificate.extremal:
-        return 0, certificate.verdict, {}
+        return 0, certificate.verdict, []
     if not args.witness:
-        return 3, certificate.verdict, {}
+        return 3, certificate.verdict, []
     split = split_witness(gamma, certificate.cycle)
-    return 3, certificate.verdict, {args.witness: witness_payload(certificate.cycle, *split)}
+    return 3, certificate.verdict, [(args.witness, witness_payload(certificate.cycle, *split))]
 
 
 def _cmd_decompose(args):
     gamma = load_coupling(args.coupling, args.rational)
     system = decompose(support_graph(gamma))
-    return 0, f"{limb_count(system)} limbs", {args.out: system_payload(system)}
+    return 0, f"{limb_count(system)} limbs", [(args.out, system_payload(system))]
 
 
 def _cmd_reconstruct(args):
@@ -71,9 +71,9 @@ def _cmd_reconstruct(args):
     report = reconstruct(system, mu, nu)
     if not report.feasible:
         print(f"infeasible: {report.message}", file=sys.stderr)
-        return 4, None, {}
+        return 4, None, []
     summary = f"coupling with {len(report.coupling.entries)} cells"
-    return 0, summary, {args.out: coupling_payload(report.coupling)}
+    return 0, summary, [(args.out, coupling_payload(report.coupling))]
 
 
 def _cmd_demo_circle(args):
@@ -85,9 +85,9 @@ def _cmd_demo_circle(args):
         f"value {float(report.solve_report.primal_value):.17g}, "
         f"extremal, {limb_count(report.system)} limbs"
     )
-    outputs = {}
+    outputs = []
     if args.out:
-        outputs[args.out] = dataclasses.asdict(cfg) | {
+        outputs.append((args.out, dataclasses.asdict(cfg) | {
             "value": report.solve_report.primal_value,
             "iterations": report.solve_report.iterations,
             "degenerate_pivots": report.solve_report.degenerate_pivots,
@@ -95,12 +95,12 @@ def _cmd_demo_circle(args):
             "system": system_payload(report.system),
             "limb_mass": list(report.limb_mass),
             "coupling": coupling_payload(report.solve_report.coupling),
-        }
+        }))
     if args.plot:
-        outputs[args.plot] = "theta,phi,mass,limb\n" + "".join(
+        outputs.append((args.plot, "theta,phi,mass,limb\n" + "".join(
             f"{theta:.17g},{phi:.17g},{float(mass):.17g},{k}\n"
             for theta, phi, mass, k in support_rows(report)
-        )
+        )))
     return 0, summary, outputs
 
 
@@ -158,10 +158,11 @@ def main(argv=None) -> int:
         # instance here; --help and --version exit 0.
         return 1 if exc.code else 0
     try:
-        # A verb returns its exit code, its stdout summary and its outputs by
-        # path; the outputs are written together, before the summary.
+        # A verb returns its exit code, its stdout summary and its outputs as
+        # (path, payload) pairs; the outputs are written together, before the
+        # summary.
         code, summary, outputs = args.fn(args)
-        write_json({path: payload for path, payload in outputs.items() if path})
+        write_json([(path, payload) for path, payload in outputs if path])
         if summary:
             print(summary)
         return code

@@ -53,34 +53,31 @@ class SupportGraph:
 
 @dataclass(frozen=True)
 class CycleWitness:
-    """Alternating closed walk through 2k support cells, k >= 2.
+    """Alternating cycle through k >= 2 distinct rows and k distinct columns:
+    row ``rows[t]`` meets columns ``cols[t-1]`` and ``cols[t]``.  ``edges``
+    lists its 2k support cells in walk order, consecutive cells sharing a
+    row then a column, wrapping around at the end."""
 
-    Edges alternate sharing a row then a column: ``edges[2t]`` and
-    ``edges[2t+1]`` sit in the same row, ``edges[2t+1]`` and ``edges[2t+2]``
-    in the same column, wrapping around at the end.  Rows are pairwise
-    distinct, as are columns.
-    """
-
-    edges: tuple
+    rows: tuple
+    cols: tuple
 
     def __post_init__(self):
-        edges = tuple((index(i), index(j)) for i, j in self.edges)
-        object.__setattr__(self, "edges", edges)
-        if len(edges) < 4 or len(edges) % 2 != 0:
-            raise ValueError("a cycle witness needs an even number of edges, at least 4")
-        k = len(edges) // 2
-        rows = [edges[2 * t][0] for t in range(k)]
-        cols = [edges[2 * t][1] for t in range(k)]
-        if len(set(rows)) != k or len(set(cols)) != k:
-            raise ValueError("cycle witness must visit k distinct rows and k distinct columns")
-        for t in range(k):
-            if edges[2 * t + 1][0] != rows[t]:
-                raise ValueError(f"edges {2 * t} and {2 * t + 1} do not share a row")
-            if edges[2 * t + 1][1] != cols[(t + 1) % k]:
-                raise ValueError(f"edges {2 * t + 1} and {(2 * t + 2) % (2 * k)} do not share a column")
+        object.__setattr__(self, "rows", tuple(map(index, self.rows)))
+        object.__setattr__(self, "cols", tuple(map(index, self.cols)))
+        k = len(self.rows)
+        if k < 2 or len(self.cols) != k:
+            raise ValueError(f"a cycle witness needs k >= 2 rows and k columns, not {k} and {len(self.cols)}")
+        for name, points in (("row", self.rows), ("column", self.cols)):
+            if len(set(points)) != k:
+                repeated = next(p for t, p in enumerate(points) if p in points[:t])
+                raise ValueError(f"cycle witness visits {name} {repeated} twice")
+
+    @property
+    def edges(self) -> tuple:
+        return tuple((r, c) for t, r in enumerate(self.rows) for c in (self.cols[t - 1], self.cols[t]))
 
     def k(self) -> int:
-        return len(self.edges) // 2
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -107,13 +104,6 @@ def support_graph(gamma: Coupling) -> SupportGraph:
     return SupportGraph(
         gamma.m, gamma.n, frozenset((i, j) for i, j, w in gamma.entries if w > eps)
     )
-
-
-def _witness_from_node_cycle(node_cycle: list) -> CycleWitness:
-    # node_cycle alternates row, col, row, col, ... starting at a row and is
-    # closed by the edge (node_cycle[0], node_cycle[-1]).
-    rows, cols = node_cycle[0::2], node_cycle[1::2]
-    return CycleWitness(tuple((r, c) for t, r in enumerate(rows) for c in (cols[t - 1], cols[t])))
 
 
 def _peel(graph: SupportGraph):
@@ -169,7 +159,7 @@ def _peel(graph: SupportGraph):
     loop = list(met)[met[u]:]
     if loop[0] >= m:
         loop = loop[1:] + loop[:1]
-    return above, order, _witness_from_node_cycle([v if v < m else v - m for v in loop])
+    return above, order, CycleWitness(loop[0::2], [v - m for v in loop[1::2]])
 
 
 def is_acyclic(graph: SupportGraph) -> tuple[bool, Optional[CycleWitness]]:

@@ -64,28 +64,38 @@ def canonical_json(payload) -> str:
 
 
 def write_json(outputs):
-    """Write each payload of ``outputs``, a dict from path to payload: a str
-    as it is, anything else as canonical JSON.  Every payload is rendered
-    and every path opened before any is written, so a payload that fails to
-    render or a path that fails to open leaves every path as it was."""
-    texts = {path: p if isinstance(p, str) else canonical_json(p) for path, p in outputs.items()}
+    """Write each (path, payload) pair of ``outputs``: a str payload as it
+    is, anything else as canonical JSON.  Every payload is rendered and
+    every path opened before any is written, so a payload that fails to
+    render, a path that fails to open, or two paths naming one regular file
+    leave every path as it was.  Other files, such as /dev/stdout, may be
+    named twice."""
+    texts = [(path, p if isinstance(p, str) else canonical_json(p)) for path, p in outputs]
     with contextlib.ExitStack() as stack:
-        files, created = [], []
+        files, created, named = [], [], {}
         try:
-            for path in texts:
+            for path, _ in texts:
                 try:
-                    files.append(stack.enter_context(open(path, "x", encoding="utf-8")))
+                    fh = stack.enter_context(open(path, "x", encoding="utf-8"))
                     created.append(path)
                 except FileExistsError:
                     fd = os.open(path, os.O_WRONLY)  # no O_TRUNC until every path is open
-                    files.append(stack.enter_context(open(fd, "w", encoding="utf-8")))
-        except OSError:
+                    fh = stack.enter_context(open(fd, "w", encoding="utf-8"))
+                info = os.fstat(fh.fileno())
+                # What O_TRUNC would empty: a regular file, known by its inode.
+                inode = (info.st_dev, info.st_ino) if stat.S_ISREG(info.st_mode) else None
+                if inode in named:
+                    raise ValueError(f"outputs {named[inode]} and {path} name the same file")
+                if inode:
+                    named[inode] = path
+                files.append((fh, inode))
+        except (OSError, ValueError):
             stack.close()
             for path in created:
                 os.remove(path)
             raise
-        for fh, text in zip(files, texts.values()):
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # what O_TRUNC would empty
+        for (fh, inode), (_, text) in zip(files, texts):
+            if inode:
                 fh.truncate(0)
             fh.write(text)
 
@@ -114,6 +124,41 @@ def _load(path, rational: bool, build):
         raise ValueError(f"{path}: {exc}") from None
 
 
+# JSON true and false load as the bools True and False, which Python takes
+# for the ints 1 and 0, so a size, index, limb number or level that is one
+# is rejected here.  No check adds a Python function call per value: index
+# pairs holding a boolean are left out by the comprehension that already
+# builds the pairs (``type(i) is not bool is not type(j)``), levels are
+# scanned by ``bool in map(type, levels)``, and only a list found wanting
+# is searched for the culprit.
+def _integer(where, value):
+    """``value``, an integer at ``where`` in the file, unless it is a JSON
+    boolean."""
+    if type(value) is bool:
+        raise ValueError(
+            f"{where} is JSON {json.dumps(value)}, which cannot be interpreted as an integer"
+        )
+    return value
+
+
+def _integers(where, values):
+    """``values``, a sequence of integers at ``where`` in the file, unless
+    one is a JSON boolean."""
+    if bool in map(type, values):
+        for t, v in enumerate(values):
+            _integer(f"{where}[{t}]", v)
+    return values
+
+
+def _index_pairs(where, rows, kept):
+    """``kept``, built from ``rows`` leaving out each row whose first two
+    items, its indices, hold a JSON boolean, unless it left one out."""
+    if len(kept) < len(rows):
+        for t, row in enumerate(rows):
+            _integers(f"{where}[{t}]", row[:2])
+    return kept
+
+
 def _problem(data):
     mu = DiscreteMarginal(tuple(data["mu"]))
     nu = DiscreteMarginal(tuple(data["nu"]))
@@ -122,17 +167,25 @@ def _problem(data):
 
 
 def _coupling(data):
-    return Coupling.from_entries(data["m"], data["n"], [(e[0], e[1], e[2]) for e in data["entries"]])
+    m, n = _integer("m", data["m"]), _integer("n", data["n"])
+    rows = data["entries"]
+    entries = [(e[0], e[1], e[2]) for e in rows if type(e[0]) is not bool is not type(e[1])]
+    return Coupling.from_entries(m, n, _index_pairs("entries", rows, entries))
 
 
 def _system(data):
+    m, n = _integer("m", data["m"]), _integer("n", data["n"])
     limbs = []
-    for item in data["limbs"]:
-        limb = Limb(item["k"], tuple((p[0], p[1]) for p in item["map"]))
+    for t, item in enumerate(data["limbs"]):
+        rows = item["map"]
+        pairs = [(p[0], p[1]) for p in rows if type(p[0]) is not bool is not type(p[1])]
+        k = _integer(f"limbs[{t}].k", item["k"])
+        limb = Limb(k, tuple(_index_pairs(f"limbs[{t}].map", rows, pairs)))
         if item["kind"] != limb.kind:
             raise ValueError(f"limb {limb.k} must have kind {limb.kind!r}, not {item['kind']!r}")
         limbs.append(limb)
-    return NumberedLimbSystem(data["m"], data["n"], limbs, tuple(data["I_odd"]), tuple(data["I_even"]))
+    levels = (tuple(_integers(key, data[key])) for key in ("I_odd", "I_even"))
+    return NumberedLimbSystem(m, n, limbs, *levels)
 
 
 def load_problem(path, rational: bool = False):

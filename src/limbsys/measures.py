@@ -38,7 +38,7 @@ __all__ = [
 def _is_finite_number(x) -> bool:
     if isinstance(x, float):
         return math.isfinite(x)
-    return isinstance(x, (int, Fraction))
+    return isinstance(x, (int, Fraction)) and type(x) is not bool
 
 
 # Float data get thresholds relative to the largest magnitude they compare,

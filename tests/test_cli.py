@@ -91,7 +91,7 @@ class TestFileFormats:
     def test_coupling_round_trip(self, tmp_path):
         gamma = Coupling(2, 3, ((0, 1, 0.25), (1, 2, 0.75)))
         path = tmp_path / "g.json"
-        write_json({path: coupling_payload(gamma)})
+        write_json([(path, coupling_payload(gamma))])
         assert load_coupling(path) == gamma
 
     def test_system_round_trip(self, tmp_path):
@@ -100,7 +100,7 @@ class TestFileFormats:
         gamma = Coupling(3, 3, tuple((i, 0 if i < 2 else 2, 0.3) for i in range(3)))
         system = decompose(support_graph(gamma))
         path = tmp_path / "s.json"
-        write_json({path: system_payload(system)})
+        write_json([(path, system_payload(system))])
         assert load_system(path) == system
 
 
@@ -152,8 +152,10 @@ class TestCli:
                 '"I_odd": [1], "I_even": [0]}',
                 "limb indices start at 1",
             ),
+            ('{"mu": [true], "nu": [1], "cost": [[true]]}', "weight at index 0 is not a finite number: True"),
+            ('{"mu": [1], "nu": [1], "cost": [[false]]}', "cost at (0, 0) is not a finite number: False"),
         ],
-        ids=["negative-mass", "limb-0"],
+        ids=["negative-mass", "limb-0", "boolean-mass", "boolean-cost"],
     )
     def test_rejected_values_name_the_file(self, tmp_path, capsys, content, said):
         bad = tmp_path / "bad.json"
@@ -182,10 +184,17 @@ class TestCli:
             ("reconstruct", one_limb_system(level=1.5)),
             ("reconstruct", one_limb_system(m=1.0)),
             ("reconstruct", one_limb_system(pair=[0, 0.0])),
+            # JSON true and false would pass for the ints 1 and 0.
+            ("decompose", '{"m": 2, "n": 2, "entries": [[true, false, 0.5], [false, true, 0.5]]}'),
+            ("check-extremal", '{"m": true, "n": 1, "entries": [[0, 0, 1]]}'),
+            ("reconstruct", one_limb_system(k=True, level=True).replace('"I_even": [0]', '"I_even": [false]')),
+            ("reconstruct", one_limb_system(level=True)),
+            ("reconstruct", one_limb_system(pair=[0, False])),
         ],
         ids=[
             "coupling-check", "coupling-decompose", "entry-column",
             "limb-and-level", "limb", "level", "system-size", "map",
+            "boolean-entries", "boolean-size", "boolean-limb-and-levels", "boolean-level", "boolean-map",
         ],
     )
     def test_fractional_or_string_indices_are_exit_1_naming_the_file(
@@ -234,6 +243,33 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert first.read_text() == "kept\n" if existing else not first.exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("second", ["o.json", "./o.json"])
+    @pytest.mark.parametrize("verb", ["solve", "demo-circle"])
+    def test_two_outputs_naming_one_file_are_exit_1(
+        self, tmp_path, balanced_problem, capsys, monkeypatch, verb, second, existing
+    ):
+        # Written one after the other, the second output would replace or
+        # garble the first; neither is written.
+        monkeypatch.chdir(tmp_path)
+        first = tmp_path / "o.json"
+        if existing:
+            first.write_text("kept\n")
+        if verb == "solve":
+            argv = ["solve", str(balanced_problem), "--out", "o.json", "--duals", second]
+        else:
+            argv = ["demo-circle", "--n", "12", "--out", "o.json", "--plot", second]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: outputs o.json and {second} name the same file\n"
+        assert first.read_bytes() == b"kept\n" if existing else not first.exists()
+
+    def test_outputs_may_share_a_device(self, balanced_problem):
+        # Only regular files are emptied and compared; /dev/null takes both.
+        argv = ["solve", str(balanced_problem), "--out", os.devnull, "--duals", os.devnull]
+        assert main(argv) == 0
 
     def test_an_output_replaces_a_longer_file(self, tmp_path, balanced_problem):
         out = tmp_path / "o.json"

@@ -197,24 +197,28 @@ class TestPeelWitness:
 
 
 class TestCycleWitness:
-    def test_rejects_odd_length(self):
-        with pytest.raises(ValueError):
-            CycleWitness(((0, 0), (0, 1), (1, 1)))
+    def test_rejects_fewer_than_two_rows(self):
+        with pytest.raises(ValueError, match="k >= 2"):
+            CycleWitness((0,), (1,))
 
-    def test_rejects_broken_alternation(self):
-        with pytest.raises(ValueError):
-            CycleWitness(((0, 0), (1, 1), (1, 0), (0, 1)))
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="not 2 and 3"):
+            CycleWitness((0, 1), (0, 1, 2))
 
-    @pytest.mark.parametrize(
-        "edges, named",
-        [
-            (((0, 0), (1, 1), (1, 1), (0, 0)), "edges 0 and 1 do not share a row"),
-            (((0, 0), (0, 0), (1, 1), (1, 0)), "edges 1 and 2 do not share a column"),
-        ],
-    )
-    def test_names_the_edges_that_break_alternation(self, edges, named):
-        with pytest.raises(ValueError, match=named):
-            CycleWitness(edges)
+    def test_names_a_repeated_row(self):
+        with pytest.raises(ValueError, match="row 4 twice"):
+            CycleWitness((4, 1, 4), (0, 1, 2))
+
+    def test_names_a_repeated_column(self):
+        with pytest.raises(ValueError, match="column 2 twice"):
+            CycleWitness((0, 1, 3), (2, 1, 2))
+
+    def test_edges_walk_each_row_from_the_previous_column(self):
+        # i1 -> j1 -> i2 -> j2 -> i3 -> j3 -> i1, each row entered from the
+        # column before it and left to its own column.
+        witness = CycleWitness((5, 0, 2), (1, 3, 4))
+        assert witness.k() == 3
+        assert witness.edges == ((5, 4), (5, 1), (0, 1), (0, 3), (2, 3), (2, 4))
 
 
 class TestDlRankTest:
@@ -281,7 +285,7 @@ class TestSplitWitness:
 
     def test_invalid_cycle_names_edge(self):
         gamma = Coupling(2, 2, ((0, 0, F(1, 2)), (1, 1, F(1, 2))))
-        cycle = CycleWitness(((0, 0), (0, 1), (1, 1), (1, 0)))
+        cycle = CycleWitness((0, 1), (1, 0))
         with pytest.raises(CycleError, match=r"\(0, 1\)"):
             split_witness(gamma, cycle)
 

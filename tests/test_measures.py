@@ -97,7 +97,7 @@ class TestValidation:
             lambda: Coupling(2, 2, ((0.0, 0, 1),)),
             lambda: Coupling.from_entries(2, 2, [(0, "1", 1)]),
             lambda: SupportGraph(2, 2, frozenset({(1.5, 0)})),
-            lambda: CycleWitness(((0, 0), (0, 1), (1, 1), (1, 0.0))),
+            lambda: CycleWitness((0, 1), (1, 0.0)),
             lambda: Limb(1, ((0, F(1)),)),
             lambda: NumberedLimbSystem(1, 1, (), (1.0,), (0,)),
             lambda: NumberedLimbSystem(1, 1, (), (1,), ("0",)),

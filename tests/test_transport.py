@@ -27,6 +27,7 @@ from limbsys import (
     is_unique_optimum,
     marginals_of,
     rational_demo_instance,
+    run_demo,
     solve,
     support_graph,
     validate_coupling,
@@ -265,6 +266,14 @@ def test_degenerate_pivots_are_counted():
     assert 0 < report.degenerate_pivots < report.iterations
     scaled = solve(*rescaled(mu, nu, c, F(3), F(1)))
     assert (scaled.iterations, scaled.degenerate_pivots) == (report.iterations, report.degenerate_pivots)
+
+
+def test_readme_pivot_counts():
+    # The pivot counts README "Scale" states for the float and exact demos.
+    for n, pivots in ((64, 711), (96, 1266), (128, 2426)):
+        assert run_demo(DemoConfig(n=n)).solve_report.iterations == pivots
+    for n, pivots in ((32, 209), (64, 703)):
+        assert solve(*rational_demo_instance(DemoConfig(n=n))).iterations == pivots
 
 
 def integer_instance(rng, m, n, as_type):
