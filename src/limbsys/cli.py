@@ -37,8 +37,7 @@ from .transport import solve
 def _cmd_solve(args):
     mu, nu, cost = load_problem(args.problem, args.rational)
     if cost is None:
-        print("problem file has no cost matrix", file=sys.stderr)
-        return 1, None, []
+        raise ValueError(f"{args.problem}: problem file has no cost matrix")
     report = solve(mu, nu, cost)
     with float_range((report.primal_value,)):
         summary = f"optimum {float(report.primal_value):.17g} in {report.iterations} pivots"

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import stat
+import sys
 from fractions import Fraction
 
 from .limbs import Limb, NumberedLimbSystem
@@ -34,28 +35,23 @@ __all__ = [
 
 
 def _render(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ValueError(f"cannot serialize {value!r}, beyond the float range") from None
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError("cannot serialize a non-finite number")
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
     if isinstance(value, dict):
         parts = (f"{json.dumps(str(k))}: {_render(v)}" for k, v in sorted(value.items()))
         return "{" + ", ".join(parts) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_render(v) for v in value) + "]"
+    if value is None or isinstance(value, (bool, str)):
+        return json.dumps(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, (float, Fraction)):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"cannot serialize {value!r}, beyond the float range") from None
+        if not math.isfinite(value):
+            raise ValueError("cannot serialize a non-finite number")
+        return format(value, ".17g")
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -100,63 +96,64 @@ def write_json(outputs):
             fh.write(text)
 
 
+def _fraction(literal):
+    """Fraction(literal), unless its exponent exceeds the limit on integer
+    literal digits: Fraction builds 10**e in full, in time growing with e."""
+    if "e" in literal or "E" in literal:
+        limit = sys.get_int_max_str_digits()
+        if limit and abs(int(literal.lower().partition("e")[2])) > limit:
+            raise ValueError(f"a number's exponent exceeds the limit ({limit}) for integer literals")
+    return Fraction(literal)
+
+
+def _refuse_booleans(data):
+    """Raise ValueError at the first JSON true or false in ``data``, named as
+    ``entries[3][0]``; iterative, as the parser nests deeper than Python recurses."""
+    stack = [("", iter(data.items()))]
+    while stack:
+        where, items = stack[-1]
+        for key, value in items:
+            if isinstance(value, (bool, dict, list)):
+                at = f"{where}[{key}]" if type(key) is int else f"{where}.{key}" if where else key
+                if type(value) is bool:
+                    raise ValueError(
+                        f"{at} is JSON {json.dumps(value)}, which cannot be interpreted as an integer"
+                    )
+                stack.append((at, iter(value.items() if type(value) is dict else enumerate(value))))
+                break
+        else:
+            stack.pop()
+
+
 def _load(path, rational: bool, build):
-    """Parse a JSON file and build a value from it.  Malformed JSON, a
-    layout that does not fit (a list where an object belongs, a short entry,
-    a missing key) and data the value rejects (a negative mass, a limb
-    numbered 0) raise ValueError naming the file."""
+    """Parse a JSON file and build a value from it.  Text that does not
+    parse (malformed, nested too deep, a number too long), a layout that
+    does not fit (a missing key, a short entry), data the value rejects (a
+    negative mass) and a JSON true or false, which would pass for 1 or 0,
+    raise ValueError naming the file.  A boolean mass keeps its value's message."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh, parse_float=Fraction) if rational else json.load(fh)
+            text = fh.read()
+            data = json.loads(text, parse_float=_fraction) if rational else json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from None
+        except (RecursionError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top level is a JSON {type(data).__name__}, not an object")
     try:
-        return build(data)
+        value = build(data)
+        if "true" in text or "false" in text:
+            _refuse_booleans(data)
+        return value
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, IndexError) as exc:
         raise ValueError(f"{path}: unexpected layout: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-# JSON true and false load as the bools True and False, which Python takes
-# for the ints 1 and 0, so a size, index, limb number or level that is one
-# is rejected here.  No check adds a Python function call per value: index
-# pairs holding a boolean are left out by the comprehension that already
-# builds the pairs (``type(i) is not bool is not type(j)``), levels are
-# scanned by ``bool in map(type, levels)``, and only a list found wanting
-# is searched for the culprit.
-def _integer(where, value):
-    """``value``, an integer at ``where`` in the file, unless it is a JSON
-    boolean."""
-    if type(value) is bool:
-        raise ValueError(
-            f"{where} is JSON {json.dumps(value)}, which cannot be interpreted as an integer"
-        )
-    return value
-
-
-def _integers(where, values):
-    """``values``, a sequence of integers at ``where`` in the file, unless
-    one is a JSON boolean."""
-    if bool in map(type, values):
-        for t, v in enumerate(values):
-            _integer(f"{where}[{t}]", v)
-    return values
-
-
-def _index_pairs(where, rows, kept):
-    """``kept``, built from ``rows`` leaving out each row whose first two
-    items, its indices, hold a JSON boolean, unless it left one out."""
-    if len(kept) < len(rows):
-        for t, row in enumerate(rows):
-            _integers(f"{where}[{t}]", row[:2])
-    return kept
 
 
 def _problem(data):
@@ -167,25 +164,17 @@ def _problem(data):
 
 
 def _coupling(data):
-    m, n = _integer("m", data["m"]), _integer("n", data["n"])
-    rows = data["entries"]
-    entries = [(e[0], e[1], e[2]) for e in rows if type(e[0]) is not bool is not type(e[1])]
-    return Coupling.from_entries(m, n, _index_pairs("entries", rows, entries))
+    return Coupling.from_entries(data["m"], data["n"], [(e[0], e[1], e[2]) for e in data["entries"]])
 
 
 def _system(data):
-    m, n = _integer("m", data["m"]), _integer("n", data["n"])
     limbs = []
-    for t, item in enumerate(data["limbs"]):
-        rows = item["map"]
-        pairs = [(p[0], p[1]) for p in rows if type(p[0]) is not bool is not type(p[1])]
-        k = _integer(f"limbs[{t}].k", item["k"])
-        limb = Limb(k, tuple(_index_pairs(f"limbs[{t}].map", rows, pairs)))
+    for item in data["limbs"]:
+        limb = Limb(item["k"], tuple((p[0], p[1]) for p in item["map"]))
         if item["kind"] != limb.kind:
             raise ValueError(f"limb {limb.k} must have kind {limb.kind!r}, not {item['kind']!r}")
         limbs.append(limb)
-    levels = (tuple(_integers(key, data[key])) for key in ("I_odd", "I_even"))
-    return NumberedLimbSystem(m, n, limbs, *levels)
+    return NumberedLimbSystem(data["m"], data["n"], limbs, tuple(data["I_odd"]), tuple(data["I_even"]))
 
 
 def load_problem(path, rational: bool = False):

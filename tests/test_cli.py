@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -154,8 +155,9 @@ class TestCli:
             ),
             ('{"mu": [true], "nu": [1], "cost": [[true]]}', "weight at index 0 is not a finite number: True"),
             ('{"mu": [1], "nu": [1], "cost": [[false]]}', "cost at (0, 0) is not a finite number: False"),
+            ('{"mu": [1], "nu": [1]}', "problem file has no cost matrix"),
         ],
-        ids=["negative-mass", "limb-0", "boolean-mass", "boolean-cost"],
+        ids=["negative-mass", "limb-0", "boolean-mass", "boolean-cost", "no-cost"],
     )
     def test_rejected_values_name_the_file(self, tmp_path, capsys, content, said):
         bad = tmp_path / "bad.json"
@@ -212,6 +214,34 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and "cannot be interpreted as an integer" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "extra, where, literal",
+        [
+            ('"note": true', "note", "true"),
+            ('"note": {"x": [0, false]}', "note.x[1]", "false"),
+            ('"deep": ' + "[" * 600 + "true" + "]" * 600, "deep" + "[0]" * 600, "true"),
+        ],
+        ids=["unknown-key", "nested-unknown-key", "600-deep"],
+    )
+    def test_a_boolean_anywhere_is_exit_1_naming_where(self, tmp_path, capsys, extra, where, literal):
+        # No verb reads these keys, yet a JSON boolean loads nowhere.
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"m": 1, "n": 1, "entries": [[0, 0, 1]], ' + extra + "}")
+        assert main(["check-extremal", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: {where} is JSON {literal}, which cannot be interpreted as an integer\n"
+        )
+
+    @pytest.mark.parametrize("literal", ["1e5000", "1E-5000", "1e10000000"])
+    def test_rational_exponent_beyond_the_digit_limit_is_exit_1(self, tmp_path, capsys, literal):
+        # Fraction would build 10**e in full: 1e10000000 alone takes seconds.
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"mu": [{literal}], "nu": [1], "cost": [[0]]}}')
+        assert main(["solve", "--rational", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "exponent" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_unrenderable_coupling_leaves_the_out_file_alone(self, tmp_path, capsys):
@@ -305,7 +335,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "verb, content",
         [(verb, "[1, 2]") for verb in ("check-extremal", "decompose", "reconstruct")]
-        + [(verb, '{"m": 2, "n": 2, "entries": [[0]]}') for verb in ("check-extremal", "decompose")],
+        + [(verb, '{"m": 2, "n": 2, "entries": [[0]]}') for verb in ("check-extremal", "decompose")]
+        # Text the parser gives up on: nested too deep, an integer too long.
+        + [
+            pytest.param("check-extremal", "[" * 100_000, id="nested-too-deep"),
+            pytest.param("decompose", '{"m": ' + "1" * 5000 + "}", id="integer-too-long"),
+        ],
     )
     def test_malformed_layout_is_exit_1_without_traceback(
         self, tmp_path, balanced_problem, capsys, verb, content
@@ -525,7 +560,7 @@ class TestCli:
         assert proc.stdout.strip() == "False"
 
 
-FUZZ_VALUES = [0, 1, 2, 3, 0.25, 0.5, 2.0, 1e-13, 1e308, HUGE]
+FUZZ_VALUES = [0, 1, 2, 3, 0.25, 0.5, 2.0, 1e-13, 1e308, HUGE, True, False, [0], "1", math.nan]
 
 
 @st.composite
