@@ -5,6 +5,7 @@ __all__ = [
     "ShapeMismatchError",
     "InfeasibleError",
     "DualInfeasibleError",
+    "SuboptimalPotentialsError",
     "SizeLimitError",
     "CycleError",
     "CyclicSupportError",
@@ -26,6 +27,11 @@ class InfeasibleError(LimbsysError):
 
 class DualInfeasibleError(LimbsysError):
     """Supplied potentials violate q[i] + r[j] <= c[i][j] beyond tolerance."""
+
+
+class SuboptimalPotentialsError(LimbsysError):
+    """Feasible potentials are not optimal: no flow on their zero set meets
+    the masses of some component of it, which the message names."""
 
 
 class SizeLimitError(LimbsysError):

@@ -35,15 +35,15 @@ __all__ = [
 
 
 def _render(value) -> str:
-    if isinstance(value, dict):
-        parts = (f"{json.dumps(str(k))}: {_render(v)}" for k, v in sorted(value.items()))
-        return "{" + ", ".join(parts) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in value) + "]"
-    if value is None or isinstance(value, (bool, str)):
-        return json.dumps(value)
+    # Scalars first, ints before strings: payloads are mostly indices.
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
+    if isinstance(value, str):
+        return json.dumps(value)
     if isinstance(value, (float, Fraction)):
         try:
             value = float(value)
@@ -52,6 +52,11 @@ def _render(value) -> str:
         if not math.isfinite(value):
             raise ValueError("cannot serialize a non-finite number")
         return format(value, ".17g")
+    if isinstance(value, dict):
+        parts = (f"{json.dumps(str(k))}: {_render(v)}" for k, v in sorted(value.items()))
+        return "{" + ", ".join(parts) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_render(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -98,9 +103,10 @@ def write_json(outputs):
 
 def _fraction(literal):
     """Fraction(literal), unless its exponent exceeds the limit on integer
-    literal digits: Fraction builds 10**e in full, in time growing with e."""
+    literal digits: Fraction builds 10**e in full, in time growing with e.
+    Python before 3.10.7 has no such limit; there CPython's default, 4300, holds."""
     if "e" in literal or "E" in literal:
-        limit = sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
         if limit and abs(int(literal.lower().partition("e")[2])) > limit:
             raise ValueError(f"a number's exponent exceeds the limit ({limit}) for integer literals")
     return Fraction(literal)

@@ -180,7 +180,9 @@ class Coupling:
         for i, j, w in entries:
             if not (0 <= i < self.m and 0 <= j < self.n):
                 raise ValueError(f"entry ({i}, {j}) outside the {self.m}x{self.n} grid")
-            if not _is_finite_number(w) or w <= 0:
+            # A Fraction's denominator is positive, so its numerator bears
+            # the sign, without the cost of a rich comparison.
+            if not _is_finite_number(w) or (w.numerator if type(w) is Fraction else w) <= 0:
                 raise ValueError(f"mass at ({i}, {j}) must be finite and > 0, got {w!r}")
             if prev is not None and (i, j) <= prev:
                 raise ValueError("entries must be strictly row-major sorted without duplicates")

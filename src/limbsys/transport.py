@@ -20,7 +20,7 @@ The optimal-vertex oracle lists the whole optimal face.  By complementary
 slackness every optimal dual cuts out the same face: the feasible couplings
 supported on the zero set of its reduced costs.  So the oracle takes the
 simplex's potentials, and one peel-and-branch walk per component of that
-zero set visits every spanning tree whose flow is nonnegative, pruning a
+zero set lists every spanning tree whose flow is nonnegative, pruning a
 branch at its first negative leaf mass or at a point the peel strands.  A
 tree counts only when the point left unpeeled in its component carries no
 net supply, so every vertex listed is a coupling on the zero set.  That
@@ -45,6 +45,7 @@ from .errors import (
     InfeasibleError,
     ShapeMismatchError,
     SizeLimitError,
+    SuboptimalPotentialsError,
 )
 from .extremality import SupportGraph
 from .measures import Coupling, CostMatrix, DiscreteMarginal, _is_finite_number, common_denominator
@@ -355,10 +356,10 @@ def zero_set(c: CostMatrix, p: DualPotentials) -> SupportGraph:
     return SupportGraph(c.m, c.n, frozenset(edges))
 
 
-def _feasible_bases(nodes, edges, supplies, eps, gap, budget):
-    """Yield the arc masses, as (edge, mass) pairs, of every spanning tree of
-    a connected component whose flow is nonnegative and meets every supply;
-    masses in [-eps - gap, 0) are clamped to 0.
+def _feasible_bases(nodes, edges, supplies, eps, gap, budget) -> list:
+    """The arc masses, as lists of (edge, mass) pairs, of every spanning tree
+    of a connected component whose flow is nonnegative and meets every
+    supply; masses in [-eps - gap, 0) are clamped to 0.
 
     One walk over the edges, which come sorted.  A leaf's one edge lies in
     every spanning tree of what is left and carries the leaf's remaining
@@ -369,19 +370,24 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget):
     delete it.  A finished tree counts when the one point left unpeeled has
     at most ``len(nodes) * eps + gap`` net supply, none on exact data.
     ``gap`` bounds the gap between the instance's totals, which may sit in
-    any point of the component and so in any leaf's mass.  State changes in
-    place and is undone on return; each walk state is charged to
-    ``budget``.
+    any point of the component and so in any leaf's mass.  Points are
+    numbered 0..k-1 in the order of ``nodes``; state changes in place and
+    is undone on return; each walk state is charged to ``budget``.
     """
-    incident = {v: [] for v in nodes}
-    for e, (u, v) in enumerate(edges):
-        incident[u].append((e, v))
-        incident[v].append((e, u))
-    degree = {v: len(incident[v]) for v in nodes}
-    net = {v: supplies[v] for v in nodes}
+    k = len(nodes)
+    local = {v: x for x, v in enumerate(nodes)}
+    ends = [(local[u], local[v]) for u, v in edges]
+    incident = [[] for _ in range(k)]
+    for e, (a, b) in enumerate(ends):
+        incident[a].append((e, b))
+        incident[b].append((e, a))
+    degree = [len(pairs) for pairs in incident]
+    net = [supplies[v] for v in nodes]
     alive = [True] * len(edges)  # neither deleted nor peeled
-    kept = {v: v for v in nodes}  # union-find of kept edges
+    kept = list(range(k))  # union-find of kept edges
     tree = []  # peeled (leaf, edge, other end, mass, other end's net before)
+    floor, tol, last = -eps - gap, k * eps + gap, k - 1
+    found = []
 
     def peel(leaves):
         """Peel ``leaves`` and every leaf that exposes; False at a mass below
@@ -389,17 +395,22 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget):
         while leaves:
             v = leaves.pop()
             if degree[v] == 1:
-                e, u = next(pair for pair in incident[v] if alive[pair[0]])
+                for e, u in incident[v]:
+                    if alive[e]:
+                        break
                 w = net[v]
                 if w < 0:
-                    if w < -eps - gap:
+                    if w < floor:
                         return False
                     w = 0
                 tree.append((v, e, u, w, net[u]))
-                alive[e], degree[v], degree[u], net[u] = False, 0, degree[u] - 1, net[u] - w
+                alive[e] = False
+                degree[v] = 0
+                degree[u] -= 1
+                net[u] -= w
                 if degree[u] == 1:
                     leaves.append(u)
-                elif degree[u] == 0 and len(tree) < len(nodes) - 1:
+                elif degree[u] == 0 and len(tree) < last:
                     return False
         return True
 
@@ -407,32 +418,38 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget):
         budget[0] -= 1
         if budget[0] < 0:
             raise SizeLimitError("optimal face has too many spanning-forest bases to enumerate")
-        if len(tree) == len(nodes) - 1:
+        if len(tree) == last:
             # The other end of the last peeled edge is the one point left.
-            if abs(net[tree[-1][2] if tree else nodes[0]]) <= len(nodes) * eps + gap:
-                yield [(edges[f], w) for _, f, _, w, _ in tree]
+            if abs(net[tree[-1][2] if tree else 0]) <= tol:
+                found.append([(edges[f], w) for _, f, _, w, _ in tree])
             return
         # Every standing point keeps two alive edges, so they hold a cycle,
         # which kept edges never close: an undecided edge remains.
         while not alive[e]:
             e += 1
-        a, b = edges[e]
+        a, b = ends[e]
         ra, rb = _root(kept, a), _root(kept, b)
         if ra != rb:
             kept[ra] = rb
-            yield from walk(e + 1)
+            walk(e + 1)
             kept[ra] = ra
         mark = len(tree)
-        alive[e], degree[a], degree[b] = False, degree[a] - 1, degree[b] - 1
+        alive[e] = False
+        degree[a] -= 1
+        degree[b] -= 1
         if peel([a, b]):
-            yield from walk(e + 1)
+            walk(e + 1)
         while len(tree) > mark:
             v, f, u, _, old = tree.pop()
-            alive[f], degree[v], degree[u], net[u] = True, 1, degree[u] + 1, old
-        alive[e], degree[a], degree[b] = True, degree[a] + 1, degree[b] + 1
+            alive[f], degree[v], net[u] = True, 1, old
+            degree[u] += 1
+        alive[e] = True
+        degree[a] += 1
+        degree[b] += 1
 
-    if peel([v for v in nodes if degree[v] == 1]):
-        yield from walk(0)
+    if peel([v for v in range(k) if degree[v] == 1]):
+        walk(0)
+    return found
 
 
 def _root(parent, v):
@@ -458,12 +475,12 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
     Exhausting, component by component, the spanning trees of that
     subgraph whose flow is nonnegative and meets every supply lists every
     vertex of the face.  Such a flow proves the potentials optimal, by weak
-    duality; were they not, some component would have no such tree and an
-    ``AssertionError`` is raised.  On float data the totals may differ by
-    up to the slack the instance check allows, and the gap between them
-    can ride on any edge of a tree, so masses at or below the mass
-    threshold plus that gap are dropped as dust; balanced totals add
-    nothing, and exact data get neither.  Each vertex is listed once per
+    duality; were they not, some component would have no such tree and
+    :class:`SuboptimalPotentialsError` names its points.  On float data the
+    totals may differ by up to the slack the instance check allows, and the
+    gap between them can ride on any edge of a tree, so masses at or below
+    the mass threshold plus that gap are dropped as dust; balanced totals
+    add nothing, and exact data get neither.  Each vertex is listed once per
     support, and the list is sorted by entries.
 
     Refuses grids above ``ORACLE_MAX_CELLS`` cells and faces whose walk
@@ -503,7 +520,10 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
             entries = tuple(sorted((u, v - m, w) for (u, v), w in masses if w > eps_mass + gap))
             options.setdefault(tuple(cell[:2] for cell in entries), entries)
         if not options:
-            raise AssertionError("every component of the zero set supports an optimal restriction")
+            points = ", ".join(f"row {v}" if v < m else f"column {v - m}" for v in nodes)
+            raise SuboptimalPotentialsError(
+                f"potentials are not optimal: no flow on their zero set meets the masses of {points}"
+            )
         per_component.append(sorted(options.values()))
 
     vertices = []

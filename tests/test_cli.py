@@ -72,6 +72,17 @@ class TestCanonicalJson:
         with pytest.raises(ValueError):
             canonical_json(float("inf"))
 
+    def test_mixed_scalars(self):
+        payload = {
+            "z": [None, True, False, 0, -7, 2**70],
+            "a": [0.1, -2.5, F(1, 3), F(3)],
+            "s": ["x\"y", "é"],
+        }
+        assert canonical_json(payload) == (
+            '{"a": [0.10000000000000001, -2.5, 0.33333333333333331, 3], '
+            '"s": ["x\\"y", "\\u00e9"], "z": [null, true, false, 0, -7, 1180591620717411303424]}\n'
+        )
+
 
 class TestFileFormats:
     def test_problem_round_trip(self, tmp_path):
@@ -243,6 +254,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and "exponent" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_exponent_limit_without_get_int_max_str_digits(self, tmp_path, capsys, monkeypatch):
+        # Python before 3.10.7 has no sys.get_int_max_str_digits; the limit
+        # is then CPython's default, 4300 digits.
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        path = tmp_path / "p.json"
+        path.write_text('{"mu": [1e400, 5e399], "nu": [1.5e400], "cost": [[0], [1]]}')
+        mu, _, _ = load_problem(path, rational=True)
+        assert mu.weights == (F(10**400), F(5 * 10**399))
+        path.write_text('{"mu": [1e4301], "nu": [1], "cost": [[0]]}')
+        assert main(["solve", "--rational", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: a number's exponent exceeds the limit (4300) for integer literals\n"
 
     def test_unrenderable_coupling_leaves_the_out_file_alone(self, tmp_path, capsys):
         # The optimum costs 0, so the summary renders, but the mass 10**400

@@ -86,6 +86,11 @@ class TestValidation:
         gamma = Coupling.from_entries(2, 2, [(0, 0, F(0)), (1, 0, F(1))])
         assert gamma.entries == ((1, 0, F(1)),)
 
+    @pytest.mark.parametrize("bad", [F(0), F(-1, 2), 0, -1, 0.0, -0.5])
+    def test_rejects_zero_and_negative_masses(self, bad):
+        with pytest.raises(ValueError, match=r"mass at \(0, 0\) must be finite and > 0"):
+            Coupling(2, 2, ((0, 0, bad),))
+
     @pytest.mark.parametrize("bad", [F(-1, 2), -0.5, float("nan")])
     def test_from_entries_rejects_negative_and_nan(self, bad):
         with pytest.raises(ValueError, match=r"\(1, 0\)"):

@@ -21,6 +21,7 @@ from limbsys import (
     InfeasibleError,
     ShapeMismatchError,
     SizeLimitError,
+    SuboptimalPotentialsError,
     c_transform,
     enumerate_optimal_vertices,
     is_acyclic,
@@ -584,9 +585,14 @@ class TestEnumerateOptimalVertices:
             monkeypatch.setattr(transport, "_solve", lambda *_: fake)
             return enumerate_optimal_vertices(ones, ones, c)
 
+        # Row 0 has no zero-set cell in either: its component is row 0 alone.
         for q, r in [((0, 0), (0, 0)), ((0, 0), (0, 1))]:
-            with pytest.raises(AssertionError):
+            with pytest.raises(SuboptimalPotentialsError, match=r"the masses of row 0$"):
                 enumerate_with(q, r)
+        # Here the zero set is column 0's two cells: two units of supply
+        # and one of demand.
+        with pytest.raises(SuboptimalPotentialsError, match=r"the masses of row 0, row 1, column 0$"):
+            enumerate_with((1, 2), (0, -2))
         with pytest.raises(DualInfeasibleError):
             enumerate_with((2, 0), (0, 0))
         assert [g.entries for g in enumerate_with((1, 0), (0, 1))] == [((0, 0, 1), (1, 1, 1))]
@@ -707,6 +713,20 @@ class TestEnumerateOptimalVertices:
             monkeypatch.setattr(transport, "ORACLE_MAX_BASES", budget)
             with pytest.raises(SizeLimitError):
                 enumerate_optimal_vertices(uniform(4), uniform(4), flat)
+
+    def test_tied_face_walk_states(self, monkeypatch):
+        # README Scale's tied 6x6 face with 6 zero cells beyond a spanning
+        # tree: 1,195 walk states suffice, one less does not.  Any change
+        # to the walk's branch order or pruning moves this count.
+        rng = random.Random(606)
+        oracles.planted_tie_instance(rng, 6, 6, 4)
+        mu, nu, c = oracles.planted_tie_instance(rng, 6, 6, 6)
+        found = enumerate_optimal_vertices(mu, nu, c)
+        monkeypatch.setattr(transport, "ORACLE_MAX_BASES", 1195)
+        assert enumerate_optimal_vertices(mu, nu, c) == found
+        monkeypatch.setattr(transport, "ORACLE_MAX_BASES", 1194)
+        with pytest.raises(SizeLimitError):
+            enumerate_optimal_vertices(mu, nu, c)
 
     def test_unbalanced_instance_rejected(self):
         with pytest.raises(InfeasibleError):
