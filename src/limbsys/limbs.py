@@ -185,7 +185,8 @@ def decompose(support: SupportGraph) -> NumberedLimbSystem:
     m, n = support.m, support.n
     above, order, witness = _peel(support)
     if witness is not None:
-        raise CyclicSupportError("support contains an alternating cycle", witness)
+        cycle = f"rows {list(witness.rows)} and columns {list(witness.cols)}"
+        raise CyclicSupportError(f"support contains an alternating cycle through {cycle}", witness)
 
     level = [1] * m + [0] * n
     limb_pairs: dict = {}
@@ -225,7 +226,7 @@ def reconstruct(
     """
     violations = system_violations(system)
     if violations:
-        raise InvalidSystemError("limb system is invalid", violations)
+        raise InvalidSystemError("limb system is invalid: " + "; ".join(violations), violations)
     if (system.m, system.n) != (mu.size, nu.size):
         raise ShapeMismatchError(
             f"system is {system.m}x{system.n} but marginals have sizes {mu.size} and {nu.size}"

@@ -19,9 +19,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
-from typing import Optional, Sequence
 
-from .errors import InfeasibleError, ShapeMismatchError
+from .errors import ShapeMismatchError
 
 __all__ = [
     "DiscreteMarginal",
@@ -29,8 +28,6 @@ __all__ = [
     "Coupling",
     "marginals_of",
     "validate_coupling",
-    "pushforward_graph",
-    "pushforward_antigraph",
     "tv_distance",
 ]
 
@@ -246,42 +243,6 @@ def validate_coupling(gamma: Coupling, mu: DiscreteMarginal, nu: DiscreteMargina
         return all(abs(a - b) <= eps for a, b in zip(row.weights, mu.weights)) and all(
             abs(a - b) <= eps for a, b in zip(col.weights, nu.weights)
         )
-
-
-def pushforward_graph(f: Sequence[Optional[int]], eta: DiscreteMarginal, n: int) -> Coupling:
-    """Push ``eta`` through a partial map of row indices to column indices.
-
-    ``f[i]`` is the image column of row ``i`` or None where undefined.  The
-    result puts mass ``eta_i`` on cell ``(i, f[i])`` for every i in the domain,
-    so its support lies in the graph of ``f`` and its first marginal restricted
-    to the domain is ``eta``.  ``eta`` must vanish (up to the mass threshold
-    for float data) off the domain; genuinely positive mass there is
-    infeasible by definition of a push-forward and raises.
-    """
-    if len(f) != eta.size:
-        raise ShapeMismatchError(f"map has {len(f)} slots but marginal has {eta.size} points")
-    eps, _ = thresholds(masses=(eta.weights,))
-    entries = []
-    for i, w in enumerate(eta.weights):
-        j = f[i]
-        if j is None:
-            if w > eps:
-                raise InfeasibleError(
-                    f"marginal carries mass {w!r} at point {i} outside the domain of the map"
-                )
-            continue
-        if not (0 <= j < n):
-            raise ValueError(f"map sends {i} to {j}, outside the {n} image points")
-        if w > 0:
-            entries.append((i, j, w))
-    return Coupling(eta.size, n, tuple(entries))
-
-
-def pushforward_antigraph(g: Sequence[Optional[int]], eta: DiscreteMarginal, m: int) -> Coupling:
-    """Transpose of :func:`pushforward_graph` for a partial map of column
-    indices to row indices: mass ``eta_j`` lands on cell ``(g[j], j)``."""
-    piece = pushforward_graph(g, eta, m)
-    return Coupling.from_entries(m, eta.size, ((i, j, w) for j, i, w in piece.entries))
 
 
 def tv_distance(a: Coupling, b: Coupling):

@@ -55,7 +55,6 @@ __all__ = [
     "DualPotentials",
     "SolveReport",
     "solve",
-    "c_transform",
     "zero_set",
     "enumerate_optimal_vertices",
     "is_unique_optimum",
@@ -164,7 +163,8 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
     Returns a basic optimal solution (forest support), dual potentials with
     r[0] = 0 satisfying complementary slackness on the support, and both
     objective values.  Unbalanced or mismatched inputs raise; they are never
-    repaired behind the caller's back.
+    repaired behind the caller's back, and an optimum value or potentials
+    beyond the float range raise ValueError.
     """
     return _solve(mu, nu, c, _check_instance(mu, nu, c))
 
@@ -312,6 +312,10 @@ def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
     with float_range(mu.weights, nu.weights, *c.rows):
         primal = sum(c.rows[i][j] * w for i, j, w in entries) if entries else 0
         dual = sum(map(mul, q, mu.weights)) + sum(map(mul, r, nu.weights))
+    if not (_is_finite_number(primal) and _is_finite_number(dual)):
+        raise ValueError(
+            f"the optimum value of these data leaves the float range: primal {primal!r}, dual {dual!r}"
+        )
     return SolveReport(coupling, DualPotentials(q, r), primal, dual, iterations, degenerate)
 
 
@@ -319,16 +323,6 @@ def _times(values, s):
     """Exact ``values`` times ``s``, a multiple of each of their
     denominators, as ints."""
     return [v.numerator * (s // v.denominator) for v in values]
-
-
-def c_transform(r: Sequence, c: CostMatrix) -> tuple:
-    """Tightest row potentials compatible with ``r``:
-    q[i] = min_j (c[i][j] - r[j])."""
-    if len(r) != c.n:
-        raise ShapeMismatchError(f"potential has {len(r)} entries but cost has {c.n} columns")
-    _finite("r", r)
-    with float_range(r, *c.rows):
-        return tuple(min(row[j] - r[j] for j in range(c.n)) for row in c.rows)
 
 
 def zero_set(c: CostMatrix, p: DualPotentials) -> SupportGraph:

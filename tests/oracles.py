@@ -10,7 +10,10 @@ optimal-face check takes its reference value from them.  Faces too large
 for that brute force are enumerated on the zero set of those duals by
 ordered backtracking over all their spanning trees, each tree's flow peeled
 from scratch and nothing pruned, as a reference for the package's pruned
-walk on the zero set of the simplex's duals.
+walk on the zero set of the simplex's duals.  The push-forward of a
+marginal through a graph or antigraph and the c-transform of a potential
+are written out from their definitions, as references for couplings built
+from pieces and for the simplex's potentials.
 """
 
 from __future__ import annotations
@@ -30,11 +33,14 @@ from limbsys import (
     CostMatrix,
     DiscreteMarginal,
     DualPotentials,
+    InfeasibleError,
+    ShapeMismatchError,
     SizeLimitError,
     validate_coupling,
     zero_set,
 )
-from limbsys.measures import thresholds
+from limbsys.measures import float_range, thresholds
+from limbsys.transport import _finite
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +476,57 @@ def is_vertex_oracle(gamma: Coupling) -> bool:
         a[i, col] = 1.0
         a[m + j, col] = 1.0
     return np.linalg.matrix_rank(a) == len(cells)
+
+
+# ---------------------------------------------------------------------------
+# Push-forwards and c-transforms
+# ---------------------------------------------------------------------------
+
+
+def pushforward_graph(f, eta: DiscreteMarginal, n: int) -> Coupling:
+    """Push ``eta`` through a partial map of row indices to column indices.
+
+    ``f[i]`` is the image column of row ``i`` or None where undefined.  The
+    result puts mass ``eta_i`` on cell ``(i, f[i])`` for every i in the domain,
+    so its support lies in the graph of ``f`` and its first marginal restricted
+    to the domain is ``eta``.  ``eta`` must vanish (up to the mass threshold
+    for float data) off the domain; genuinely positive mass there is
+    infeasible by definition of a push-forward and raises.
+    """
+    if len(f) != eta.size:
+        raise ShapeMismatchError(f"map has {len(f)} slots but marginal has {eta.size} points")
+    eps, _ = thresholds(masses=(eta.weights,))
+    entries = []
+    for i, w in enumerate(eta.weights):
+        j = f[i]
+        if j is None:
+            if w > eps:
+                raise InfeasibleError(
+                    f"marginal carries mass {w!r} at point {i} outside the domain of the map"
+                )
+            continue
+        if not (0 <= j < n):
+            raise ValueError(f"map sends {i} to {j}, outside the {n} image points")
+        if w > 0:
+            entries.append((i, j, w))
+    return Coupling(eta.size, n, tuple(entries))
+
+
+def pushforward_antigraph(g, eta: DiscreteMarginal, m: int) -> Coupling:
+    """Transpose of :func:`pushforward_graph` for a partial map of column
+    indices to row indices: mass ``eta_j`` lands on cell ``(g[j], j)``."""
+    piece = pushforward_graph(g, eta, m)
+    return Coupling.from_entries(m, eta.size, ((i, j, w) for j, i, w in piece.entries))
+
+
+def c_transform(r, c: CostMatrix) -> tuple:
+    """Tightest row potentials compatible with ``r``:
+    q[i] = min_j (c[i][j] - r[j])."""
+    if len(r) != c.n:
+        raise ShapeMismatchError(f"potential has {len(r)} entries but cost has {c.n} columns")
+    _finite("r", r)
+    with float_range(r, *c.rows):
+        return tuple(min(row[j] - r[j] for j in range(c.n)) for row in c.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from limbsys import (
     is_extremal,
     limb_count,
     marginals_of,
-    pushforward_graph,
     rational_demo_instance,
     reconstruct,
     run_demo,
@@ -273,7 +272,7 @@ def test_a9_pushforward_determinism():
         eta = DiscreteMarginal(
             tuple(F(rng.randint(0, 12), 6) if f[i] is not None else F(0) for i in range(m))
         )
-        direct = pushforward_graph(f, eta, n)
+        direct = oracles.pushforward_graph(f, eta, n)
         fragments = []
         for i, w in enumerate(eta.weights):
             if f[i] is None or w == 0:

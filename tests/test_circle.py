@@ -308,6 +308,20 @@ class TestDemo:
         assert sum(report.limb_mass[2:]) > 0.05
         assert {k for _, _, _, k in support_rows(report)} == {1, 2, 3, 4, 5}
 
+    @pytest.mark.parametrize("n, default_cells, limbs", [(32, 55, 10), (64, 111, 18)])
+    def test_a_quarter_step_turn_gives_a_spanning_tree_of_many_limbs(self, n, default_cells, limbs):
+        # The default peaks are mirror images, nu(a) = mu(-a), so the default
+        # instance is degenerate and its support a forest short of 2n - 1
+        # cells.  Both centres turned a quarter grid step break the mirror:
+        # the support is a spanning tree, and limbs 3 and up carry most mass.
+        assert len(run_demo(DemoConfig(n=n)).solve_report.coupling.entries) == default_cells
+        turn = 2 * math.pi / (4 * n)
+        report = run_demo(DemoConfig(n=n, mu_center=math.pi / 2 + turn, nu_center=3 * math.pi / 2 + turn))
+        assert len(report.solve_report.coupling.entries) == 2 * n - 1
+        assert limb_count(report.system) == limbs
+        beyond = sum(report.limb_mass) - mass_on_limb(report, 1) - mass_on_limb(report, 2)
+        assert beyond > 0.7 * sum(report.limb_mass)
+
     def test_optimum_off_the_default_centres_need_not_be_unique(self):
         # With both peaks 0.3 rad off the default centres the even grids have
         # whole optimal faces; at the default centres each n has one vertex.

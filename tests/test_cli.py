@@ -405,6 +405,18 @@ class TestCli:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("duals", [False, True])
+    def test_optimum_value_beyond_float_range_is_exit_1(self, tmp_path, capsys, duals):
+        path, out, dual_path = tmp_path / "p.json", tmp_path / "out.json", tmp_path / "d.json"
+        write_problem(path, [1e300, 1e300], [1e300, 1e300], [[1e10, 1e10], [1e10, 1e10]])
+        argv = ["solve", str(path), "--out", str(out)] + (["--duals", str(dual_path)] if duals else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the optimum value")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not out.exists() and not dual_path.exists()
+
     @pytest.mark.parametrize("extra", [[], ["--eps-mass", "1e-3"]])
     def test_usage_error_is_exit_1(self, tmp_path, capsys, extra):
         # argparse exits 2 on a usage error; here 2 means an infeasible instance.
@@ -440,6 +452,28 @@ class TestCli:
         write_coupling(cyclic, 2, 2, [[i, j, 0.25] for i in range(2) for j in range(2)])
         assert main(["decompose", str(cyclic), "--out", str(tmp_path / "s.json")]) == 3
         assert "cyclic" in capsys.readouterr().err
+
+    def test_decompose_cyclic_names_the_cycle(self, tmp_path, capsys):
+        full = tmp_path / "full.json"
+        write_coupling(full, 2, 2, [[i, j, 0.25] for i in range(2) for j in range(2)])
+        assert main(["decompose", str(full), "--out", str(tmp_path / "s.json")]) == 3
+        assert capsys.readouterr().err == (
+            "cyclic support: support contains an alternating cycle through rows [0, 1] and columns [0, 1]\n"
+        )
+
+    def test_reconstruct_invalid_system_names_the_violations(self, tmp_path, balanced_problem, capsys):
+        # Limb 1 maps row 1 to column 1, which sits in I_2.
+        limb = {"k": 1, "kind": "graph", "map": [[0, 0], [1, 1]]}
+        system = tmp_path / "system.json"
+        system.write_text(
+            json.dumps({"m": 2, "n": 2, "limbs": [limb], "I_odd": [1, 1], "I_even": [0, 2]}) + "\n"
+        )
+        argv = ["reconstruct", str(system), str(balanced_problem), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: limb system is invalid: limb 1: image point 1 sits in I_2, not I_0\n"
+        )
+        assert not (tmp_path / "r.json").exists()
 
     def test_decompose_prints_the_highest_limb_index(self, tmp_path, capsys):
         # One row sending to two columns decomposes into limb 2 alone: the
@@ -589,7 +623,8 @@ FUZZ_VALUES = [0, 1, 2, 3, 0.25, 0.5, 2.0, 1e-13, 1e308, HUGE, True, False, [0],
 
 @st.composite
 def cli_runs(draw):
-    """A well-shaped problem and coupling file, and one verb to run on them."""
+    """A well-shaped problem and coupling file, and one verb to run on them;
+    for reconstruct, a problem and limb-system file of their own."""
     value = st.sampled_from(FUZZ_VALUES)
 
     def values(size):
@@ -606,27 +641,62 @@ def cli_runs(draw):
     # A cell listed twice is merged on load.
     cell = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), value).map(list)
     entries += draw(st.lists(cell, max_size=2))
-    verb = draw(st.sampled_from(["solve", "check-extremal", "decompose"]))
-    problem = {"mu": mu, "nu": nu, "cost": cost}
-    return problem, {"m": m, "n": n, "entries": entries}, verb, draw(st.booleans())
+    verb = draw(st.sampled_from(["solve", "check-extremal", "decompose", "reconstruct"]))
+    problem, system = {"mu": mu, "nu": nu, "cost": cost}, None
+    if verb == "reconstruct":
+        problem, system = draw(reconstruct_files(m, n))
+    return problem, {"m": m, "n": n, "entries": entries}, system, verb, draw(st.booleans())
+
+
+@st.composite
+def reconstruct_files(draw, m, n):
+    """A problem and a limb-system file on the m x n grid.  The system's
+    limb numbers, kinds, levels and map entries, and the masses, come from
+    small ranges; in half the pairs each may also be a fuzz value or an
+    index off the grid."""
+    wild = draw(st.booleans())
+
+    def field(small):
+        return st.one_of(small, st.sampled_from(FUZZ_VALUES + [-1, max(m, n)])) if wild else small
+
+    def fields(small, size):
+        return draw(st.lists(field(small), min_size=size, max_size=size))
+
+    point = field(st.integers(0, max(m, n) - 1))
+    limbs = [
+        {
+            "k": draw(field(st.just(k))),
+            "kind": draw(field(st.just("graph" if k % 2 else "antigraph"))),
+            # One pair per source, so most maps are single-valued; keyed by
+            # str, as a fuzz value may be a list.
+            "map": draw(st.lists(st.tuples(point, point), max_size=3, unique_by=lambda p: str(p[0]))),
+        }
+        for k in sorted(draw(st.sets(st.integers(1, 4), max_size=3)))
+    ]
+    mass = st.sampled_from([0, 1, 2, 0.5])
+    problem = {"mu": fields(mass, m), "nu": fields(mass, n)}
+    levels = {"I_odd": fields(st.sampled_from([1, 3]), m), "I_even": fields(st.sampled_from([0, 2]), n)}
+    return problem, {"m": m, "n": n, "limbs": limbs, **levels}
 
 
 @settings(
-    max_examples=300,
+    max_examples=400,
     derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(cli_runs())
 def test_cli_fuzz_exits_with_a_documented_code(tmp_path, run):
-    problem, coupling, verb, rational = run
-    problem_path, coupling_path = tmp_path / "p.json", tmp_path / "g.json"
+    problem, coupling, system, verb, rational = run
+    problem_path, coupling_path, system_path = tmp_path / "p.json", tmp_path / "g.json", tmp_path / "s.json"
     problem_path.write_text(json.dumps(problem))
     coupling_path.write_text(json.dumps(coupling))
+    system_path.write_text(json.dumps(system))
     out = [str(tmp_path / name) for name in ("out.json", "duals.json")]
     argv = {
         "solve": ["solve", str(problem_path), "--out", out[0], "--duals", out[1]],
         "check-extremal": ["check-extremal", str(coupling_path), "--witness", out[0]],
         "decompose": ["decompose", str(coupling_path), "--out", out[0]],
+        "reconstruct": ["reconstruct", str(system_path), str(problem_path), "--out", out[0]],
     }[verb]
     assert main(argv + ["--rational"] * rational) in range(5)

@@ -22,7 +22,6 @@ from limbsys import (
     ShapeMismatchError,
     SizeLimitError,
     SuboptimalPotentialsError,
-    c_transform,
     enumerate_optimal_vertices,
     is_acyclic,
     is_unique_optimum,
@@ -213,6 +212,12 @@ class TestSolve:
         with pytest.raises(ValueError, match="potentials"):
             solve(mu, nu, CostMatrix(((-1e308, 1.7e308, 1.0, 0.5),)))
 
+    def test_optimum_value_beyond_the_float_range_raises(self):
+        # Each product 1e300 * 1e10 overflows to inf.
+        big = DiscreteMarginal((1e300, 1e300))
+        with pytest.raises(ValueError, match="optimum value .* float range: primal inf, dual inf"):
+            solve(big, big, CostMatrix(((1e10, 1e10), (1e10, 1e10))))
+
 
 def degenerate_instance(case, as_type):
     """Equal masses with tied costs, on which pivots can move no mass."""
@@ -387,10 +392,10 @@ class TestScaleInvariance:
 
 class TestCTransform:
     def test_zero_everything(self):
-        assert c_transform((0, 0), CostMatrix(((0, 0), (0, 0)))) == (0, 0)
+        assert oracles.c_transform((0, 0), CostMatrix(((0, 0), (0, 0)))) == (0, 0)
 
     def test_row_minima(self):
-        assert c_transform((0, 0), CostMatrix(((1, 3), (2, 0)))) == (1, 0)
+        assert oracles.c_transform((0, 0), CostMatrix(((1, 3), (2, 0)))) == (1, 0)
 
     def test_fixed_point_at_optimum(self):
         rng = random.Random(77)
@@ -398,13 +403,13 @@ class TestCTransform:
             mu, nu, c = oracles.random_rational_instance(rng, 5, 5)
             report = solve(mu, nu, c)
             q, r = report.potentials.q, report.potentials.r
-            assert c_transform(r, c) == q
+            assert oracles.c_transform(r, c) == q
             transposed = CostMatrix(tuple(zip(*c.rows)))
-            assert c_transform(q, transposed) == r
+            assert oracles.c_transform(q, transposed) == r
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            c_transform((0, 0, 0), CostMatrix(((1, 2), (3, 4))))
+            oracles.c_transform((0, 0, 0), CostMatrix(((1, 2), (3, 4))))
 
 
 class TestZeroSet:
@@ -433,7 +438,7 @@ class TestZeroSet:
         with pytest.raises(ValueError, match="potential r at index 1 is not a finite number"):
             DualPotentials((0.0, 0.0), (0.0, bad))
         with pytest.raises(ValueError, match="potential r at index 0 is not a finite number"):
-            c_transform((bad, 0.0), c)
+            oracles.c_transform((bad, 0.0), c)
 
     def test_infeasible_potentials_raise(self):
         c = CostMatrix(((0, 0), (0, 0)))
@@ -751,9 +756,9 @@ def test_triple_transform_collapses(m, n, data):
     r0 = tuple(data.draw(st.integers(min_value=-9, max_value=9)) for _ in range(n))
     c = CostMatrix(rows)
     transposed = CostMatrix(tuple(zip(*rows)))
-    q1 = c_transform(r0, c)
-    r1 = c_transform(q1, transposed)
-    q2 = c_transform(r1, c)
+    q1 = oracles.c_transform(r0, c)
+    r1 = oracles.c_transform(q1, transposed)
+    q2 = oracles.c_transform(r1, c)
     assert q2 == q1
 
 
