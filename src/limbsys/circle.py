@@ -20,7 +20,7 @@ from operator import or_, sub
 
 from .errors import LimbsysError
 from .extremality import support_graph
-from .limbs import NumberedLimbSystem, decompose
+from .limbs import NumberedLimbSystem, decompose, limb_count
 from .measures import CostMatrix, DiscreteMarginal, thresholds
 from .transport import SolveReport, solve
 
@@ -109,11 +109,12 @@ class DemoReport:
 
     @property
     def limb_mass(self) -> tuple:
-        """The coupling mass on each limb of ``system``, in limb order."""
-        mass = dict.fromkeys((limb.k for limb in self.system.limbs), 0)
+        """The coupling mass on limb k at index k - 1, for k up to
+        ``limb_count(system)``; 0 where the system has no limb k."""
+        mass = [0] * limb_count(self.system)
         for i, j, w in self.solve_report.coupling.entries:
-            mass[self.system.limb_of(i, j)] += w
-        return tuple(mass.values())
+            mass[self.system.limb_of(i, j) - 1] += w
+        return tuple(mass)
 
 
 def build_circle_cost(grid: CircleGrid) -> CostMatrix:

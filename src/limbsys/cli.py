@@ -40,7 +40,7 @@ def _cmd_solve(args):
         raise ValueError(f"{args.problem}: problem file has no cost matrix")
     report = solve(mu, nu, cost)
     with float_range((report.primal_value,)):
-        summary = f"optimum {float(report.primal_value):.17g} in {report.iterations} pivots"
+        summary = f"optimum {float(report.primal_value)!r} in {report.iterations} pivots"
     return 0, summary, [
         (args.out, coupling_payload(report.coupling)),
         (args.duals, duals_payload(report.potentials, report.primal_value)),
@@ -81,7 +81,7 @@ def _cmd_demo_circle(args):
     # is always "extremal".
     report = run_demo(cfg)
     summary = (
-        f"value {float(report.solve_report.primal_value):.17g}, "
+        f"value {float(report.solve_report.primal_value)!r}, "
         f"extremal, {limb_count(report.system)} limbs"
     )
     outputs = []
@@ -97,7 +97,7 @@ def _cmd_demo_circle(args):
         }))
     if args.plot:
         outputs.append((args.plot, "theta,phi,mass,limb\n" + "".join(
-            f"{theta:.17g},{phi:.17g},{float(mass):.17g},{k}\n"
+            f"{theta!r},{phi!r},{float(mass)!r},{k}\n"
             for theta, phi, mass, k in support_rows(report)
         )))
     return 0, summary, outputs

@@ -1,17 +1,19 @@
 """File formats: problem, coupling, duals, system and witness JSON.
 
-All JSON written here is canonical: keys sorted, floats rendered with 17
-significant digits, newline terminated.  Identical data therefore produces
-byte-identical files on every platform, which keeps golden-file tests and
-cross-run diffs honest.  With ``rational=True`` the loaders parse numeric
-literals into exact Fractions; writers always emit plain JSON numbers.
+All JSON written here is canonical: ``json.dumps`` with sorted keys, each
+float printed as its shortest round-trip text (``repr``), a Fraction as
+its nearest float, newline terminated.  Identical data therefore produces
+byte-identical files on every platform, and every float reads back as the
+float written.  With ``rational=True`` the loaders parse numeric literals
+into exact Fractions, so a written Fraction reads back exactly when it is
+a decimal of at most 15 significant digits in the normal float range;
+others, such as 1/3, read back as the decimal of their nearest float.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import stat
 import sys
@@ -34,34 +36,17 @@ __all__ = [
 ]
 
 
-def _render(value) -> str:
-    # Scalars first, ints before strings: payloads are mostly indices.
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (float, Fraction)):
+def _fraction_to_float(value):
+    if isinstance(value, Fraction):
         try:
-            value = float(value)
+            return float(value)
         except OverflowError:
             raise ValueError(f"cannot serialize {value!r}, beyond the float range") from None
-        if not math.isfinite(value):
-            raise ValueError("cannot serialize a non-finite number")
-        return format(value, ".17g")
-    if isinstance(value, dict):
-        parts = (f"{json.dumps(str(k))}: {_render(v)}" for k, v in sorted(value.items()))
-        return "{" + ", ".join(parts) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def canonical_json(payload) -> str:
-    return _render(payload) + "\n"
+    return json.dumps(payload, sort_keys=True, allow_nan=False, default=_fraction_to_float) + "\n"
 
 
 def write_json(outputs):

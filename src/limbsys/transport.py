@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import mul, sub
 from typing import NamedTuple, Sequence
 
@@ -502,7 +502,8 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
         comp_edges[_root(parent, u)].append((u, v))
 
     # Exact supplies are walked as ints, times L, which keeps every sign and
-    # order; the masses of the listed vertices are divided back at the end.
+    # order; each component's options are divided back before they combine,
+    # each distinct entry once, as the options share most of their entries.
     supplies = instance.mu + instance.nu
     budget = [ORACLE_MAX_BASES]
     per_component = []
@@ -518,17 +519,14 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
             raise SuboptimalPotentialsError(
                 f"potentials are not optimal: no flow on their zero set meets the masses of {points}"
             )
-        per_component.append(sorted(options.values()))
+        parts = sorted(options.values())
+        if instance.L > 1:
+            exact = {e: (e[0], e[1], Fraction(e[2], instance.L)) for e in set(chain.from_iterable(parts))}
+            parts = [[exact[e] for e in part] for part in parts]
+        per_component.append(parts)
 
-    vertices = []
-    for combo in product(*per_component):
-        merged = []
-        for part in combo:
-            merged.extend(part)
-        vertices.append(sorted(merged))
-    vertices.sort()
-    if instance.L > 1:
-        vertices = [[(i, j, Fraction(w, instance.L)) for i, j, w in entries] for entries in vertices]
+    # Components hold disjoint cells, so a merged vertex sorts by cell alone.
+    vertices = sorted(sorted(chain.from_iterable(combo)) for combo in product(*per_component))
     return [Coupling(m, n, tuple(entries)) for entries in vertices]
 
 

@@ -229,7 +229,7 @@ class TestSubtwist:
 
 def mass_on_limb(report, k):
     """Mass the demo report puts on limb k; 0 when the system has no limb k."""
-    return dict(zip((limb.k for limb in report.system.limbs), report.limb_mass)).get(k, 0)
+    return report.limb_mass[k - 1] if k <= len(report.limb_mass) else 0
 
 
 class TestDemo:
@@ -321,6 +321,19 @@ class TestDemo:
         assert limb_count(report.system) == limbs
         beyond = sum(report.limb_mass) - mass_on_limb(report, 1) - mass_on_limb(report, 2)
         assert beyond > 0.7 * sum(report.limb_mass)
+
+    def test_limb_mass_is_indexed_by_limb_number(self):
+        # The quarter-step system at n = 63 has limbs 2-18 and no limb 1, so
+        # limb_mass[k - 1], not the k-th limb listed, is the mass on limb k.
+        n = 63
+        turn = 2 * math.pi / (4 * n)
+        report = run_demo(DemoConfig(n=n, mu_center=math.pi / 2 + turn, nu_center=3 * math.pi / 2 + turn))
+        coupling = report.solve_report.coupling
+        assert [limb.k for limb in report.system.limbs] == list(range(2, 19))
+        assert len(report.limb_mass) == 18 and report.limb_mass[0] == 0
+        beyond = [coupling.mass_at(i, j) for limb in report.system.limbs if limb.k >= 3 for i, j in limb.cells()]
+        assert sum(report.limb_mass[2:]) == pytest.approx(math.fsum(beyond), rel=1e-12, abs=0)
+        assert sum(report.limb_mass[2:]) > 0.92
 
     def test_optimum_off_the_default_centres_need_not_be_unique(self):
         # With both peaks 0.3 rad off the default centres the even grids have

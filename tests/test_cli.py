@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import limbsys
-from limbsys import Coupling, DemoConfig, cli, extremality, is_extremal, run_demo, tv_distance
+from limbsys import Coupling, DemoConfig, cli, extremality, is_extremal, run_demo, solve, tv_distance
 from limbsys.cli import main
 from limbsys.io import (
     canonical_json,
@@ -63,7 +63,7 @@ class TestCanonicalJson:
         assert canonical_json({"b": 1, "a": 2}) == '{"a": 2, "b": 1}\n'
 
     def test_float_formatting(self):
-        assert canonical_json([0.5, 1.0, 1 / 3]) == "[0.5, 1, 0.33333333333333331]\n"
+        assert canonical_json([0.5, 1.0, 1 / 3]) == "[0.5, 1.0, 0.3333333333333333]\n"
 
     def test_fraction_becomes_float(self):
         assert canonical_json(F(1, 4)) == "0.25\n"
@@ -79,7 +79,7 @@ class TestCanonicalJson:
             "s": ["x\"y", "é"],
         }
         assert canonical_json(payload) == (
-            '{"a": [0.10000000000000001, -2.5, 0.33333333333333331, 3], '
+            '{"a": [0.1, -2.5, 0.3333333333333333, 3.0], '
             '"s": ["x\\"y", "\\u00e9"], "z": [null, true, false, 0, -7, 1180591620717411303424]}\n'
         )
 
@@ -105,6 +105,15 @@ class TestFileFormats:
         path = tmp_path / "g.json"
         write_json([(path, coupling_payload(gamma))])
         assert load_coupling(path) == gamma
+
+    def test_float_coupling_round_trip_keeps_values_and_type(self, tmp_path):
+        gamma = Coupling(2, 2, ((0, 0, 1.0), (1, 1, 0.1)))
+        path = tmp_path / "g.json"
+        write_json([(path, coupling_payload(gamma))])
+        assert path.read_text() == '{"entries": [[0, 0, 1.0], [1, 1, 0.1]], "m": 2, "n": 2}\n'
+        loaded = load_coupling(path)
+        assert loaded == gamma
+        assert [type(w) for _, _, w in loaded.entries] == [float, float]
 
     def test_system_round_trip(self, tmp_path):
         from limbsys import decompose, support_graph
@@ -606,6 +615,18 @@ class TestCli:
         assert main(["solve", str(path), "--rational", "--out", str(out)]) == 0
         gamma = load_coupling(out, rational=True)
         assert gamma.total_mass() == F(1)
+
+    def test_rational_pipeline_round_trips_exactly(self, tmp_path):
+        # Short decimals print as themselves, so the solved coupling reads
+        # back exactly under --rational and reconstruct rebuilds its bytes.
+        path = tmp_path / "p.json"
+        write_problem(path, [0.1, 0.2], [0.15, 0.15], [[0, 1], [1, 0]])
+        solved, system, rebuilt = (tmp_path / f"{name}.json" for name in ("solved", "system", "rebuilt"))
+        assert main(["solve", str(path), "--rational", "--out", str(solved)]) == 0
+        assert main(["decompose", str(solved), "--rational", "--out", str(system)]) == 0
+        assert main(["reconstruct", str(system), str(path), "--rational", "--out", str(rebuilt)]) == 0
+        assert load_coupling(solved, rational=True) == solve(*load_problem(path, rational=True)).coupling
+        assert rebuilt.read_bytes() == solved.read_bytes()
 
     def test_version_subprocess(self):
         proc = run_python("-m", "limbsys.cli", "--version")
