@@ -99,10 +99,11 @@ class ExtremalityCertificate:
 def support_graph(gamma: Coupling) -> SupportGraph:
     """Edges are exactly the cells with mass above the mass threshold of
     ``gamma``'s entries; smaller float masses are solver dust and do not
-    count as support.  With exact masses every stored cell is support."""
+    count as support.  A coupling stores positive masses only, so with
+    exact masses every stored cell is support, kept without a comparison."""
     eps, _ = thresholds(masses=([w for _, _, w in gamma.entries],))
     return SupportGraph(
-        gamma.m, gamma.n, frozenset((i, j) for i, j, w in gamma.entries if w > eps)
+        gamma.m, gamma.n, frozenset((i, j) for i, j, w in gamma.entries if not eps or w > eps)
     )
 
 

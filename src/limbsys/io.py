@@ -4,8 +4,9 @@ All JSON written here is canonical: ``json.dumps`` with sorted keys, each
 float printed as its shortest round-trip text (``repr``), a Fraction as
 its nearest float, newline terminated.  Identical data therefore produces
 byte-identical files on every platform, and every float reads back as the
-float written.  With ``rational=True`` the loaders parse numeric literals
-into exact Fractions, so a written Fraction reads back exactly when it is
+float written.  With ``rational=True`` the loaders keep integer literals as
+ints and build every other numeric literal into the exact Fraction of its
+digits by int arithmetic, so a written Fraction reads back exactly when it is
 a decimal of at most 15 significant digits in the normal float range;
 others, such as 1/3, read back as the decimal of their nearest float.
 """
@@ -87,14 +88,27 @@ def write_json(outputs):
 
 
 def _fraction(literal):
-    """Fraction(literal), unless its exponent exceeds the limit on integer
-    literal digits: Fraction builds 10**e in full, in time growing with e.
-    Python before 3.10.7 has no such limit; there CPython's default, 4300, holds."""
+    """Fraction(literal) for a JSON number literal with a fraction part or an
+    exponent, built from its digits by int arithmetic.  An exponent beyond
+    the limit on integer literal digits raises ValueError: the value holds
+    10**e in full, built in time growing with e.  Python before 3.10.7 has
+    no such limit; there CPython's default, 4300, holds.  A mantissa of
+    more digits than that limit takes Fraction's own parse, which reads its
+    whole and fraction digits apart."""
+    mantissa, exponent = literal, 0
     if "e" in literal or "E" in literal:
+        mantissa, _, exp = literal.lower().partition("e")
+        exponent = int(exp)
         limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
-        if limit and abs(int(literal.lower().partition("e")[2])) > limit:
+        if limit and abs(exponent) > limit:
             raise ValueError(f"a number's exponent exceeds the limit ({limit}) for integer literals")
-    return Fraction(literal)
+    whole, _, digits = mantissa.partition(".")
+    shift = exponent - len(digits)
+    try:
+        value = int(whole + digits)
+    except ValueError:
+        return Fraction(literal)
+    return Fraction(value * 10**shift) if shift >= 0 else Fraction(value, 10**-shift)
 
 
 def _refuse_booleans(data):

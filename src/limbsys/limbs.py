@@ -13,12 +13,14 @@ recovered here by the backward recursion over limbs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import index
 from typing import Optional
 
 from .errors import CyclicSupportError, InvalidSystemError, ShapeMismatchError
 from .extremality import SupportGraph, _peel
-from .measures import Coupling, DiscreteMarginal, float_range, thresholds
+from .measures import Coupling, DiscreteMarginal, common_denominator, float_range, scaled_to_ints
+from .measures import thresholds
 
 __all__ = [
     "Limb",
@@ -223,6 +225,11 @@ def reconstruct(
     failing limb; small negative round-off is clamped to zero.  When
     feasible, the sum of the limb pieces is the one coupling of (mu, nu)
     vanishing outside the system support.
+
+    Exact marginals holding a Fraction are swept as ints, times the common
+    denominator L of their weights, and each kept mass (and the failing
+    eta entry) is divided back by L: every entry is then a Fraction, even
+    one fed by int weights alone.  Other marginals are swept as given.
     """
     violations = system_violations(system)
     if violations:
@@ -233,7 +240,13 @@ def reconstruct(
         )
 
     m, n = system.m, system.n
-    eps, _ = thresholds(masses=(mu.weights, nu.weights))
+    marginals = mu.weights + nu.weights
+    eps, _ = thresholds(masses=(marginals,))
+    scaled = not isinstance(eps, float) and any(isinstance(w, Fraction) for w in marginals)
+    if scaled:
+        L = common_denominator(marginals)
+        marginals = scaled_to_ints(marginals, L)
+    row_base, col_base = marginals[:m], marginals[m:]
     sent_to_row, sent_to_col = [0] * m, [0] * n
     entries = []
     failure: Optional[str] = None
@@ -243,9 +256,9 @@ def reconstruct(
         for limb in reversed(system.limbs):  # highest k first; indices strictly increase
             graph = limb.kind == "graph"
             if graph:
-                base, sent_src, sent_dst = mu.weights, sent_to_row, sent_to_col
+                base, sent_src, sent_dst = row_base, sent_to_row, sent_to_col
             else:
-                base, sent_src, sent_dst = nu.weights, sent_to_col, sent_to_row
+                base, sent_src, sent_dst = col_base, sent_to_col, sent_to_row
             for s, d in limb.pairs:
                 w = base[s] - sent_src[s]
                 sent_src[s] = base[s]
@@ -253,16 +266,20 @@ def reconstruct(
                     entries.append((s, d, w) if graph else (d, s, w))
                     sent_dst[d] = sent_dst[d] + w
                 elif w < -eps and failure is None:
+                    w = Fraction(w, L) if scaled else w
                     failure = (
                         f"limb {limb.k} needs mass {w!r} at point {s}; "
                         "the marginals cannot feed this system"
                     )
-        sent, marginals = sent_to_row + sent_to_col, mu.weights + nu.weights
+        sent = sent_to_row + sent_to_col
         if failure is None and any(abs(a - b) > eps for a, b in zip(sent, marginals)):
             failure = "reconstructed coupling does not reproduce the requested marginals"
     # The system is valid, so its cells are distinct and every mass kept is
     # positive: sorting alone makes the entries canonical.
-    return ReconstructionReport(Coupling(m, n, tuple(sorted(entries))), failure)
+    entries.sort()
+    if scaled:
+        entries = [(i, j, Fraction(w, L)) for i, j, w in entries]
+    return ReconstructionReport(Coupling(m, n, tuple(entries)), failure)
 
 
 def two_limb_check(support: SupportGraph):

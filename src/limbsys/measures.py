@@ -77,6 +77,12 @@ def common_denominator(*groups) -> int:
     return math.lcm(*{v.denominator for group in groups for v in group})
 
 
+def scaled_to_ints(values, s) -> list:
+    """Exact ``values`` times ``s``, a multiple of each of their
+    denominators, as ints."""
+    return [v.numerator * (s // v.denominator) for v in values]
+
+
 @contextmanager
 def float_range(*groups):
     """Run arithmetic over the given value groups, turning the
@@ -110,7 +116,7 @@ class DiscreteMarginal:
         for i, w in enumerate(self.weights):
             if not _is_finite_number(w):
                 raise ValueError(f"weight at index {i} is not a finite number: {w!r}")
-            if w < 0:
+            if (w.numerator if type(w) is Fraction else w) < 0:  # as in Coupling
                 raise ValueError(f"negative weight at index {i}: {w!r}")
 
     @property

@@ -49,7 +49,7 @@ from .errors import (
 )
 from .extremality import SupportGraph
 from .measures import Coupling, CostMatrix, DiscreteMarginal, _is_finite_number, common_denominator
-from .measures import float_range, thresholds
+from .measures import float_range, scaled_to_ints, thresholds
 
 __all__ = [
     "DualPotentials",
@@ -153,7 +153,8 @@ def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -
     mu_w, nu_w, rows, L, K = mu.weights, nu.weights, c.rows, 1, 1
     if not isinstance(eps_mass, float):
         L, K = common_denominator(mu_w, nu_w), common_denominator(*rows)
-        mu_w, nu_w, rows = _times(mu_w, L), _times(nu_w, L), [_times(row, K) for row in rows]
+        mu_w, nu_w = scaled_to_ints(mu_w, L), scaled_to_ints(nu_w, L)
+        rows = [scaled_to_ints(row, K) for row in rows]
     return _Instance(mu_w, nu_w, rows, L, K, eps_mass, eps_cost, slack, gap or 0)
 
 
@@ -317,12 +318,6 @@ def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
             f"the optimum value of these data leaves the float range: primal {primal!r}, dual {dual!r}"
         )
     return SolveReport(coupling, DualPotentials(q, r), primal, dual, iterations, degenerate)
-
-
-def _times(values, s):
-    """Exact ``values`` times ``s``, a multiple of each of their
-    denominators, as ints."""
-    return [v.numerator * (s // v.denominator) for v in values]
 
 
 def zero_set(c: CostMatrix, p: DualPotentials) -> SupportGraph:

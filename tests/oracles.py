@@ -13,7 +13,9 @@ from scratch and nothing pruned, as a reference for the package's pruned
 walk on the zero set of the simplex's duals.  The push-forward of a
 marginal through a graph or antigraph and the c-transform of a potential
 are written out from their definitions, as references for couplings built
-from pieces and for the simplex's potentials.
+from pieces and for the simplex's potentials.  The backward recursion of
+``reconstruct``, swept in the weights' own arithmetic, is the reference for
+the package's sweep over exact data scaled to ints.
 """
 
 from __future__ import annotations
@@ -479,7 +481,7 @@ def is_vertex_oracle(gamma: Coupling) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Push-forwards and c-transforms
+# Push-forwards, c-transforms and the reconstruction sweep
 # ---------------------------------------------------------------------------
 
 
@@ -527,6 +529,42 @@ def c_transform(r, c: CostMatrix) -> tuple:
     _finite("r", r)
     with float_range(r, *c.rows):
         return tuple(min(row[j] - r[j] for j in range(c.n)) for row in c.rows)
+
+
+def reconstruct_unscaled(system, mu: DiscreteMarginal, nu: DiscreteMarginal) -> tuple:
+    """(coupling, message) of the backward recursion over a valid limb
+    system whose shape fits (mu, nu), swept in the arithmetic of the weights
+    as given: the package's sweep as it ran before exact data were scaled
+    to ints, kept as the reference for the scaled sweep.  The message is
+    None when the marginals feed the system."""
+    m, n = system.m, system.n
+    eps, _ = thresholds(masses=(mu.weights, nu.weights))
+    sent_to_row, sent_to_col = [0] * m, [0] * n
+    entries = []
+    failure = None
+
+    with float_range(sent_to_row, sent_to_col):
+        for limb in reversed(system.limbs):
+            graph = limb.kind == "graph"
+            if graph:
+                base, sent_src, sent_dst = mu.weights, sent_to_row, sent_to_col
+            else:
+                base, sent_src, sent_dst = nu.weights, sent_to_col, sent_to_row
+            for s, d in limb.pairs:
+                w = base[s] - sent_src[s]
+                sent_src[s] = base[s]
+                if w > 0:
+                    entries.append((s, d, w) if graph else (d, s, w))
+                    sent_dst[d] = sent_dst[d] + w
+                elif w < -eps and failure is None:
+                    failure = (
+                        f"limb {limb.k} needs mass {w!r} at point {s}; "
+                        "the marginals cannot feed this system"
+                    )
+        sent, marginals = sent_to_row + sent_to_col, mu.weights + nu.weights
+        if failure is None and any(abs(a - b) > eps for a, b in zip(sent, marginals)):
+            failure = "reconstructed coupling does not reproduce the requested marginals"
+    return Coupling(m, n, tuple(sorted(entries))), failure
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import limbsys
 from limbsys import Coupling, DemoConfig, cli, extremality, is_extremal, run_demo, solve, tv_distance
 from limbsys.cli import main
 from limbsys.io import (
+    _fraction,
     canonical_json,
     coupling_payload,
     load_coupling,
@@ -99,6 +100,24 @@ class TestFileFormats:
         mu, nu, cost = load_problem(path, rational=True)
         assert mu.weights == (F(1, 10), F(9, 10))
         assert cost.rows == ((F(1, 5),), (F(3, 10),))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.from_regex(r"-?(0|[1-9][0-9]{0,20})(\.[0-9]{1,40})?([eE][-+]?[0-9]{1,3})?", fullmatch=True)
+        .filter(lambda lit: "." in lit or "e" in lit.lower())  # what json hands parse_float
+    )
+    @example("-0.0")
+    @example("-0.5e-0")
+    @example("1E+000")
+    # A mantissa of 6,001 digits, beyond the int digit limit in one piece;
+    # Fraction reads its whole and fraction digits apart.
+    @example("-" + "1" * 3000 + "." + "2" * 3000)
+    def test_rational_literals_parse_as_fraction_would(self, literal):
+        # The loader builds each Fraction from the literal's digits; it must
+        # equal Fraction(str) in value and type, whatever json hands it.
+        parsed = _fraction(literal)
+        assert parsed == F(literal) and type(parsed) is F
+        assert json.loads(f"[{literal}]", parse_float=_fraction) == [F(literal)]
 
     def test_coupling_round_trip(self, tmp_path):
         gamma = Coupling(2, 3, ((0, 1, 0.25), (1, 2, 0.75)))

@@ -6,6 +6,8 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limbsys import (
     Coupling,
@@ -401,6 +403,65 @@ class TestReconstruct:
             report = reconstruct(truncated, mu2, nu2)
             assert report.feasible
             assert report.coupling == rest
+
+
+@st.composite
+def exact_reconstructions(draw):
+    """A limb system decomposed from a random forest on a grid of at most
+    6 x 6, and exact marginals with int weights, Fraction weights or both.
+    A third of them are the marginals of a coupling on the forest, which
+    the system can feed; a third have one weight moved; a third are drawn
+    at random."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    # Each point joins at most one earlier point of the other side: a forest.
+    order = draw(st.permutations(range(m + n)))
+    cells = []
+    for x, v in enumerate(order):
+        earlier = [u for u in order[:x] if (u < m) != (v < m)]
+        if earlier and draw(st.integers(0, 4)):
+            u = draw(st.sampled_from(earlier))
+            cells.append((min(u, v), max(u, v) - m))
+    system = decompose(SupportGraph(m, n, frozenset(cells)))
+    kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
+    ints, fractions = st.integers(1, 6), st.builds(F, st.integers(1, 12), st.integers(1, 6))
+    mass = {"int": ints, "fraction": fractions, "mixed": ints | fractions}[kind]
+    gamma = Coupling.from_entries(m, n, [(i, j, draw(mass)) for i, j in cells])
+    shape = draw(st.sampled_from(["fit", "moved", "random"]))
+    if shape == "random":
+        weights = [draw(st.just(0) | mass) for _ in range(m + n)]
+    else:
+        mu, nu = marginals_of(gamma)
+        weights = list(mu.weights + nu.weights)
+        if shape == "moved":
+            p = draw(st.integers(0, m + n - 1))
+            weights[p] = abs(weights[p] - draw(mass))
+    if kind == "fraction":  # a bare point's weight is the int 0
+        weights = [F(w) for w in weights]
+    return system, DiscreteMarginal(tuple(weights[:m])), DiscreteMarginal(tuple(weights[m:]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(exact_reconstructions())
+def test_reconstruct_matches_the_unscaled_sweep(case):
+    # reconstruct sweeps exact data holding a Fraction as ints over their
+    # common denominator.  All-int marginals give int entries and the
+    # reference's result exactly.  Any Fraction weight makes every entry a
+    # Fraction: the reference's result on the weights as Fractions, message
+    # included, and its coupling, as values, on the weights as given.
+    system, mu, nu = case
+    report = reconstruct(system, mu, nu)
+    if any(isinstance(w, F) for w in mu.weights + nu.weights):
+        loose, _ = oracles.reconstruct_unscaled(system, mu, nu)
+        assert report.coupling == loose
+        mu, nu = (DiscreteMarginal(tuple(map(F, x.weights))) for x in (mu, nu))
+        kind = F
+    else:
+        kind = int
+    coupling, message = oracles.reconstruct_unscaled(system, mu, nu)
+    assert report.coupling == coupling
+    assert {type(w) for _, _, w in report.coupling.entries} <= {kind}
+    assert report.message == message
+    assert report.feasible == (message is None)
 
 
 class TestGapInLimbIndices:
