@@ -19,8 +19,7 @@ from typing import Optional
 
 from .errors import CyclicSupportError, InvalidSystemError, ShapeMismatchError
 from .extremality import SupportGraph, _peel
-from .measures import Coupling, DiscreteMarginal, common_denominator, float_range, scaled_to_ints
-from .measures import thresholds
+from .measures import Coupling, DiscreteMarginal, exact_ints, float_range, thresholds
 
 __all__ = [
     "Limb",
@@ -226,10 +225,9 @@ def reconstruct(
     feasible, the sum of the limb pieces is the one coupling of (mu, nu)
     vanishing outside the system support.
 
-    Exact marginals holding a Fraction are swept as ints, times the common
-    denominator L of their weights, and each kept mass (and the failing
-    eta entry) is divided back by L: every entry is then a Fraction, even
-    one fed by int weights alone.  Other marginals are swept as given.
+    Exact marginals are swept as ints and each kept mass (and the failing
+    eta entry) typed as ``measures.exact_ints`` says, as in ``solve``: a
+    Fraction when any weight is one, else an int; floats are swept as is.
     """
     violations = system_violations(system)
     if violations:
@@ -242,10 +240,9 @@ def reconstruct(
     m, n = system.m, system.n
     marginals = mu.weights + nu.weights
     eps, _ = thresholds(masses=(marginals,))
-    scaled = not isinstance(eps, float) and any(isinstance(w, Fraction) for w in marginals)
-    if scaled:
-        L = common_denominator(marginals)
-        marginals = scaled_to_ints(marginals, L)
+    L = None
+    if not isinstance(eps, float):
+        (marginals,), L = exact_ints(marginals)
     row_base, col_base = marginals[:m], marginals[m:]
     sent_to_row, sent_to_col = [0] * m, [0] * n
     entries = []
@@ -266,7 +263,7 @@ def reconstruct(
                     entries.append((s, d, w) if graph else (d, s, w))
                     sent_dst[d] = sent_dst[d] + w
                 elif w < -eps and failure is None:
-                    w = Fraction(w, L) if scaled else w
+                    w = Fraction(w, L) if L else w
                     failure = (
                         f"limb {limb.k} needs mass {w!r} at point {s}; "
                         "the marginals cannot feed this system"
@@ -277,7 +274,7 @@ def reconstruct(
     # The system is valid, so its cells are distinct and every mass kept is
     # positive: sorting alone makes the entries canonical.
     entries.sort()
-    if scaled:
+    if L:
         entries = [(i, j, Fraction(w, L)) for i, j, w in entries]
     return ReconstructionReport(Coupling(m, n, tuple(entries)), failure)
 

@@ -70,17 +70,16 @@ def thresholds(masses=(), costs=()) -> tuple:
         return MASS_SCALE * top_mass, COST_SCALE * top_cost
 
 
-def common_denominator(*groups) -> int:
-    """The least common multiple of the denominators of exact values: the
-    least positive integer whose product with each of them is an int.  It is
-    1 for int data, whose ``denominator`` is 1."""
-    return math.lcm(*{v.denominator for group in groups for v in group})
-
-
-def scaled_to_ints(values, s) -> list:
-    """Exact ``values`` times ``s``, a multiple of each of their
-    denominators, as ints."""
-    return [v.numerator * (s // v.denominator) for v in values]
+def exact_ints(*groups) -> tuple:
+    """The one rule for exact results: the exact value groups of one family
+    (the masses, or the costs) as lists of ints times L, the lcm of their
+    denominators (1 for ints), and the divisor of results worked out on
+    those ints: L when any value is a ``Fraction``, whole ones included,
+    None when every value is an ``int``, whose results stay ints."""
+    L = math.lcm(*{v.denominator for group in groups for v in group})
+    scaled = [[v.numerator * (L // v.denominator) for v in group] for group in groups]
+    fraction = L > 1 or any(isinstance(v, Fraction) for group in groups for v in group)
+    return scaled, L if fraction else None
 
 
 @contextmanager

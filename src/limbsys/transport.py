@@ -13,8 +13,9 @@ the dust below which masses are dropped scale with the largest cost and the
 largest mass of the instance (``measures.thresholds``).  No comparison
 changes when the masses are multiplied by one positive number and the costs
 by another, so exact data are solved over ints: the masses are scaled once
-by the lcm of their denominators, the costs by that of theirs, and the
-optimum and its potentials are divided back into Fractions at the end.
+by the lcm of their denominators, the costs by that of theirs; the optimum
+is divided back into Fractions when a mass is one, the potentials when a
+cost is (``measures.exact_ints``).
 
 The optimal-vertex oracle lists the whole optimal face.  By complementary
 slackness every optimal dual cuts out the same face: the feasible couplings
@@ -38,18 +39,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from operator import mul, sub
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DualInfeasibleError,
     InfeasibleError,
+    LimbsysError,
     ShapeMismatchError,
     SizeLimitError,
     SuboptimalPotentialsError,
 )
 from .extremality import SupportGraph
-from .measures import Coupling, CostMatrix, DiscreteMarginal, _is_finite_number, common_denominator
-from .measures import float_range, scaled_to_ints, thresholds
+from .measures import Coupling, CostMatrix, DiscreteMarginal, _is_finite_number, exact_ints
+from .measures import float_range, thresholds
 
 __all__ = [
     "DualPotentials",
@@ -105,18 +107,18 @@ class SolveReport:
 
 
 class _Instance(NamedTuple):
-    """A checked instance as the loops run it: the masses times ``L`` and
-    the costs times ``K``, the lcms of their denominators, as ints on exact
-    data, and the caller's values with L = K = 1 on float data; the (mass,
-    cost) thresholds; the gap allowed between the totals, and the gap
-    between them, the int 0 on exact data so that thresholds built from it
-    stay ints."""
+    """A checked instance as the loops run it: the masses and the costs as
+    ints on exact data, with the divisors ``L`` and ``K`` of
+    ``measures.exact_ints`` for its masses and potentials, and the caller's
+    values with no divisors on float data; the (mass, cost) thresholds; the
+    gap allowed between the totals, and the gap between them, the int 0 on
+    exact data so that thresholds built from it stay ints."""
 
     mu: Sequence
     nu: Sequence
     rows: Sequence
-    L: int
-    K: int
+    L: Optional[int]
+    K: Optional[int]
     eps_mass: object
     eps_cost: object
     slack: object
@@ -150,11 +152,10 @@ def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -
             f"total masses differ: first marginal carries {ta!r}, second {tb!r}; "
             "no coupling has both for marginals"
         )
-    mu_w, nu_w, rows, L, K = mu.weights, nu.weights, c.rows, 1, 1
+    mu_w, nu_w, rows, L, K = mu.weights, nu.weights, c.rows, None, None
     if not isinstance(eps_mass, float):
-        L, K = common_denominator(mu_w, nu_w), common_denominator(*rows)
-        mu_w, nu_w = scaled_to_ints(mu_w, L), scaled_to_ints(nu_w, L)
-        rows = [scaled_to_ints(row, K) for row in rows]
+        (mu_w, nu_w), L = exact_ints(mu_w, nu_w)
+        rows, K = exact_ints(*rows)
     return _Instance(mu_w, nu_w, rows, L, K, eps_mass, eps_cost, slack, gap or 0)
 
 
@@ -172,8 +173,8 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
 
 def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
     """:func:`solve` on ``instance``, the checked form of (mu, nu, c).  Exact
-    data pivot as ints; masses are divided by L and potentials by K on the
-    way out, and both objective values come from the caller's values."""
+    data pivot as ints; masses are divided by L and potentials by K, if set,
+    on the way out, and both objective values come from the caller's values."""
     m, n = mu.size, nu.size
     mu_w, nu_w, c_rows, L, K, eps_mass, pivot_tol, slack, gap = instance
 
@@ -295,13 +296,14 @@ def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
         elif w > eps_mass + gap:
             entries.append((u - n, p, w) if u >= n else (p - n, u, w))
     if stray > slack:
-        raise AssertionError(f"the artificial arcs still carry {stray!r}")
+        points = (f"row {u - n}" if u >= n else f"column {u}" for u in sorted(children[root]) if flow[u])
+        raise LimbsysError(f"the artificial arcs still carry {stray!r}, at {', '.join(points)}")
     entries.sort()
     q = [pi[0] - pi[n + i] for i in range(m)]
     r = [pi[j] - pi[0] for j in range(n)]
-    if L > 1:
+    if L:
         entries = [(i, j, Fraction(w, L)) for i, j, w in entries]
-    if K > 1:
+    if K:
         q, r = ([Fraction(x, K) for x in xs] for xs in (q, r))
     coupling = Coupling(m, n, tuple(entries))
     if shrink:
@@ -449,9 +451,8 @@ def _root(parent, v):
     return v
 
 
-# Desk-scale guards of the oracle: the largest grid it accepts and the most
-# walk states it visits.
-ORACLE_MAX_CELLS = 64
+# Desk-scale guard of the oracle: the most walk states it visits, and the
+# most cells, over all vertices, that it lists.
 ORACLE_MAX_BASES = 200000
 
 
@@ -472,16 +473,12 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
     add nothing, and exact data get neither.  Each vertex is listed once per
     support, and the list is sorted by entries.
 
-    Refuses grids above ``ORACLE_MAX_CELLS`` cells and faces whose walk
-    visits more than ``ORACLE_MAX_BASES`` states.
+    Masses are typed as by :func:`solve`.  Refuses faces whose walk visits
+    more than ``ORACLE_MAX_BASES`` states, or whose vertices times m + n - 1
+    cells each exceed that number, before listing them.
     """
     instance = _check_instance(mu, nu, c)
     m, n, eps_mass, gap = mu.size, nu.size, instance.eps_mass, instance.gap
-    if m * n > ORACLE_MAX_CELLS:
-        raise SizeLimitError(
-            f"instance has {m * n} cells, above the oracle guard of {ORACLE_MAX_CELLS}"
-        )
-
     potentials = _solve(mu, nu, c, instance).potentials
     zero_edges = [(i, m + j) for i, j in sorted(zero_set(c, potentials).edges)]
 
@@ -496,9 +493,9 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
     for u, v in zero_edges:
         comp_edges[_root(parent, u)].append((u, v))
 
-    # Exact supplies are walked as ints, times L, which keeps every sign and
-    # order; each component's options are divided back before they combine,
-    # each distinct entry once, as the options share most of their entries.
+    # Exact supplies are walked as ints, which keeps every sign and order;
+    # each component's options are divided back, if L is set, before they
+    # combine, each distinct entry once, as they share most entries.
     supplies = instance.mu + instance.nu
     budget = [ORACLE_MAX_BASES]
     per_component = []
@@ -515,11 +512,14 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
                 f"potentials are not optimal: no flow on their zero set meets the masses of {points}"
             )
         parts = sorted(options.values())
-        if instance.L > 1:
+        if instance.L:
             exact = {e: (e[0], e[1], Fraction(e[2], instance.L)) for e in set(chain.from_iterable(parts))}
             parts = [[exact[e] for e in part] for part in parts]
         per_component.append(parts)
 
+    count = math.prod(map(len, per_component))
+    if count * (m + n - 1) > ORACLE_MAX_BASES:
+        raise SizeLimitError(f"{count} optimal vertices of up to {m + n - 1} cells are too many to list")
     # Components hold disjoint cells, so a merged vertex sorts by cell alone.
     vertices = sorted(sorted(chain.from_iterable(combo)) for combo in product(*per_component))
     return [Coupling(m, n, tuple(entries)) for entries in vertices]

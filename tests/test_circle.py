@@ -23,10 +23,14 @@ from limbsys import (
     limb_count,
     rational_demo_instance,
     run_demo,
+    solve,
     subtwist_check,
     support_graph,
     support_rows,
+    validate_coupling,
 )
+from limbsys import circle
+from limbsys.circle import SubtwistReport
 from limbsys.measures import thresholds
 
 import oracles
@@ -342,6 +346,26 @@ class TestDemo:
             shifted = DemoConfig(n=n, mu_center=math.pi / 2 + 0.3, nu_center=3 * math.pi / 2 + 0.3)
             assert len(enumerate_optimal_vertices(*rational_demo_instance(shifted))) == count
             assert len(enumerate_optimal_vertices(*rational_demo_instance(DemoConfig(n=n)))) == 1
+
+    def test_sixteen_point_faces_are_answered(self):
+        # 256 cells: the default peaks give one vertex, and with both peaks
+        # 0.3 rad further round the face has 256, each a coupling of the
+        # marginals on the optimum value.
+        mu, nu, c = rational_demo_instance(DemoConfig(n=16))
+        assert enumerate_optimal_vertices(mu, nu, c) == [solve(mu, nu, c).coupling]
+        shifted = DemoConfig(n=16, mu_center=math.pi / 2 + 0.3, nu_center=3 * math.pi / 2 + 0.3)
+        mu, nu, c = rational_demo_instance(shifted)
+        vertices = enumerate_optimal_vertices(mu, nu, c)
+        best = solve(mu, nu, c).primal_value
+        assert len(vertices) == len(set(vertices)) == 256
+        for g in vertices:
+            assert validate_coupling(g, mu, nu)
+            assert sum(c.at(i, j) * w for i, j, w in g.entries) == best
+
+    def test_failing_the_subtwist_scan_raises(self, monkeypatch):
+        monkeypatch.setattr(circle, "subtwist_check", lambda *_, **__: SubtwistReport(((0, 1),), ()))
+        with pytest.raises(LimbsysError, match=r"subtwist scan at pairs \(\(0, 1\),\)"):
+            run_demo(DemoConfig(n=8))
 
     def test_rational_snapping_balances_exactly(self):
         mu, nu, cost = rational_demo_instance(DemoConfig(n=8))

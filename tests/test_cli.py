@@ -14,7 +14,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import limbsys
-from limbsys import Coupling, DemoConfig, cli, extremality, is_extremal, run_demo, solve, tv_distance
+from limbsys import Coupling, DemoConfig, circle, cli, extremality, is_extremal, run_demo, solve, transport
+from limbsys import tv_distance
+from limbsys.circle import SubtwistReport
 from limbsys.cli import main
 from limbsys.io import (
     _fraction,
@@ -83,6 +85,10 @@ class TestCanonicalJson:
             '{"a": [0.1, -2.5, 0.3333333333333333, 3.0], '
             '"s": ["x\\"y", "\\u00e9"], "z": [null, true, false, 0, -7, 1180591620717411303424]}\n'
         )
+
+    def test_unsupported_type_is_a_type_error(self):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            canonical_json({"x": object()})
 
 
 class TestFileFormats:
@@ -646,6 +652,41 @@ class TestCli:
         assert main(["reconstruct", str(system), str(path), "--rational", "--out", str(rebuilt)]) == 0
         assert load_coupling(solved, rational=True) == solve(*load_problem(path, rational=True)).coupling
         assert rebuilt.read_bytes() == solved.read_bytes()
+
+    @pytest.mark.parametrize(
+        "mu, nu, cost, cell",
+        [
+            ([2.0, 1.0], [1.0, 2.0], [[0, 1], [1, 0]], "[0, 0, 1.0]"),
+            ([2, 1.5], [0.5, 3.0], [[0, 1.5], [2, 0]], "[0, 1, 1.5]"),
+            ([1, 2, 3], [3, 3.0], [[1, 0], [0, 2.0], [1, 1]], "[0, 1, 1.0]"),
+            ([2, 1], [1, 2], [[0, 1.0], [1, 0]], "[0, 0, 1]"),
+        ],
+    )
+    def test_rational_pipeline_rebuilds_mixed_literals_byte_for_byte(self, tmp_path, mu, nu, cost, cell):
+        # Masses holding a Fraction, even a whole one read from `2.0`, give
+        # Fraction results from solve and reconstruct alike; int masses
+        # alone give ints from both.
+        path = tmp_path / "p.json"
+        write_problem(path, mu, nu, cost)
+        solved, system, rebuilt = (tmp_path / f"{name}.json" for name in ("solved", "system", "rebuilt"))
+        assert main(["solve", str(path), "--rational", "--out", str(solved)]) == 0
+        assert main(["decompose", str(solved), "--rational", "--out", str(system)]) == 0
+        assert main(["reconstruct", str(system), str(path), "--rational", "--out", str(rebuilt)]) == 0
+        assert cell in solved.read_text()
+        assert rebuilt.read_bytes() == solved.read_bytes()
+
+    def test_stray_flow_is_exit_1_without_traceback(self, tmp_path, monkeypatch, capsys):
+        check = transport._check_instance
+        monkeypatch.setattr(transport, "_check_instance", lambda *data: check(*data)._replace(nu=[1, 3]))
+        path = tmp_path / "p.json"
+        write_problem(path, [1, 1], [1, 1], [[0, 1], [1, 0]])
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == "error: the artificial arcs still carry 2, at column 1\n"
+
+    def test_demo_circle_failing_the_subtwist_scan_is_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(circle, "subtwist_check", lambda *_, **__: SubtwistReport(((0, 1),), ()))
+        assert main(["demo-circle", "--n", "8"]) == 1
+        assert capsys.readouterr().err == "error: circle cost failed the subtwist scan at pairs ((0, 1),)\n"
 
     def test_version_subprocess(self):
         proc = run_python("-m", "limbsys.cli", "--version")

@@ -19,14 +19,17 @@ from limbsys import (
     DualInfeasibleError,
     DualPotentials,
     InfeasibleError,
+    LimbsysError,
     ShapeMismatchError,
     SizeLimitError,
     SuboptimalPotentialsError,
+    decompose,
     enumerate_optimal_vertices,
     is_acyclic,
     is_unique_optimum,
     marginals_of,
     rational_demo_instance,
+    reconstruct,
     run_demo,
     solve,
     support_graph,
@@ -212,6 +215,15 @@ class TestSolve:
         with pytest.raises(ValueError, match="potentials"):
             solve(mu, nu, CostMatrix(((-1e308, 1.7e308, 1.0, 0.5),)))
 
+    def test_stray_flow_on_the_artificial_arcs_names_its_points(self):
+        # An instance whose totals differ past the check leaves mass on the
+        # root arcs: a LimbsysError, which the command line reports, names
+        # the points that still carry it.
+        ones, c = DiscreteMarginal((1, 1)), CostMatrix(((0, 1), (1, 0)))
+        instance = transport._check_instance(ones, ones, c)._replace(nu=[1, 3])
+        with pytest.raises(LimbsysError, match=r"still carry 2, at column 1$"):
+            transport._solve(ones, ones, c, instance)
+
     def test_optimum_value_beyond_the_float_range_raises(self):
         # Each product 1e300 * 1e10 overflows to inf.
         big = DiscreteMarginal((1e300, 1e300))
@@ -364,8 +376,8 @@ class TestScaleInvariance:
         rng = random.Random(1407)
         for _ in range(20):
             mu, nu, c = mixed_exact_instance(rng, rng.randint(2, 6), rng.randint(2, 6))
-            big_l = measures.common_denominator(mu.weights, nu.weights)
-            big_k = measures.common_denominator(*c.rows)
+            _, big_l = measures.exact_ints(mu.weights, nu.weights)
+            _, big_k = measures.exact_ints(*c.rows)
             assert big_l > 1 and big_k > 1
             report = solve(mu, nu, c)
             scaled = solve(*rescaled(mu, nu, c, big_l, big_k))
@@ -510,6 +522,7 @@ class TestEnumerateOptimalVertices:
         assert [g.entries for g in found] == [((0, 0, F(1)),)]
 
     def test_desk_scale_guard(self):
+        # The flat 9x8 face runs out of walk states.
         with pytest.raises(SizeLimitError):
             enumerate_optimal_vertices(
                 uniform(9), uniform(8), CostMatrix(((0,) * 8,) * 9)
@@ -733,6 +746,24 @@ class TestEnumerateOptimalVertices:
         with pytest.raises(SizeLimitError):
             enumerate_optimal_vertices(mu, nu, c)
 
+    def test_vertex_listing_guard(self, monkeypatch):
+        # Six tied 2x2 blocks: each block is a component with two vertices,
+        # so the face has 2**6 = 64 vertices of up to 23 cells, and the walk
+        # takes far fewer states than that.  64 * 23 = 1,472 cells suffice,
+        # one less is refused before any vertex is listed.
+        unit = DiscreteMarginal((1,) * 12)
+        c = CostMatrix(tuple(tuple(0 if i // 2 == j // 2 else 1 for j in range(12)) for i in range(12)))
+        monkeypatch.setattr(transport, "ORACLE_MAX_BASES", 1472)
+        assert len(enumerate_optimal_vertices(unit, unit, c)) == 64
+
+        def refuse(*args):
+            raise AssertionError("vertices listed")
+
+        monkeypatch.setattr(transport, "ORACLE_MAX_BASES", 1471)
+        monkeypatch.setattr(transport, "product", refuse)
+        with pytest.raises(SizeLimitError, match="^64 optimal vertices of up to 23 cells are too many to list$"):
+            enumerate_optimal_vertices(unit, unit, c)
+
     def test_unbalanced_instance_rejected(self):
         with pytest.raises(InfeasibleError):
             enumerate_optimal_vertices(
@@ -790,3 +821,49 @@ def test_mixed_exact_data_match_the_reference_oracles(m, n, data):
     found = enumerate_optimal_vertices(mu, nu, c)
     expected = oracles.optimal_vertices_by_backtracking(mu, nu, c)
     assert [g.entries for g in found] == [g.entries for g in expected]
+
+
+# The value kinds of one family: all ints, all Fractions, both, and
+# Fractions that are whole numbers, as `--rational` reads `2.0`.
+EXACT_KINDS = {
+    "int": lambda low, high: st.integers(low, high),
+    "fraction": lambda low, high: st.builds(F, st.integers(30 * low, 30 * high), st.sampled_from(PRIMES)),
+    "mixed": exact_values,
+    "integral": lambda low, high: st.builds(F, st.integers(low, high)),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(sorted(EXACT_KINDS)),
+    st.sampled_from(sorted(EXACT_KINDS)),
+    st.data(),
+)
+def test_exact_results_are_fractions_when_their_family_holds_one(m, n, masses, costs, data):
+    # One rule types every exact result: the masses of solve, of each
+    # vertex of the oracle and of reconstruct are Fractions when a mass is
+    # a Fraction, whole ones included, and ints otherwise; the potentials
+    # follow the costs the same way.  The values are those of the
+    # references, which run on the data as given.
+    grid = [[data.draw(EXACT_KINDS[masses](0, 3)) for _ in range(n)] for _ in range(m)]
+    mu = DiscreteMarginal(tuple(sum(row) for row in grid))
+    nu = DiscreteMarginal(tuple(sum(col) for col in zip(*grid)))
+    c = CostMatrix(tuple(tuple(data.draw(EXACT_KINDS[costs](-4, 4)) for _ in range(n)) for _ in range(m)))
+    mass_type = F if any(isinstance(w, F) for w in mu.weights + nu.weights) else int
+    cost_type = F if any(isinstance(v, F) for row in c.rows for v in row) else int
+
+    report = solve(mu, nu, c)
+    vertices = enumerate_optimal_vertices(mu, nu, c)
+    rebuilt = reconstruct(decompose(support_graph(report.coupling)), mu, nu)
+    for coupling in (report.coupling, *vertices, rebuilt.coupling):
+        assert {type(w) for _, _, w in coupling.entries} <= {mass_type}
+    assert {type(x) for x in report.potentials.q + report.potentials.r} == {cost_type}
+
+    q, r = oracles._ssp_duals(mu.weights, nu.weights, c.rows, 0)
+    assert report.primal_value == sum(map(mul, q, mu.weights)) + sum(map(mul, r, nu.weights))
+    assert [g.entries for g in vertices] == [
+        g.entries for g in oracles.optimal_vertices_by_backtracking(mu, nu, c)
+    ]
+    assert rebuilt.feasible and rebuilt.coupling == report.coupling
