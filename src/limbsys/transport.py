@@ -296,7 +296,9 @@ def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
         elif w > eps_mass + gap:
             entries.append((u - n, p, w) if u >= n else (p - n, u, w))
     if stray > slack:
-        points = (f"row {u - n}" if u >= n else f"column {u}" for u in sorted(children[root]) if flow[u])
+        # Past m + n mass thresholds, some root arc carries more than one.
+        carriers = (u for u in sorted(children[root]) if abs(flow[u]) > eps_mass)
+        points = (f"row {u - n}" if u >= n else f"column {u}" for u in carriers)
         raise LimbsysError(f"the artificial arcs still carry {stray!r}, at {', '.join(points)}")
     entries.sort()
     q = [pi[0] - pi[n + i] for i in range(m)]
@@ -363,8 +365,8 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget) -> list:
     ``gap`` bounds the gap between the instance's totals, which may sit in
     any point of the component and so in any leaf's mass.  Points are
     numbered 0..k-1 in the order of ``nodes``; state changes in place and
-    is undone on return; each walk state is charged to ``budget``.
-    """
+    is undone on return; each walk state is charged to ``budget``.  A path
+    deciding over ``ORACLE_MAX_DEPTH`` edges, one frame each, is refused."""
     k = len(nodes)
     local = {v: x for x, v in enumerate(nodes)}
     ends = [(local[u], local[v]) for u, v in edges]
@@ -405,10 +407,12 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget) -> list:
                     return False
         return True
 
-    def walk(e):
+    def walk(e, depth):
         budget[0] -= 1
         if budget[0] < 0:
             raise SizeLimitError("optimal face has too many spanning-forest bases to enumerate")
+        if depth > ORACLE_MAX_DEPTH:
+            raise SizeLimitError(f"optimal face needs more than {ORACLE_MAX_DEPTH} nested edge decisions")
         if len(tree) == last:
             # The other end of the last peeled edge is the one point left.
             if abs(net[tree[-1][2] if tree else 0]) <= tol:
@@ -422,14 +426,14 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget) -> list:
         ra, rb = _root(kept, a), _root(kept, b)
         if ra != rb:
             kept[ra] = rb
-            walk(e + 1)
+            walk(e + 1, depth + 1)
             kept[ra] = ra
         mark = len(tree)
         alive[e] = False
         degree[a] -= 1
         degree[b] -= 1
         if peel([a, b]):
-            walk(e + 1)
+            walk(e + 1, depth + 1)
         while len(tree) > mark:
             v, f, u, _, old = tree.pop()
             alive[f], degree[v], net[u] = True, 1, old
@@ -439,7 +443,7 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget) -> list:
         degree[b] += 1
 
     if peel([v for v in range(k) if degree[v] == 1]):
-        walk(0)
+        walk(0, 0)
     return found
 
 
@@ -451,9 +455,10 @@ def _root(parent, v):
     return v
 
 
-# Desk-scale guard of the oracle: the most walk states it visits, and the
-# most cells, over all vertices, that it lists.
+# Desk-scale guards of the oracle: the most walk states it visits and cells
+# it lists; the most edges it decides on one path, well inside 1,000 frames.
 ORACLE_MAX_BASES = 200000
+ORACLE_MAX_DEPTH = 500
 
 
 def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> list:
@@ -473,9 +478,10 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
     add nothing, and exact data get neither.  Each vertex is listed once per
     support, and the list is sorted by entries.
 
-    Masses are typed as by :func:`solve`.  Refuses faces whose walk visits
-    more than ``ORACLE_MAX_BASES`` states, or whose vertices times m + n - 1
-    cells each exceed that number, before listing them.
+    Masses are typed as by :func:`solve`.  Refuses, before listing, faces
+    whose walk visits over ``ORACLE_MAX_BASES`` states or decides over
+    ``ORACLE_MAX_DEPTH`` edges on one path, or whose vertices times m + n - 1
+    cells each pass ``ORACLE_MAX_BASES``.
     """
     instance = _check_instance(mu, nu, c)
     m, n, eps_mass, gap = mu.size, nu.size, instance.eps_mass, instance.gap

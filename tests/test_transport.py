@@ -223,6 +223,11 @@ class TestSolve:
         instance = transport._check_instance(ones, ones, c)._replace(nu=[1, 3])
         with pytest.raises(LimbsysError, match=r"still carry 2, at column 1$"):
             transport._solve(ones, ones, c, instance)
+        # On float data, a root arc carrying only dust is not named.
+        ones, c = DiscreteMarginal((1.0, 1.0)), CostMatrix(((0.0, 1.0), (1.0, 0.0)))
+        instance = transport._check_instance(ones, ones, c)._replace(nu=[1.0 + 1e-14, 3.0])
+        with pytest.raises(LimbsysError, match=r"still carry 2.0000000000000098, at column 1$"):
+            transport._solve(ones, ones, c, instance)
 
     def test_optimum_value_beyond_the_float_range_raises(self):
         # Each product 1e300 * 1e10 overflows to inf.
@@ -763,6 +768,30 @@ class TestEnumerateOptimalVertices:
         monkeypatch.setattr(transport, "product", refuse)
         with pytest.raises(SizeLimitError, match="^64 optimal vertices of up to 23 cells are too many to list$"):
             enumerate_optimal_vertices(unit, unit, c)
+
+    def test_depth_guard(self, monkeypatch):
+        # The walk recurses once per edge it decides on a path.  The flat
+        # 40x40 face has 1,600 zero cells and no leaf, so its first descent
+        # would pass the interpreter's 1,000 frames long before the walk
+        # budget ran out; the depth guard refuses it first, and ends no
+        # deeper under a caller already 300 frames down.
+        flat = CostMatrix(((0,) * 40,) * 40)
+        for verb in (enumerate_optimal_vertices, is_unique_optimum):
+            with pytest.raises(SizeLimitError, match="^optimal face needs more than 500 nested edge decisions$"):
+                verb(uniform(40), uniform(40), flat)
+
+        def nested(frames):
+            return nested(frames - 1) if frames else is_unique_optimum(uniform(40), uniform(40), flat)
+
+        with pytest.raises(SizeLimitError):
+            nested(300)
+        # The flat 4x4 walk decides at most 16 edges on a path.
+        flat = CostMatrix(((0,) * 4,) * 4)
+        monkeypatch.setattr(transport, "ORACLE_MAX_DEPTH", 16)
+        assert len(enumerate_optimal_vertices(uniform(4), uniform(4), flat)) == 24
+        monkeypatch.setattr(transport, "ORACLE_MAX_DEPTH", 15)
+        with pytest.raises(SizeLimitError):
+            enumerate_optimal_vertices(uniform(4), uniform(4), flat)
 
     def test_unbalanced_instance_rejected(self):
         with pytest.raises(InfeasibleError):
