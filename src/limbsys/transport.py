@@ -15,7 +15,9 @@ changes when the masses are multiplied by one positive number and the costs
 by another, so exact data are solved over ints: the masses are scaled once
 by the lcm of their denominators, the costs by that of theirs; the optimum
 is divided back into Fractions when a mass is one, the potentials when a
-cost is (``measures.exact_ints``).
+cost is (``measures.exact_ints``).  The balance check compares the int
+totals, and both objective values are summed on the ints and divided once
+by L·K, so they are Fractions when a mass or a cost is.
 
 The optimal-vertex oracle lists the whole optimal face.  By complementary
 slackness every optimal dual cuts out the same face: the feasible couplings
@@ -133,6 +135,13 @@ def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -
             f"cost matrix is {c.m}x{c.n} but marginals have sizes {mu.size} and {nu.size}"
         )
     eps_mass, eps_cost = thresholds(masses=(mu.weights, nu.weights), costs=c.rows)
+    if not isinstance(eps_mass, float):
+        # Exact totals balance exactly, and do so as ints times L; unbalanced
+        # ones go on to the check below, which names them as their values sum.
+        (mu_w, nu_w), L = exact_ints(mu.weights, nu.weights)
+        if sum(mu_w) == sum(nu_w):
+            rows, K = exact_ints(*c.rows)
+            return _Instance(mu_w, nu_w, rows, L, K, eps_mass, eps_cost, 0, 0)
     slack = (mu.size + nu.size) * eps_mass
     ta, tb = mu.total(), nu.total()
     if math.inf in (ta, tb):
@@ -152,11 +161,7 @@ def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -
             f"total masses differ: first marginal carries {ta!r}, second {tb!r}; "
             "no coupling has both for marginals"
         )
-    mu_w, nu_w, rows, L, K = mu.weights, nu.weights, c.rows, None, None
-    if not isinstance(eps_mass, float):
-        (mu_w, nu_w), L = exact_ints(mu_w, nu_w)
-        rows, K = exact_ints(*rows)
-    return _Instance(mu_w, nu_w, rows, L, K, eps_mass, eps_cost, slack, gap or 0)
+    return _Instance(mu.weights, nu.weights, c.rows, None, None, eps_mass, eps_cost, slack, gap or 0)
 
 
 def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveReport:
@@ -174,7 +179,8 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
 def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
     """:func:`solve` on ``instance``, the checked form of (mu, nu, c).  Exact
     data pivot as ints; masses are divided by L and potentials by K, if set,
-    on the way out, and both objective values come from the caller's values."""
+    on the way out, and both objective values are int sums divided by L*K
+    once; float values come from the caller's values."""
     m, n = mu.size, nu.size
     mu_w, nu_w, c_rows, L, K, eps_mass, pivot_tol, slack, gap = instance
 
@@ -303,6 +309,15 @@ def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
     entries.sort()
     q = [pi[0] - pi[n + i] for i in range(m)]
     r = [pi[j] - pi[0] for j in range(n)]
+    exact = not isinstance(eps_mass, float)
+    if exact:
+        # Each value is one int sum over the scaled data, in units of
+        # 1/(L*K), divided back once.
+        primal = sum(c_rows[i][j] * w for i, j, w in entries)
+        dual = sum(map(mul, q, mu_w)) + sum(map(mul, r, nu_w))
+        if L or K:
+            scale = (L or 1) * (K or 1)
+            primal, dual = Fraction(primal, scale), Fraction(dual, scale)
     if L:
         entries = [(i, j, Fraction(w, L)) for i, j, w in entries]
     if K:
@@ -313,14 +328,15 @@ def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
             q, r = ([math.ldexp(x, shrink) for x in xs] for xs in (q, r))
         except OverflowError:
             raise ValueError("the optimal potentials of these costs leave the float range") from None
-    # Values of data near the edge of the float range may leave it.
-    with float_range(mu.weights, nu.weights, *c.rows):
-        primal = sum(c.rows[i][j] * w for i, j, w in entries) if entries else 0
-        dual = sum(map(mul, q, mu.weights)) + sum(map(mul, r, nu.weights))
-    if not (_is_finite_number(primal) and _is_finite_number(dual)):
-        raise ValueError(
-            f"the optimum value of these data leaves the float range: primal {primal!r}, dual {dual!r}"
-        )
+    if not exact:
+        # Values of data near the edge of the float range may leave it.
+        with float_range(mu.weights, nu.weights, *c.rows):
+            primal = sum(c.rows[i][j] * w for i, j, w in entries) if entries else 0
+            dual = sum(map(mul, q, mu.weights)) + sum(map(mul, r, nu.weights))
+        if not (_is_finite_number(primal) and _is_finite_number(dual)):
+            raise ValueError(
+                f"the optimum value of these data leaves the float range: primal {primal!r}, dual {dual!r}"
+            )
     return SolveReport(coupling, DualPotentials(q, r), primal, dual, iterations, degenerate)
 
 

@@ -182,6 +182,16 @@ class TestCli:
         assert main(["solve", str(path)]) == 2
         assert "infeasible" in capsys.readouterr().err
 
+    def test_rational_solve_unbalanced_is_exit_2_without_traceback(self, tmp_path):
+        path = tmp_path / "p.json"
+        write_problem(path, [0.1, 0.2], [0.15, 0.1], [[0, 1], [1, 0]])
+        proc = run_python("-m", "limbsys.cli", "solve", "--rational", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "infeasible: total masses differ: first marginal carries Fraction(3, 10), "
+            "second Fraction(1, 4); no coupling has both for marginals\n"
+        )
+
     def test_malformed_json_is_exit_1_with_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"mu": [1, ]')

@@ -137,6 +137,49 @@ class TestSolve:
         with pytest.raises(InfeasibleError, match=r"Fraction\(1, 1\).*Fraction\(3, 4\)"):
             solve(DiscreteMarginal((F(1),)), DiscreteMarginal((F(3, 4),)), CostMatrix(((0,),)))
 
+    @pytest.mark.parametrize(
+        "mu, nu, said",
+        [
+            ((1, 2), (2,), r"carries 3, second 2;"),
+            ((F(2), F(1)), (F(2),), r"carries Fraction\(3, 1\), second Fraction\(2, 1\);"),
+            ((F(1, 3), F(1, 3)), (F(2, 3) + F(1, 10**20),), r"carries Fraction\(2, 3\), second Fraction\(2"),
+        ],
+        ids=["int", "whole-fraction", "fraction-gap-1e-20"],
+    )
+    def test_unbalanced_exact_totals_are_named_as_summed(self, mu, nu, said):
+        # Exact totals are compared as ints after scaling; the message
+        # names them as the caller's values sum.
+        with pytest.raises(InfeasibleError, match=said):
+            solve(DiscreteMarginal(mu), DiscreteMarginal(nu), CostMatrix(((0,),) * len(mu)))
+
+    @pytest.mark.parametrize(
+        "mu, nu, rows, value",
+        [
+            ((1, 2), (2, 1), ((1, 2), (3, 4)), 8),
+            ((F(1, 2), 2), (2, F(1, 2)), ((1, 2), (3, 4)), F(7)),
+            ((F(2), 1), (1, F(2)), ((1, 2), (3, 4)), F(7)),
+            ((1, 2), (2, 1), ((F(1, 2), 2), (3, 4)), F(15, 2)),
+            ((1, 0), (1, 0), ((1, F(1, 3)), (3, 4)), F(1)),
+            ((F(0), F(0)), (F(0), F(0)), ((1, 2), (3, 4)), F(0)),
+            ((0, 0), (0, 0), ((1, 2), (3, 4)), 0),
+        ],
+        ids=[
+            "int",
+            "fraction-masses",
+            "whole-fraction-masses",
+            "fraction-costs",
+            "fraction-costs-off-the-support",
+            "empty-support-fraction",
+            "empty-support-int",
+        ],
+    )
+    def test_exact_values_are_typed_by_the_data(self, mu, nu, rows, value):
+        # Both values are Fractions when a mass or a cost is, whole ones
+        # and an empty support included, and ints on int data.
+        report = solve(DiscreteMarginal(mu), DiscreteMarginal(nu), CostMatrix(rows))
+        assert type(report.primal_value) is type(report.dual_value) is type(value)
+        assert report.primal_value == report.dual_value == value
+
     def test_zero_against_positive_marginal(self):
         with pytest.raises(InfeasibleError):
             solve(DiscreteMarginal((0, 0)), DiscreteMarginal((F(1), F(1))), CostMatrix(((0, 0), (0, 0))))
@@ -896,3 +939,27 @@ def test_exact_results_are_fractions_when_their_family_holds_one(m, n, masses, c
         g.entries for g in oracles.optimal_vertices_by_backtracking(mu, nu, c)
     ]
     assert rebuilt.feasible and rebuilt.coupling == report.coupling
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(sorted(EXACT_KINDS)),
+    st.sampled_from(sorted(EXACT_KINDS)),
+    st.data(),
+)
+def test_exact_values_are_the_fraction_cost_of_the_coupling(m, n, masses, costs, data):
+    # The solver sums both values on the scaled ints; the reference prices
+    # the returned coupling in plain Fraction arithmetic on the data as given.
+    grid = [[data.draw(EXACT_KINDS[masses](0, 3)) for _ in range(n)] for _ in range(m)]
+    mu = DiscreteMarginal(tuple(sum(row) for row in grid))
+    nu = DiscreteMarginal(tuple(sum(col) for col in zip(*grid)))
+    c = CostMatrix(tuple(tuple(data.draw(EXACT_KINDS[costs](-4, 4)) for _ in range(n)) for _ in range(m)))
+    report = solve(mu, nu, c)
+    reference = sum((F(c.rows[i][j]) * F(w) for i, j, w in report.coupling.entries), F(0))
+    assert report.primal_value == reference
+    assert report.dual_value == reference
+    values = (*mu.weights, *nu.weights, *itertools.chain.from_iterable(c.rows))
+    value_type = F if any(isinstance(v, F) for v in values) else int
+    assert type(report.primal_value) is type(report.dual_value) is value_type
