@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from . import __version__
@@ -103,7 +104,9 @@ def _cmd_demo_circle(args):
     return 0, summary, outputs
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process and shared by every call, so callers must not change it."""
     reads_files = argparse.ArgumentParser(add_help=False)
     reads_files.add_argument(
         "--rational", action="store_true", help="parse input numbers as exact fractions"

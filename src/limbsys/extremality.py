@@ -12,8 +12,9 @@ on demand, into an explicit convex split of the coupling.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from operator import index
+from operator import index, itemgetter
 from typing import Optional
 
 from .errors import CycleError, SizeLimitError
@@ -43,12 +44,15 @@ class SupportGraph:
     def __post_init__(self):
         object.__setattr__(self, "m", index(self.m))
         object.__setattr__(self, "n", index(self.n))
-        object.__setattr__(self, "edges", frozenset((index(i), index(j)) for i, j in self.edges))
-        if self.m <= 0 or self.n <= 0:
+        edges = frozenset([(index(i), index(j)) for i, j in self.edges])
+        object.__setattr__(self, "edges", edges)
+        m, n = self.m, self.n
+        if m <= 0 or n <= 0:
             raise ValueError("support graph dimensions must be positive")
-        for i, j in self.edges:
-            if not (0 <= i < self.m and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) outside the {self.m}x{self.n} grid")
+        for i, j in edges:
+            if not (0 <= i < m and 0 <= j < n):
+                i, j = min(e for e in edges if not (0 <= e[0] < m and 0 <= e[1] < n))
+                raise ValueError(f"edge ({i}, {j}) outside the {m}x{n} grid")
 
 
 @dataclass(frozen=True)
@@ -101,10 +105,13 @@ def support_graph(gamma: Coupling) -> SupportGraph:
     ``gamma``'s entries; smaller float masses are solver dust and do not
     count as support.  A coupling stores positive masses only, so with
     exact masses every stored cell is support, kept without a comparison."""
-    eps, _ = thresholds(masses=([w for _, _, w in gamma.entries],))
-    return SupportGraph(
-        gamma.m, gamma.n, frozenset((i, j) for i, j, w in gamma.entries if not eps or w > eps)
-    )
+    masses = [w for _, _, w in gamma.entries]
+    eps, _ = thresholds(masses=(masses,))
+    if eps and min(masses) <= eps:
+        edges = frozenset([(i, j) for i, j, w in gamma.entries if w > eps])
+    else:
+        edges = frozenset(map(itemgetter(0, 1), gamma.entries))
+    return SupportGraph(gamma.m, gamma.n, edges)
 
 
 def _peel(graph: SupportGraph):
@@ -218,23 +225,28 @@ def split_witness(gamma: Coupling, cycle: CycleWitness) -> tuple[Coupling, Coupl
     differ, which is the convex decomposition disproving extremality.  Only
     the 2k cycle cells change; a cell brought to exactly zero is dropped.
     """
-    threshold, _ = thresholds(masses=([w for _, _, w in gamma.entries],))
-    mass = {}
+    entries = gamma.entries
+    threshold, _ = thresholds(masses=([w for _, _, w in entries],))
+    at = []  # entry index of each cycle cell, in walk order
     for edge in cycle.edges:
-        mass[edge] = gamma.mass_at(*edge)
-        if not mass[edge] > threshold:
+        if not gamma.mass_at(*edge) > threshold:
             raise CycleError(f"cycle edge {edge} is not in the coupling support")
-    eps = min(mass.values())
-    step = {edge: eps if t % 2 == 0 else -eps for t, edge in enumerate(cycle.edges)}
-    plus, minus = [], []
-    for i, j, w in gamma.entries:
-        s = step.get((i, j))
-        a, b = (w, w) if s is None else (w + s, w - s)
-        if a:
-            plus.append((i, j, a))
-        if b:
-            minus.append((i, j, b))
-    return Coupling(gamma.m, gamma.n, tuple(plus)), Coupling(gamma.m, gamma.n, tuple(minus))
+        at.append(bisect_left(entries, edge))  # (i, j) sorts just before (i, j, w)
+    eps = min(entries[k][2] for k in at)
+    # Patched from the last cell back, so deleting one keeps the earlier positions.
+    steps = sorted(((k, eps if t % 2 == 0 else -eps) for t, k in enumerate(at)), reverse=True)
+    parts = []
+    for plus in (True, False):
+        cells = list(entries)
+        for k, s in steps:
+            i, j, w = cells[k]
+            w = w + s if plus else w - s
+            if w:
+                cells[k] = (i, j, w)
+            else:
+                del cells[k]
+        parts.append(Coupling(gamma.m, gamma.n, tuple(cells)))
+    return tuple(parts)
 
 
 def is_extremal(gamma: Coupling) -> ExtremalityCertificate:

@@ -172,23 +172,26 @@ class Coupling:
     entries: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "m", index(self.m))
-        object.__setattr__(self, "n", index(self.n))
-        if self.m <= 0 or self.n <= 0:
+        m, n = index(self.m), index(self.n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        if m <= 0 or n <= 0:
             raise ValueError("coupling dimensions must be positive")
-        entries = tuple((index(i), index(j), w) for (i, j, w) in self.entries)
+        entries = tuple([(index(i), index(j), w) for i, j, w in self.entries])
         object.__setattr__(self, "entries", entries)
-        prev = None
+        inf, pi, pj = math.inf, -1, -1
         for i, j, w in entries:
-            if not (0 <= i < self.m and 0 <= j < self.n):
-                raise ValueError(f"entry ({i}, {j}) outside the {self.m}x{self.n} grid")
-            # A Fraction's denominator is positive, so its numerator bears
-            # the sign, without the cost of a rich comparison.
-            if not _is_finite_number(w) or (w.numerator if type(w) is Fraction else w) <= 0:
+            if not (0 <= i < m and 0 <= j < n):
+                raise ValueError(f"entry ({i}, {j}) outside the {m}x{n} grid")
+            # Checked by exact type, bool and others by the general rule.  A Fraction's
+            # denominator is positive, so its numerator bears the sign.
+            t = type(w)
+            if not (0.0 < w < inf if t is float else w.numerator > 0 if t is Fraction
+                    else w > 0 if t is int else _is_finite_number(w) and w > 0):
                 raise ValueError(f"mass at ({i}, {j}) must be finite and > 0, got {w!r}")
-            if prev is not None and (i, j) <= prev:
+            if i < pi or i == pi and j <= pj:
                 raise ValueError("entries must be strictly row-major sorted without duplicates")
-            prev = (i, j)
+            pi, pj = i, j
 
     @classmethod
     def from_entries(cls, m: int, n: int, entries) -> "Coupling":
@@ -202,7 +205,8 @@ class Coupling:
                     acc[key] = acc[key] + w
             else:
                 acc[key] = w
-        return cls(m, n, tuple((i, j, acc[i, j]) for i, j in sorted(acc) if acc[i, j] != 0))
+        # Zeros are falsy; a falsy non-number (None, "") is kept for the check to reject.
+        return cls(m, n, tuple([(i, j, w) for (i, j), w in sorted(acc.items()) if w or w != 0]))
 
     def mass_at(self, i: int, j: int):
         k = bisect_left(self.entries, (i, j))  # (i, j) sorts just before (i, j, w)

@@ -331,7 +331,7 @@ def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
     if not exact:
         # Values of data near the edge of the float range may leave it.
         with float_range(mu.weights, nu.weights, *c.rows):
-            primal = sum(c.rows[i][j] * w for i, j, w in entries) if entries else 0
+            primal = sum(c.rows[i][j] * w for i, j, w in entries) if entries else 0.0
             dual = sum(map(mul, q, mu.weights)) + sum(map(mul, r, nu.weights))
         if not (_is_finite_number(primal) and _is_finite_number(dual)):
             raise ValueError(

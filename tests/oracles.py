@@ -33,6 +33,7 @@ import numpy as np
 from limbsys import (
     Coupling,
     CostMatrix,
+    CycleError,
     DiscreteMarginal,
     DualPotentials,
     InfeasibleError,
@@ -478,6 +479,29 @@ def is_vertex_oracle(gamma: Coupling) -> bool:
         a[i, col] = 1.0
         a[m + j, col] = 1.0
     return np.linalg.matrix_rank(a) == len(cells)
+
+
+def split_witness_by_entries(gamma: Coupling, cycle) -> tuple:
+    """Reference for ``extremality.split_witness``: the same perturbation
+    built entry by entry, every entry looked at once per part and every
+    cycle mass read through ``Coupling.mass_at``."""
+    threshold, _ = thresholds(masses=([w for _, _, w in gamma.entries],))
+    mass = {}
+    for edge in cycle.edges:
+        mass[edge] = gamma.mass_at(*edge)
+        if not mass[edge] > threshold:
+            raise CycleError(f"cycle edge {edge} is not in the coupling support")
+    eps = min(mass.values())
+    step = {edge: eps if t % 2 == 0 else -eps for t, edge in enumerate(cycle.edges)}
+    plus, minus = [], []
+    for i, j, w in gamma.entries:
+        s = step.get((i, j))
+        a, b = (w, w) if s is None else (w + s, w - s)
+        if a:
+            plus.append((i, j, a))
+        if b:
+            minus.append((i, j, b))
+    return Coupling(gamma.m, gamma.n, tuple(plus)), Coupling(gamma.m, gamma.n, tuple(minus))
 
 
 # ---------------------------------------------------------------------------

@@ -709,6 +709,59 @@ class TestCli:
         assert proc.stdout.strip() == "False"
 
 
+class TestParserReuse:
+    """One parser serves every call of a process; calls through it must
+    behave as calls through a parser built afresh."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_calls_match_fresh_ones(self, tmp_path, capsys):
+        problem, cyclic, out = tmp_path / "p.json", tmp_path / "cyclic.json", tmp_path / "out"
+        write_problem(problem, [0.1, 0.2], [0.15, 0.15], [[0, 1], [1, 0]])
+        write_coupling(cyclic, 2, 2, [[i, j, 0.25] for i in range(2) for j in range(2)])
+        calls = [
+            ["solve", str(problem), "--out", f"{out}/solved.json", "--duals", f"{out}/duals.json"],
+            ["solve", str(problem), "--rational", "--out", f"{out}/exact.json"],
+            ["decompose", f"{out}/exact.json", "--rational", "--out", f"{out}/system.json"],
+            ["solve", str(problem), "--bogus"],
+            ["reconstruct", f"{out}/system.json", str(problem), "--rational", "--out", f"{out}/rebuilt.json"],
+            ["reconstruct", f"{out}/system.json", str(problem), "--out", f"{out}/float.json"],
+            ["check-extremal", str(cyclic), "--witness", f"{out}/witness.json"],
+            ["check-extremal", str(cyclic), "--rational"],
+            ["--version"],
+            ["decompose", str(cyclic), "--out", f"{out}/cyclic-system.json"],
+            ["decompose", f"{out}/solved.json", "--out", f"{out}/float-system.json"],
+            ["reconstruct"],
+            ["demo-circle", "--n", "8", "--rational"],
+            ["check-extremal", f"{out}/solved.json"],
+            ["solve", str(problem), "--rational", "--duals", f"{out}/exact-duals.json"],
+        ]
+
+        def run_all(fresh):
+            out.mkdir()
+            seen = []
+            for argv in calls:
+                if fresh:
+                    cli.build_parser.cache_clear()
+                code = main(argv)
+                seen.append((argv, code, *capsys.readouterr()))
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            for path in out.iterdir():
+                path.unlink()
+            out.rmdir()
+            return seen, files
+
+        fresh = run_all(fresh=True)
+        cli.build_parser.cache_clear()
+        reused = [run_all(fresh=False) for _ in range(2)]
+        assert cli.build_parser.cache_info().misses == 1
+        assert reused[0] == reused[1] == fresh
+        codes = [code for _, code, _, _ in fresh[0]]
+        assert codes == [0, 0, 0, 1, 0, 0, 3, 3, 0, 3, 0, 1, 1, 0, 0]
+        assert len(fresh[1]) == 9
+
+
 FUZZ_VALUES = [0, 1, 2, 3, 0.25, 0.5, 2.0, 1e-13, 1e308, HUGE, True, False, [0], "1", math.nan]
 
 

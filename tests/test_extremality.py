@@ -84,6 +84,28 @@ class TestSupportGraph:
         with pytest.raises(ValueError, match=named):
             SupportGraph(m, n, frozenset(edges))
 
+    @pytest.mark.parametrize(
+        "edges, lowest",
+        [
+            ({(0, 0), (1, 1), (9, 0), (3, 1), (0, 7), (2, 0), (5, 5)}, (0, 7)),
+            ({(2, 0), (-1, 9), (1, 2), (0, -3), (4, 4)}, (-1, 9)),
+            ({(1, 0), (1, 5), (1, 2), (1, 3), (1, 4), (6, 1)}, (1, 2)),
+        ],
+    )
+    def test_out_of_grid_names_the_lowest_bad_edge(self, edges, lowest):
+        with pytest.raises(ValueError) as info:
+            SupportGraph(2, 2, frozenset(edges))
+        assert str(info.value) == f"edge {lowest} outside the 2x2 grid"
+
+    def test_dust_free_and_dusty_float_supports_agree_with_the_mass_filter(self):
+        rng = random.Random(314)
+        for _ in range(50):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            gamma = random_coupling(rng, m, n, exact=False)
+            dusty = Coupling.from_entries(m, n, [*gamma.entries, (m - 1, n - 1, 1e-16)])
+            for g in (gamma, dusty):
+                assert support_graph(g).edges == {(i, j) for i, j, w in g.entries if w > 1e-13}
+
 
 class TestIsAcyclic:
     def test_permutation_support(self):
@@ -288,6 +310,71 @@ class TestSplitWitness:
         cycle = CycleWitness((0, 1), (1, 0))
         with pytest.raises(CycleError, match=r"\(0, 1\)"):
             split_witness(gamma, cycle)
+
+    @staticmethod
+    def assert_matches_reference(gamma, cycle):
+        parts = split_witness(gamma, cycle)
+        reference = oracles.split_witness_by_entries(gamma, cycle)
+        for part, ref in zip(parts, reference):
+            assert part == ref
+            assert [type(w) for _, _, w in part.entries] == [type(w) for _, _, w in ref.entries]
+        return parts
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["fraction", "float"])
+    def test_matches_the_per_entry_split_on_seeded_cycles(self, exact):
+        # Random cycles through dense couplings of three masses, which tie,
+        # so one or several cycle cells reach zero in either part.
+        rng = random.Random(2718)
+        values = (F(1, 10), F(2, 10), F(3, 10)) if exact else (0.1, 0.2, 0.3)
+        tested = several = 0
+        for _ in range(200):
+            m, n = rng.randint(2, 9), rng.randint(2, 9)
+            entries = [(i, j, rng.choice(values)) for i in range(m) for j in range(n) if rng.random() < 0.9]
+            gamma = Coupling(m, n, tuple(entries))
+            k = rng.randint(2, min(m, n))
+            cycle = CycleWitness(rng.sample(range(m), k), rng.sample(range(n), k))
+            if not set(cycle.edges) <= gamma.cells():
+                continue
+            a, b = self.assert_matches_reference(gamma, cycle)
+            tested += 1
+            several += min(len(a.entries), len(b.entries)) < len(entries) - 1
+        assert tested > 60 and several > 20
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["fraction", "float"])
+    def test_cycle_through_the_first_and_last_entries(self, exact):
+        m, n = 4, 5
+        w = (lambda i, j: F(i + j + 1, 8)) if exact else (lambda i, j: (i + j + 1) / 8)
+        gamma = Coupling(m, n, tuple((i, j, w(i, j)) for i in range(m) for j in range(n)))
+        # Rows 0 and m - 1 meet columns 0 and n - 1: cells (0, 0) and
+        # (m - 1, n - 1) are the first and last entries, and (0, 0) has
+        # the least mass, so it leaves one part.
+        cycle = CycleWitness((0, m - 1), (n - 1, 0))
+        assert {gamma.entries[0][:2], gamma.entries[-1][:2]} <= set(cycle.edges)
+        a, b = self.assert_matches_reference(gamma, cycle)
+        assert a.mass_at(0, 0) == 2 * w(0, 0) and b.mass_at(0, 0) == 0
+        assert len(a.entries) == m * n and len(b.entries) == m * n - 1
+
+    def test_a_cycle_cell_reaching_zero_in_both_parts_is_split_apart(self):
+        # Equal masses on all four cells: each part loses two of them.
+        a, b = self.assert_matches_reference(uniform_2x2(), CycleWitness((0, 1), (1, 0)))
+        assert len(a.entries) == len(b.entries) == 2
+
+    @pytest.mark.parametrize(
+        "entries, cycle",
+        [
+            (((0, 0, 0.5), (0, 1, 0.5), (1, 0, 0.5)), CycleWitness((0, 1), (1, 0))),
+            (((0, 0, 0.5), (0, 1, 1e-15), (1, 0, 0.5), (1, 1, 0.5)), CycleWitness((0, 1), (1, 0))),
+            (((0, 0, 1), (0, 1, 1), (1, 1, 1)), CycleWitness((1, 0), (0, 1))),
+        ],
+        ids=["missing-cell", "dust-cell", "missing-first-cell"],
+    )
+    def test_refuses_the_first_edge_the_reference_refuses(self, entries, cycle):
+        gamma = Coupling(2, 2, entries)
+        with pytest.raises(CycleError) as expected:
+            oracles.split_witness_by_entries(gamma, cycle)
+        with pytest.raises(CycleError) as got:
+            split_witness(gamma, cycle)
+        assert str(got.value) == str(expected.value)
 
 
 class TestIsExtremal:

@@ -1,8 +1,10 @@
 """Marginal, coupling, and push-forward behavior of the measure layer."""
 
+import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +114,96 @@ class TestValidation:
         # A fractional or string index is an error, not silently truncated.
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             build()
+
+
+class TestCouplingChecks:
+    """The exact message for each kind of bad entry, and which entry it names."""
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ((2, 0, 1), "entry (2, 0) outside the 2x3 grid"),
+            ((0, 3, 1), "entry (0, 3) outside the 2x3 grid"),
+            ((-1, 0, 1), "entry (-1, 0) outside the 2x3 grid"),
+            ((0, -1, 0.5), "entry (0, -1) outside the 2x3 grid"),
+            ((5, 0, math.nan), "entry (5, 0) outside the 2x3 grid"),
+            ((1, 2, math.nan), "mass at (1, 2) must be finite and > 0, got nan"),
+            ((1, 2, math.inf), "mass at (1, 2) must be finite and > 0, got inf"),
+            ((1, 2, -math.inf), "mass at (1, 2) must be finite and > 0, got -inf"),
+            ((1, 2, 0), "mass at (1, 2) must be finite and > 0, got 0"),
+            ((1, 2, -1), "mass at (1, 2) must be finite and > 0, got -1"),
+            ((1, 2, 0.0), "mass at (1, 2) must be finite and > 0, got 0.0"),
+            ((1, 2, -0.0), "mass at (1, 2) must be finite and > 0, got -0.0"),
+            ((1, 2, F(-1, 2)), "mass at (1, 2) must be finite and > 0, got Fraction(-1, 2)"),
+            ((1, 2, F(0)), "mass at (1, 2) must be finite and > 0, got Fraction(0, 1)"),
+            ((1, 2, True), "mass at (1, 2) must be finite and > 0, got True"),
+            ((1, 2, False), "mass at (1, 2) must be finite and > 0, got False"),
+            ((1, 2, "1"), "mass at (1, 2) must be finite and > 0, got '1'"),
+            ((1, 2, None), "mass at (1, 2) must be finite and > 0, got None"),
+        ],
+    )
+    def test_each_bad_entry_has_its_message(self, entry, message):
+        with pytest.raises(ValueError) as info:
+            Coupling(2, 3, ((0, 0, 1), entry))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ((1, 1, 1), (0, 0, 1)),
+            ((0, 1, 1), (0, 0, 1)),
+            ((1, 0, 1), (0, 2, 1)),
+            ((0, 0, F(1)), (0, 0, F(2))),
+            ((0, 0, 0.5), (0, 1, 0.5), (0, 1, 0.5)),
+        ],
+        ids=["rows", "columns", "row-before-column", "duplicate-first", "duplicate-later"],
+    )
+    def test_unsorted_or_duplicate_cells(self, entries):
+        with pytest.raises(ValueError) as info:
+            Coupling(2, 3, entries)
+        assert str(info.value) == "entries must be strictly row-major sorted without duplicates"
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (((0, 0, 1), (0, 1, -1), (7, 0, 1), (1, 1, 0.0)), "mass at (0, 1) must be finite and > 0, got -1"),
+            (((0, 0, 1), (3, 0, 1), (1, 1, math.nan)), "entry (3, 0) outside the 2x3 grid"),
+            (((0, 1, 1), (0, 0, math.nan)), "mass at (0, 0) must be finite and > 0, got nan"),
+            (((1, 0, F(1)), (0, 9, F(1))), "entry (0, 9) outside the 2x3 grid"),
+            (((1, 0, F(1)), (0, 1, F(-1))), "mass at (0, 1) must be finite and > 0, got Fraction(-1, 1)"),
+        ],
+    )
+    def test_the_first_bad_entry_is_named(self, entries, message):
+        # Within an entry the grid is checked first, then the mass, then the order.
+        with pytest.raises(ValueError) as info:
+            Coupling(2, 3, entries)
+        assert str(info.value) == message
+
+    def test_a_bad_index_anywhere_is_a_type_error_before_any_value_check(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Coupling(2, 3, ((0, 0, -1), (5, 0, 1), (1, 0.0, 1)))
+
+    def test_numpy_scalars_are_accepted(self):
+        gamma = Coupling(
+            np.int64(2), 3, ((np.int64(0), np.int64(2), np.float64(0.25)), (1, np.int32(0), np.float64(2)))
+        )
+        assert gamma.entries == ((0, 2, 0.25), (1, 0, 2.0))
+        assert all(type(i) is int and type(j) is int for i, j, _ in gamma.entries)
+        assert type(gamma.m) is int
+        with pytest.raises(ValueError, match=r"mass at \(0, 0\) must be finite and > 0"):
+            Coupling(1, 1, ((0, 0, np.float64("nan")),))
+        with pytest.raises(ValueError, match=r"mass at \(0, 0\) must be finite and > 0"):
+            Coupling(1, 1, ((0, 0, np.float64(-1.0)),))
+
+    @pytest.mark.parametrize("zero", [0, 0.0, -0.0, F(0), False])
+    def test_from_entries_drops_every_kind_of_zero(self, zero):
+        assert Coupling.from_entries(2, 2, [(1, 1, zero), (0, 1, 0.5)]).entries == ((0, 1, 0.5),)
+
+    @pytest.mark.parametrize("blank", [None, "", [], math.nan])
+    def test_from_entries_keeps_falsy_non_numbers_for_the_check(self, blank):
+        with pytest.raises(ValueError) as info:
+            Coupling.from_entries(2, 2, [(1, 1, blank), (0, 1, 0.5)])
+        assert str(info.value) == f"mass at (1, 1) must be finite and > 0, got {blank!r}"
 
 
 class TestMarginals:

@@ -180,6 +180,14 @@ class TestSolve:
         assert type(report.primal_value) is type(report.dual_value) is type(value)
         assert report.primal_value == report.dual_value == value
 
+    @pytest.mark.parametrize("rows", [((1, 2), (3, 4)), ((1.0, 2.0), (3.0, 4.0))], ids=["int-costs", "float-costs"])
+    def test_float_empty_support_values_are_floats(self, rows):
+        zero = DiscreteMarginal((0.0, 0.0))
+        report = solve(zero, zero, CostMatrix(rows))
+        assert report.coupling.entries == ()
+        assert type(report.primal_value) is type(report.dual_value) is float
+        assert report.primal_value == report.dual_value == 0.0
+
     def test_zero_against_positive_marginal(self):
         with pytest.raises(InfeasibleError):
             solve(DiscreteMarginal((0, 0)), DiscreteMarginal((F(1), F(1))), CostMatrix(((0, 0), (0, 0))))
