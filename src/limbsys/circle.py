@@ -21,7 +21,7 @@ from operator import or_, sub
 from .errors import LimbsysError
 from .extremality import support_graph
 from .limbs import NumberedLimbSystem, decompose, limb_count
-from .measures import CostMatrix, DiscreteMarginal, thresholds
+from .measures import CostMatrix, DiscreteMarginal, magnitudes, thresholds_of
 from .transport import SolveReport, solve
 
 __all__ = [
@@ -164,10 +164,11 @@ def subtwist_check(c: CostMatrix, periodic: bool = True) -> SubtwistReport:
     s[j2] - s[j1] is -(s[j1] - s[j2]), so once a row's steps are sorted the
     columns j2 with s[j1] - s[j2] above the threshold are a prefix of that
     order, and those with s[j2] - s[j1] above it a suffix; one two-pointer
-    sweep finds both for every j1.  Each pair keeps its last nonzero sign
-    (``pos``, ``neg``) and counts its sign changes L along the steps,
-    saturating at 3 (``c1``, ``c2``, ``c3``: L at least 1, 2, 3).  Signs
-    alternate, so the wrap from the last sign to the first is a change
+    sweep finds both for every j1, and one table of that order's prefixes,
+    packed once a row step, gives both masks.  Each pair keeps its last
+    nonzero sign (``pos``, ``neg``) and counts its sign changes L along the
+    steps, saturating at 3 (``c1``, ``c2``, ``c3``: L at least 1, 2, 3).
+    Signs alternate, so the wrap from the last sign to the first is a change
     exactly when L is odd: round the circle a pair has two changes exactly
     when L is 1 or 2.
 
@@ -178,7 +179,15 @@ def subtwist_check(c: CostMatrix, periodic: bool = True) -> SubtwistReport:
     rounded onto the threshold may then get another verdict than it would
     pair by pair.
     """
-    _, tol = thresholds(costs=c.rows)
+    tops = magnitudes(costs=c.rows)
+    _, tol = thresholds_of(tops)
+    rows = c.rows
+    # Step differences stay below 4 times the largest cost; float costs that
+    # would overflow it are scanned scaled by a power of two, which is exact.
+    shrink = max(0, math.frexp(tops[1])[1] - 1022) if tops else 0
+    if shrink:
+        rows = tuple(tuple(math.ldexp(v, -shrink) for v in row) for row in rows)
+        tol = math.ldexp(tol, -shrink)
     n = c.n
     width = -(-n // 8)
     stride = 8 * width
@@ -187,8 +196,8 @@ def subtwist_check(c: CostMatrix, periodic: bool = True) -> SubtwistReport:
     def pack(masks):
         return int.from_bytes(b"".join(map(int.to_bytes, masks, repeat(width), repeat("little"))), "little")
 
+    full = pack(repeat(bits[-1] * 2 - 1, n))
     pos = neg = c1 = c2 = c3 = 0
-    rows = c.rows
     for row, after in zip(rows, rows[1:] + rows[:1] if periodic else rows[1:]):
         s = list(map(sub, after, row))
         order = sorted(range(n), key=s.__getitem__)
@@ -203,10 +212,12 @@ def subtwist_check(c: CostMatrix, periodic: bool = True) -> SubtwistReport:
                 first[order[k]] = t
                 k += 1
             below[j] = k
-        low = list(accumulate(map(bits.__getitem__, order), or_, initial=0))
-        high = list(accumulate(map(bits.__getitem__, reversed(order)), or_, initial=0))[::-1]
-        up = pack(map(low.__getitem__, below))
-        down = pack(map(high.__getitem__, first))
+        # prefix[t] packs order[:t] as one slot; ``up`` takes prefix[below[j]]
+        # and ``down`` its complement order[t:] at t = first[j], slot by slot.
+        prefixes = accumulate(map(bits.__getitem__, order), or_, initial=0)
+        prefix = list(map(int.to_bytes, prefixes, repeat(width), repeat("little")))
+        up = int.from_bytes(b"".join(map(prefix.__getitem__, below)), "little")
+        down = full ^ int.from_bytes(b"".join(map(prefix.__getitem__, first)), "little")
         was_pos, was_neg = pos & down, neg & up
         turned = was_pos | was_neg
         c3 |= c2 & turned

@@ -45,29 +45,36 @@ COST_SCALE = 1e-9
 
 
 def thresholds(masses=(), costs=()) -> tuple:
-    """(mass, cost) thresholds for comparisons over the given value groups.
+    """(mass, cost) thresholds for comparisons over the given value groups."""
+    return thresholds_of(magnitudes(masses, costs))
 
-    The one exactness rule of the package: data count as exact when no
-    value in any group is a float, and exact data get the int thresholds
-    (0, 0).  Float data get the float thresholds ``MASS_SCALE`` times the
-    largest |mass| and ``COST_SCALE`` times the largest |cost|; no values or
-    only zeros give 0.0.
-    Float masses at or below the mass threshold are dust left behind by
-    floating-point solves; costs within the cost threshold count as equal.
-    A magnitude beyond the float range next to float data raises ValueError.
+
+def magnitudes(masses=(), costs=()):
+    """(largest |mass|, largest |cost|) over the given value groups, 0 for
+    none, or None for exact data.  The one exactness rule of the package:
+    data count as exact when no value in any group is a float.
 
     Each group must be a sequence, not an iterator.  A first pass decides
     exactness, so exact data are read once and never pay for the magnitudes
     of their Fractions; float data are read again for the largest magnitude.
     """
     if not any(isinstance(v, float) for group in (*masses, *costs) for v in group):
-        return 0, 0
-    top_mass, top_cost = (
-        max((max(map(abs, group), default=0) for group in groups), default=0)
-        for groups in (masses, costs)
+        return None
+    return tuple(
+        max((max(map(abs, group), default=0) for group in groups), default=0) for groups in (masses, costs)
     )
-    with float_range((top_mass, top_cost)):
-        return MASS_SCALE * top_mass, COST_SCALE * top_cost
+
+
+def thresholds_of(tops) -> tuple:
+    """(mass, cost) thresholds of ``magnitudes`` ``tops``: the ints (0, 0)
+    for exact data, ``MASS_SCALE`` and ``COST_SCALE`` times the tops for
+    float data.  Float masses at or below the mass threshold are dust left
+    by floating-point solves; costs within the cost threshold count as
+    equal.  A top beyond the float range, next to floats, raises ValueError."""
+    if tops is None:
+        return 0, 0
+    with float_range(tops):
+        return MASS_SCALE * tops[0], COST_SCALE * tops[1]
 
 
 def exact_ints(*groups) -> tuple:

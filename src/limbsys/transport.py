@@ -53,7 +53,7 @@ from .errors import (
 )
 from .extremality import SupportGraph
 from .measures import Coupling, CostMatrix, DiscreteMarginal, _is_finite_number, exact_ints
-from .measures import float_range, thresholds
+from .measures import float_range, magnitudes, thresholds, thresholds_of
 
 __all__ = [
     "DualPotentials",
@@ -114,7 +114,8 @@ class _Instance(NamedTuple):
     ``measures.exact_ints`` for its masses and potentials, and the caller's
     values with no divisors on float data; the (mass, cost) thresholds; the
     gap allowed between the totals, and the gap between them, the int 0 on
-    exact data so that thresholds built from it stay ints."""
+    exact data so that thresholds built from it stay ints; the largest
+    |cost| of ``rows``."""
 
     mu: Sequence
     nu: Sequence
@@ -125,6 +126,7 @@ class _Instance(NamedTuple):
     eps_cost: object
     slack: object
     gap: object
+    top: object
 
 
 def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> _Instance:
@@ -134,14 +136,16 @@ def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -
         raise ShapeMismatchError(
             f"cost matrix is {c.m}x{c.n} but marginals have sizes {mu.size} and {nu.size}"
         )
-    eps_mass, eps_cost = thresholds(masses=(mu.weights, nu.weights), costs=c.rows)
-    if not isinstance(eps_mass, float):
+    tops = magnitudes(masses=(mu.weights, nu.weights), costs=c.rows)
+    eps_mass, eps_cost = thresholds_of(tops)
+    if tops is None:
         # Exact totals balance exactly, and do so as ints times L; unbalanced
         # ones go on to the check below, which names them as their values sum.
         (mu_w, nu_w), L = exact_ints(mu.weights, nu.weights)
         if sum(mu_w) == sum(nu_w):
             rows, K = exact_ints(*c.rows)
-            return _Instance(mu_w, nu_w, rows, L, K, eps_mass, eps_cost, 0, 0)
+            top = max(max(map(abs, row)) for row in rows)
+            return _Instance(mu_w, nu_w, rows, L, K, eps_mass, eps_cost, 0, 0, top)
     slack = (mu.size + nu.size) * eps_mass
     ta, tb = mu.total(), nu.total()
     if math.inf in (ta, tb):
@@ -161,7 +165,7 @@ def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -
             f"total masses differ: first marginal carries {ta!r}, second {tb!r}; "
             "no coupling has both for marginals"
         )
-    return _Instance(mu.weights, nu.weights, c.rows, None, None, eps_mass, eps_cost, slack, gap or 0)
+    return _Instance(mu.weights, nu.weights, c.rows, None, None, eps_mass, eps_cost, slack, gap or 0, tops[1])
 
 
 def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveReport:
@@ -182,7 +186,7 @@ def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
     on the way out, and both objective values are int sums divided by L*K
     once; float values come from the caller's values."""
     m, n = mu.size, nu.size
-    mu_w, nu_w, c_rows, L, K, eps_mass, pivot_tol, slack, gap = instance
+    mu_w, nu_w, c_rows, L, K, eps_mass, pivot_tol, slack, gap, top = instance
 
     # Nodes: columns 0..n-1, rows n..n+m-1 and an artificial root m+n.  Arc
     # (i, j) runs from row n+i to column j.  The start joins every point to
@@ -192,7 +196,6 @@ def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
     # points toward the root, so the tree is strongly feasible, and
     # ``art`` above any detour's saving keeps mass off the root at the end.
     root = m + n
-    top = max(max(map(abs, row)) for row in c_rows)
     # Potentials and reduced costs stay below 8(m+n+1) times the largest
     # cost.  Float costs for which that bound would overflow are priced
     # scaled down by a power of two, which is exact, and the potentials are
@@ -212,7 +215,8 @@ def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
 
     # Block search: price whole rows, about sqrt(m*n) arcs a block, going
     # round from where the last search stopped, and enter the most negative
-    # reduced cost of the first block holding one below the pivot threshold.
+    # reduced cost of the first block holding one below the pivot threshold,
+    # found in the one list of reduced costs kept for the block's best row.
     block = max(1, math.isqrt(m * n) // n)
     next_row = 0
     iterations = degenerate = 0
@@ -220,11 +224,10 @@ def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
         best, entering = -pivot_tol, None
         for step in range(m):
             i = (next_row + step) % m
-            row = c_rows[i]
-            low = min(map(sub, row, pi))
+            reduced = list(map(sub, c_rows[i], pi))
+            low = min(reduced)
             if low + pi[n + i] < best:
-                best = low + pi[n + i]
-                entering = (i, list(map(sub, row, pi)).index(low))
+                best, entering = low + pi[n + i], (i, reduced, low)
             if entering is not None and (step + 1) % block == 0:
                 break
         if entering is None:
@@ -233,30 +236,28 @@ def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
         iterations += 1
 
         # The cycle is the entering arc a -> b closed by the tree paths from
-        # a and b up to their lowest common ancestor.  Mass moves down the
-        # path to a and up the path from b.
-        i, j = entering
-        a, b = n + i, j
+        # a and b up to their lowest common ancestor, the join.  Mass moves
+        # down the path to a and up the path from b.  The leaving arc is the
+        # last blocking arc met going round the cycle from the join, which
+        # keeps the tree strongly feasible (Cunningham): the one climb to the
+        # join keeps the first smallest of the a side, nearest a, and the
+        # last smallest of the b side, nearest the join, which wins a tie.
+        i, reduced, low = entering
+        a, b = n + i, reduced.index(low)
         u, v = a, b
+        delta_a = delta_b = None
         while u != v:
             if depth[u] >= depth[v]:
+                if up[u] and (delta_a is None or flow[u] < delta_a):
+                    delta_a, out_a = flow[u], u
                 u = parent[u]
             else:
+                if not up[v] and (delta_b is None or flow[v] <= delta_b):
+                    delta_b, out_b = flow[v], v
                 v = parent[v]
         join = u
-        # Leaving arc: the last blocking arc met going round the cycle from
-        # the join, which keeps the tree strongly feasible (Cunningham).
-        delta, out, on_a_side = None, None, True
-        u = a
-        while u != join:
-            if up[u] and (delta is None or flow[u] < delta):
-                delta, out = flow[u], u
-            u = parent[u]
-        u = b
-        while u != join:
-            if not up[u] and (delta is None or flow[u] <= delta):
-                delta, out, on_a_side = flow[u], u, False
-            u = parent[u]
+        on_a_side = delta_b is None or (delta_a is not None and delta_a < delta_b)
+        delta, out = (delta_a, out_a) if on_a_side else (delta_b, out_b)
         if delta:
             u = a
             while u != join:

@@ -90,12 +90,20 @@ def subtwist_by_steps(c, periodic: bool):
     differences are taken once (wrapping round when periodic), every pair
     j1 < j2 subtracts them, drops the values within the cost threshold and
     counts the sign changes of what is left.  A reference for the package's
-    bitset scan on float data, where the threshold matters.
+    bitset scan on float data, where the threshold matters.  Costs of
+    2**1022 or more, whose step differences could overflow, are first
+    halved or quartered, which is exact, and so is their threshold.
     """
     _, zero_tol = thresholds(costs=c.rows)
+    rows = c.rows
+    top = max(abs(v) for row in rows for v in row)
+    if isinstance(zero_tol, float) and top >= 2.0**1022:
+        k = 1 if top < 2.0**1023 else 2
+        rows = [[math.ldexp(v, -k) for v in row] for row in rows]
+        zero_tol = math.ldexp(zero_tol, -k)
     steps = [
         [b - a for a, b in zip(col, col[1:] + col[:1] if periodic else col[1:])]
-        for col in zip(*c.rows)
+        for col in zip(*rows)
     ]
     violations = []
     degenerate = []

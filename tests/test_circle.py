@@ -206,6 +206,42 @@ class TestSubtwist:
                     violations, degenerate = oracles.subtwist_by_steps(c, periodic)
                     assert (report.violations, report.degenerate) == (violations, degenerate), n
 
+    @pytest.mark.parametrize("n", [65, 71, 72, 73, 96])
+    def test_demo_costs_past_eight_byte_slots_match_the_column_step_reference(self, n):
+        # Slots of 9 to 12 bytes, one of them exactly full at n = 72 and 96,
+        # so the complemented prefixes of ``down`` span whole bytes and part ones.
+        for c in (build_circle_cost(CircleGrid(n)), double_frequency_cost(n)):
+            for periodic in (True, False):
+                report = subtwist_check(c, periodic=periodic)
+                violations, degenerate = oracles.subtwist_by_steps(c, periodic)
+                assert (report.violations, report.degenerate) == (violations, degenerate), (n, periodic)
+
+    def test_costs_near_the_float_maximum_get_the_verdict_of_their_halves(self):
+        # Their row steps overflow to +-inf and the differences of those to
+        # NaN, unless the costs are scanned scaled down first.
+        rows = (
+            (-1.7e308, 0.0, 0.0, -8.5e307),
+            (0.0, 1.53e308, 8.5e307, -1.7e308),
+            (8.5e307, -1.53e308, -1.53e308, 1.53e308),
+        )
+        halves = tuple(tuple(math.ldexp(v, -1) for v in row) for row in rows)
+        for c in (rows, halves):
+            report = subtwist_check(CostMatrix(c))
+            assert (report.violations, report.degenerate) == ((), ())
+        assert oracles.subtwist_by_definition(rows, True) == ((), ())
+
+    def test_verdicts_are_kept_under_power_of_two_rescaling(self):
+        rng = random.Random(28)
+        for t in range(1500):
+            m, n = rng.randint(2, 6), rng.randint(2, 6)
+            top = rng.choice((1.0, 2.0**1021, 2.0**1022, 2.0**1023, sys.float_info.max))
+            rows = [[rng.uniform(-1.0, 1.0) * top for _ in range(n)] for _ in range(m)]
+            periodic = t % 2 == 0
+            verdict = subtwist_check(CostMatrix(rows), periodic=periodic)
+            for k in (-1, -2, -3, -700):
+                scaled = CostMatrix([[math.ldexp(v, k) for v in row] for row in rows])
+                assert subtwist_check(scaled, periodic=periodic) == verdict, (rows, k)
+
     @settings(max_examples=600, deadline=None)
     @given(float_costs(), st.booleans())
     def test_matches_the_column_step_reference_on_floats(self, c, periodic):

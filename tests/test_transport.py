@@ -1,10 +1,12 @@
 """Network simplex solver, dual potentials, and the optimal-vertex oracle."""
 
+import hashlib
 import itertools
 import math
 import random
 from fractions import Fraction as F
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from types import SimpleNamespace
 
 import pytest
@@ -348,6 +350,113 @@ def test_readme_pivot_counts():
         assert run_demo(DemoConfig(n=n)).solve_report.iterations == pivots
     for n, pivots in ((32, 209), (64, 703)):
         assert solve(*rational_demo_instance(DemoConfig(n=n))).iterations == pivots
+
+
+# Tall shapes price blocks of 2 and 3 rows, wide ones blocks of one row.
+PINNED_SHAPES = ((12, 3), (20, 4), (27, 3), (40, 4), (60, 5), (3, 10), (5, 17), (6, 30), (9, 9))
+PINNED_KINDS = ("float", "exact", "float-ties", "exact-ties", "float-flat", "exact-flat")
+
+
+def pinned_instances():
+    """(name, mu, nu, c) for each shape and kind: masses the marginals of a
+    random grid with empty cells, or of a flat one (``flat``, whose flows
+    tie often), and costs random (float, or Fractions for ``exact``) or
+    drawn from {0, 1, 2} (``ties`` and ``flat``)."""
+    rng = random.Random(2828)
+    for m, n in PINNED_SHAPES:
+        for kind in PINNED_KINDS:
+            exact = kind.startswith("exact")
+            if kind.endswith("flat"):
+                grid = [[(1 if exact else 1.0)] * n for _ in range(m)]
+            elif exact:
+                grid = [
+                    [rng.choice((0, F(rng.randint(1, 9), rng.choice((1, 4, 6))))) for _ in range(n)] for _ in range(m)
+                ]
+            else:
+                grid = [[rng.choice((0.0, rng.random())) for _ in range(n)] for _ in range(m)]
+            grid[0][0] += 1 - kind.endswith("flat")
+            # Summed left to right: sum() of floats is compensated from 3.12.
+            mu = DiscreteMarginal(tuple(reduce(add, row) for row in grid))
+            nu = DiscreteMarginal(tuple(reduce(add, col) for col in zip(*grid)))
+
+            def cost():
+                if kind.endswith(("float", "exact")):
+                    return F(rng.randint(-40, 40), rng.randint(1, 7)) if exact else rng.uniform(-1.0, 1.0)
+                return rng.randrange(3) if exact else float(rng.randrange(3))
+
+            c = CostMatrix(tuple(tuple(cost() for _ in range(n)) for _ in range(m)))
+            yield f"{m}x{n}-{kind}", mu, nu, c
+
+
+# (pivots, degenerate pivots, digest of the entries and potentials) of each
+# pinned instance, as the simplex gave them when they were recorded: a change
+# to pricing or to the ratio test must keep every pivot.  The values are left
+# out, as sum() of floats rounds differently from Python 3.12.
+PINNED_PATHS = dict([
+    ("12x3-float", (21, 6, "7449d6bc2d986a6f")),
+    ("12x3-exact", (22, 3, "b630ab56ac831de3")),
+    ("12x3-float-ties", (19, 1, "34c932af9c878349")),
+    ("12x3-exact-ties", (20, 0, "49740b3b3ef8889a")),
+    ("12x3-float-flat", (14, 2, "9dd65fd13694419a")),
+    ("12x3-exact-flat", (16, 4, "0971f770e3c30ba0")),
+    ("20x4-float", (40, 3, "374c2dacb3e56048")),
+    ("20x4-exact", (34, 3, "ef6531915b48b500")),
+    ("20x4-float-ties", (27, 2, "742177b15d725f96")),
+    ("20x4-exact-ties", (33, 4, "35d9ff125e90abf6")),
+    ("20x4-float-flat", (33, 12, "6a362cc8cc5bc7d4")),
+    ("20x4-exact-flat", (29, 9, "a8ef83f7e342ddd8")),
+    ("27x3-float", (41, 1, "0d91e4a348ea3f35")),
+    ("27x3-exact", (35, 6, "93b994b35359d22b")),
+    ("27x3-float-ties", (38, 3, "b1cc146b9a59065d")),
+    ("27x3-exact-ties", (43, 4, "7f26022e12e7df88")),
+    ("27x3-float-flat", (34, 7, "9d06e52b6a3432be")),
+    ("27x3-exact-flat", (37, 10, "f9897849dd95e535")),
+    ("40x4-float", (65, 6, "65608c2d317f5650")),
+    ("40x4-exact", (58, 0, "253848bc8ff336f1")),
+    ("40x4-float-ties", (54, 5, "53de7b061c8e0f3d")),
+    ("40x4-exact-ties", (63, 2, "5dc1912d20700834")),
+    ("40x4-float-flat", (56, 15, "ac6a88daeda4f0ca")),
+    ("40x4-exact-flat", (51, 10, "0926de59884f5b55")),
+    ("60x5-float", (83, 9, "0e18bddb5cd868cf")),
+    ("60x5-exact", (96, 6, "dfbd76136b8a03bd")),
+    ("60x5-float-ties", (86, 2, "bddd157160ee7e17")),
+    ("60x5-exact-ties", (104, 7, "9d766d4aa4ac6d99")),
+    ("60x5-float-flat", (94, 31, "d3fb6dd36340af87")),
+    ("60x5-exact-flat", (85, 23, "ba48e681fd2a2c74")),
+    ("3x10-float", (14, 0, "d8e1ef051527b996")),
+    ("3x10-exact", (14, 3, "b43c5b1ed2ff7016")),
+    ("3x10-float-ties", (12, 0, "3825e973dfbe189c")),
+    ("3x10-exact-ties", (10, 0, "86154a9bfb93b08e")),
+    ("3x10-float-flat", (13, 0, "08593d68fb624b29")),
+    ("3x10-exact-flat", (15, 0, "72c4e873d5c1ea5c")),
+    ("5x17-float", (32, 0, "04454d621a6c6df5")),
+    ("5x17-exact", (33, 0, "3218c27ffa0d88e0")),
+    ("5x17-float-ties", (28, 0, "4012244d84f5baea")),
+    ("5x17-exact-ties", (26, 0, "26b5420946aecf3a")),
+    ("5x17-float-flat", (22, 0, "d24d02cddd256112")),
+    ("5x17-exact-flat", (21, 0, "59614c51e9af958e")),
+    ("6x30-float", (46, 0, "83924af86e1de401")),
+    ("6x30-exact", (51, 1, "0e626f2829800350")),
+    ("6x30-float-ties", (43, 0, "1845cd7467762173")),
+    ("6x30-exact-ties", (44, 0, "5ab11fa89847b7ad")),
+    ("6x30-float-flat", (40, 8, "d0bdf9810eefdc4d")),
+    ("6x30-exact-flat", (36, 5, "f42ec33f3d231c5d")),
+    ("9x9-float", (26, 0, "7347794d37d8458c")),
+    ("9x9-exact", (25, 0, "6004f17b1b35a056")),
+    ("9x9-float-ties", (21, 0, "b1a0d7196bddbdff")),
+    ("9x9-exact-ties", (31, 0, "bceab7d3306bbe3f")),
+    ("9x9-float-flat", (19, 8, "c7eb9beec6e6e5e0")),
+    ("9x9-exact-flat", (9, 0, "24401bc56c6d4d95")),
+])
+
+
+def test_pinned_simplex_paths():
+    for name, mu, nu, c in pinned_instances():
+        report = solve(mu, nu, c)
+        text = repr((report.coupling.entries, report.potentials))
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert (report.iterations, report.degenerate_pivots, digest) == PINNED_PATHS[name], name
+    assert len(PINNED_PATHS) == len(PINNED_SHAPES) * len(PINNED_KINDS)
 
 
 def integer_instance(rng, m, n, as_type):
