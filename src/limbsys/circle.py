@@ -21,7 +21,7 @@ from operator import or_, sub
 from .errors import LimbsysError
 from .extremality import support_graph
 from .limbs import NumberedLimbSystem, decompose, limb_count
-from .measures import CostMatrix, DiscreteMarginal, magnitudes, thresholds_of
+from .measures import CostMatrix, DiscreteMarginal, edge_scaled, magnitudes, thresholds_of
 from .transport import SolveReport, solve
 
 __all__ = [
@@ -181,13 +181,10 @@ def subtwist_check(c: CostMatrix, periodic: bool = True) -> SubtwistReport:
     """
     tops = magnitudes(costs=c.rows)
     _, tol = thresholds_of(tops)
-    rows = c.rows
     # Step differences stay below 4 times the largest cost; float costs that
     # would overflow it are scanned scaled by a power of two, which is exact.
-    shrink = max(0, math.frexp(tops[1])[1] - 1022) if tops else 0
-    if shrink:
-        rows = tuple(tuple(math.ldexp(v, -shrink) for v in row) for row in rows)
-        tol = math.ldexp(tol, -shrink)
+    rows, K = edge_scaled(4, tops[1:], *c.rows) if tops else (c.rows, None)
+    tol *= K or 1
     n = c.n
     width = -(-n // 8)
     stride = 8 * width

@@ -35,7 +35,8 @@ __all__ = [
 @dataclass(frozen=True)
 class SupportGraph:
     """Bipartite graph on m row nodes and n column nodes, one edge per
-    occupied cell of a product grid."""
+    occupied cell of a product grid.  ``edges`` may be any iterable of
+    cells; it is checked and stored as a frozenset in one pass."""
 
     m: int
     n: int
@@ -108,9 +109,9 @@ def support_graph(gamma: Coupling) -> SupportGraph:
     masses = [w for _, _, w in gamma.entries]
     eps, _ = thresholds(masses=(masses,))
     if eps and min(masses) <= eps:
-        edges = frozenset([(i, j) for i, j, w in gamma.entries if w > eps])
+        edges = [(i, j) for i, j, w in gamma.entries if w > eps]
     else:
-        edges = frozenset(map(itemgetter(0, 1), gamma.entries))
+        edges = map(itemgetter(0, 1), gamma.entries)
     return SupportGraph(gamma.m, gamma.n, edges)
 
 

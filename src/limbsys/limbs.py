@@ -158,7 +158,7 @@ def system_support(system: NumberedLimbSystem) -> SupportGraph:
     cells = set()
     for limb in system.limbs:
         cells |= limb.cells()
-    return SupportGraph(system.m, system.n, frozenset(cells))
+    return SupportGraph(system.m, system.n, cells)
 
 
 def limb_count(system: NumberedLimbSystem) -> int:

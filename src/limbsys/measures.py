@@ -89,6 +89,21 @@ def exact_ints(*groups) -> tuple:
     return scaled, L if fraction else None
 
 
+def edge_scaled(factor: int, tops, *groups) -> tuple:
+    """The one rule for float data at the edge of the float range: the
+    value groups as lists times 2**-k, and 2.0**-k, for the least k >= 0
+    that keeps ``factor`` times the product of the magnitudes ``tops``,
+    times 2**-k, below 2**1024, read off their binary exponents; the groups
+    as they are and None when k is 0, as it is unless that product comes
+    within about a factor 2 of the float maximum.  Scaling floats by a power
+    of two is exact, so scaled data compare as before and results scale
+    back."""
+    k = max(0, sum(math.frexp(t)[1] for t in tops) + (factor - 1).bit_length() - 1024)
+    if not k:
+        return groups, None
+    return [[v * 2.0**-k for v in group] for group in groups], 2.0**-k
+
+
 @contextmanager
 def float_range(*groups):
     """Run arithmetic over the given value groups, turning the

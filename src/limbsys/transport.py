@@ -12,12 +12,14 @@ exact and the returned optimum is exact; with floats the pivot threshold and
 the dust below which masses are dropped scale with the largest cost and the
 largest mass of the instance (``measures.thresholds``).  No comparison
 changes when the masses are multiplied by one positive number and the costs
-by another, so exact data are solved over ints: the masses are scaled once
-by the lcm of their denominators, the costs by that of theirs; the optimum
-is divided back into Fractions when a mass is one, the potentials when a
-cost is (``measures.exact_ints``).  The balance check compares the int
-totals, and both objective values are summed on the ints and divided once
-by L·K, so they are Fractions when a mass or a cost is.
+by another, and the instance check makes that its one scaling rule: exact
+masses and costs become ints times L and K, the lcms of their denominators
+(``measures.exact_ints``), and float data near the float maximum are
+multiplied by L = 2**-a and K = 2**-b, which is exact
+(``measures.edge_scaled``; a and b are 0 elsewhere).  The simplex runs on
+that instance alone; masses are divided back by L, potentials by K and both
+objective values, summed on the scaled data, by L·K, once each.  The balance
+check is one comparison of the scaled totals.
 
 The optimal-vertex oracle lists the whole optimal face.  By complementary
 slackness every optimal dual cuts out the same face: the feasible couplings
@@ -40,8 +42,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from operator import mul, sub
-from typing import NamedTuple, Optional, Sequence
+from operator import mul, sub, truediv
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     DualInfeasibleError,
@@ -52,8 +54,8 @@ from .errors import (
     SuboptimalPotentialsError,
 )
 from .extremality import SupportGraph
-from .measures import Coupling, CostMatrix, DiscreteMarginal, _is_finite_number, exact_ints
-from .measures import float_range, magnitudes, thresholds, thresholds_of
+from .measures import Coupling, CostMatrix, DiscreteMarginal, _is_finite_number, edge_scaled, exact_ints
+from .measures import magnitudes, thresholds, thresholds_of
 
 __all__ = [
     "DualPotentials",
@@ -109,19 +111,21 @@ class SolveReport:
 
 
 class _Instance(NamedTuple):
-    """A checked instance as the loops run it: the masses and the costs as
-    ints on exact data, with the divisors ``L`` and ``K`` of
-    ``measures.exact_ints`` for its masses and potentials, and the caller's
-    values with no divisors on float data; the (mass, cost) thresholds; the
-    gap allowed between the totals, and the gap between them, the int 0 on
-    exact data so that thresholds built from it stay ints; the largest
-    |cost| of ``rows``."""
+    """A checked instance as the loops run it: the masses and the costs
+    multiplied by ``L`` and ``K``, ints times the lcms of their denominators
+    on exact data (``measures.exact_ints``), floats times powers of two on
+    float data (2**-a and 2**-b of ``measures.edge_scaled``), None where
+    nothing is scaled; ``unit``, which divides a result back by L or K
+    (``Fraction`` on exact data); the (mass, cost) thresholds; the gap
+    allowed between the totals, and the gap between them; the largest |cost|
+    of ``rows``.  All but ``unit`` are in the scaled units."""
 
     mu: Sequence
     nu: Sequence
     rows: Sequence
-    L: Optional[int]
-    K: Optional[int]
+    L: object
+    K: object
+    unit: Callable
     eps_mass: object
     eps_cost: object
     slack: object
@@ -139,33 +143,25 @@ def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -
     tops = magnitudes(masses=(mu.weights, nu.weights), costs=c.rows)
     eps_mass, eps_cost = thresholds_of(tops)
     if tops is None:
-        # Exact totals balance exactly, and do so as ints times L; unbalanced
-        # ones go on to the check below, which names them as their values sum.
         (mu_w, nu_w), L = exact_ints(mu.weights, nu.weights)
-        if sum(mu_w) == sum(nu_w):
-            rows, K = exact_ints(*c.rows)
-            top = max(max(map(abs, row)) for row in rows)
-            return _Instance(mu_w, nu_w, rows, L, K, eps_mass, eps_cost, 0, 0, top)
-    slack = (mu.size + nu.size) * eps_mass
-    ta, tb = mu.total(), nu.total()
-    if math.inf in (ta, tb):
-        # Float totals overflowed, and inf - inf is NaN.  Scaling every
-        # weight by 2**-k with 2**k above the point count keeps both sums
-        # finite, and scaling by a power of two is exact.
-        k = -(mu.size + nu.size).bit_length()
-        sa, sb = (sum(math.ldexp(w, k) for w in x.weights) for x in (mu, nu))
-        unbalanced = abs(sa - sb) > math.ldexp(slack, k)
-        gap = 0 if unbalanced else math.ldexp(abs(sa - sb), -k)
+        rows, K = exact_ints(*c.rows)
+        unit, top = Fraction, max(max(map(abs, row)) for row in rows)
     else:
-        with float_range((ta, tb)):
-            gap = abs(ta - tb)
-        unbalanced = gap > slack
-    if unbalanced:
+        # Flows stay below the total mass and potentials below 8(m+n+1)
+        # times the largest cost, so data within 16(m+n+1) of the float
+        # maximum run scaled down.
+        factor = 16 * (mu.size + nu.size + 1)
+        (mu_w, nu_w), L = edge_scaled(factor, tops[:1], mu.weights, nu.weights)
+        rows, K = edge_scaled(factor, tops[1:], *c.rows)
+        unit, eps_mass, eps_cost, top = truediv, eps_mass * (L or 1), eps_cost * (K or 1), tops[1] * (K or 1)
+    slack = (mu.size + nu.size) * eps_mass
+    gap = abs(sum(mu_w) - sum(nu_w))
+    if gap > slack:
         raise InfeasibleError(
-            f"total masses differ: first marginal carries {ta!r}, second {tb!r}; "
+            f"total masses differ: first marginal carries {mu.total()!r}, second {nu.total()!r}; "
             "no coupling has both for marginals"
         )
-    return _Instance(mu.weights, nu.weights, c.rows, None, None, eps_mass, eps_cost, slack, gap or 0, tops[1])
+    return _Instance(mu_w, nu_w, rows, L, K, unit, eps_mass, eps_cost, slack, gap, top)
 
 
 def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveReport:
@@ -177,16 +173,15 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
     repaired behind the caller's back, and an optimum value or potentials
     beyond the float range raise ValueError.
     """
-    return _solve(mu, nu, c, _check_instance(mu, nu, c))
+    return _solve(_check_instance(mu, nu, c))
 
 
-def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
-    """:func:`solve` on ``instance``, the checked form of (mu, nu, c).  Exact
-    data pivot as ints; masses are divided by L and potentials by K, if set,
-    on the way out, and both objective values are int sums divided by L*K
-    once; float values come from the caller's values."""
-    m, n = mu.size, nu.size
-    mu_w, nu_w, c_rows, L, K, eps_mass, pivot_tol, slack, gap, top = instance
+def _solve(instance: _Instance) -> SolveReport:
+    """:func:`solve` on ``instance``, the checked form of its data.  Every
+    result is worked out in the scaled units and read back once: masses
+    divided by L, potentials by K and both objective values by L*K."""
+    mu_w, nu_w, c_rows, L, K, unit, eps_mass, pivot_tol, slack, gap, top = instance
+    m, n = len(mu_w), len(nu_w)
 
     # Nodes: columns 0..n-1, rows n..n+m-1 and an artificial root m+n.  Arc
     # (i, j) runs from row n+i to column j.  The start joins every point to
@@ -196,14 +191,6 @@ def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
     # points toward the root, so the tree is strongly feasible, and
     # ``art`` above any detour's saving keeps mass off the root at the end.
     root = m + n
-    # Potentials and reduced costs stay below 8(m+n+1) times the largest
-    # cost.  Float costs for which that bound would overflow are priced
-    # scaled down by a power of two, which is exact, and the potentials are
-    # scaled back at the end.
-    shrink = max(0, math.frexp(top)[1] + (8 * (m + n + 1)).bit_length() - 1023) if pivot_tol else 0
-    if shrink:
-        c_rows = tuple(tuple(math.ldexp(v, -shrink) for v in row) for row in c_rows)
-        top, pivot_tol = math.ldexp(top, -shrink), math.ldexp(pivot_tol, -shrink)
     art = 2 * (m + n + 1) * top if top else 1
     parent = [root] * (m + n) + [None]
     depth = [1] * (m + n) + [0]
@@ -310,35 +297,31 @@ def _solve(mu, nu, c, instance: _Instance) -> SolveReport:
     entries.sort()
     q = [pi[0] - pi[n + i] for i in range(m)]
     r = [pi[j] - pi[0] for j in range(n)]
-    exact = not isinstance(eps_mass, float)
-    if exact:
-        # Each value is one int sum over the scaled data, in units of
-        # 1/(L*K), divided back once.
-        primal = sum(c_rows[i][j] * w for i, j, w in entries)
-        dual = sum(map(mul, q, mu_w)) + sum(map(mul, r, nu_w))
-        if L or K:
-            scale = (L or 1) * (K or 1)
-            primal, dual = Fraction(primal, scale), Fraction(dual, scale)
-    if L:
-        entries = [(i, j, Fraction(w, L)) for i, j, w in entries]
-    if K:
-        q, r = ([Fraction(x, K) for x in xs] for xs in (q, r))
-    coupling = Coupling(m, n, tuple(entries))
-    if shrink:
-        try:
-            q, r = ([math.ldexp(x, shrink) for x in xs] for xs in (q, r))
-        except OverflowError:
-            raise ValueError("the optimal potentials of these costs leave the float range") from None
+    # Each value is one sum over the scaled data, divided back once.  Float
+    # sums whose terms could overflow run over masses scaled down by D.
+    exact, D = unit is Fraction, None
+    costs, flows = [c_rows[i][j] for i, j, _ in entries], [w for _, _, w in entries]
     if not exact:
-        # Values of data near the edge of the float range may leave it.
-        with float_range(mu.weights, nu.weights, *c.rows):
-            primal = sum(c.rows[i][j] * w for i, j, w in entries) if entries else 0.0
-            dual = sum(map(mul, q, mu.weights)) + sum(map(mul, r, nu.weights))
-        if not (_is_finite_number(primal) and _is_finite_number(dual)):
-            raise ValueError(
-                f"the optimum value of these data leaves the float range: primal {primal!r}, dual {dual!r}"
-            )
-    return SolveReport(coupling, DualPotentials(q, r), primal, dual, iterations, degenerate)
+        tops = max(top, *map(abs, q + r)), max(*mu_w, *nu_w)
+        (flows, mu_w, nu_w), D = edge_scaled(m + n, tops, flows, mu_w, nu_w)
+    primal = sum(map(mul, costs, flows)) if entries or exact else 0.0
+    dual = sum(map(mul, q, mu_w)) + sum(map(mul, r, nu_w))
+    if L or K or D:
+        scale = (L or 1) * (K or 1) * (D or 1)
+        primal, dual = unit(primal, scale), unit(dual, scale)
+    if L:
+        entries = [(i, j, unit(w, L)) for i, j, w in entries]
+    if K:
+        q, r = ([unit(x, K) for x in xs] for xs in (q, r))
+    try:
+        potentials = DualPotentials(q, r)
+    except ValueError:
+        raise ValueError("the optimal potentials of these costs leave the float range") from None
+    if not (_is_finite_number(primal) and _is_finite_number(dual)):
+        raise ValueError(
+            f"the optimum value of these data leaves the float range: primal {primal!r}, dual {dual!r}"
+        )
+    return SolveReport(Coupling(m, n, tuple(entries)), potentials, primal, dual, iterations, degenerate)
 
 
 def zero_set(c: CostMatrix, p: DualPotentials) -> SupportGraph:
@@ -352,7 +335,7 @@ def zero_set(c: CostMatrix, p: DualPotentials) -> SupportGraph:
             f"potentials have sizes {len(p.q)} and {len(p.r)} but cost is {c.m}x{c.n}"
         )
     _, eps = thresholds(costs=(p.q, p.r, *c.rows))
-    edges = set()
+    edges = []
     for i, row in enumerate(c.rows):
         qi = p.q[i]
         for j in range(c.n):
@@ -362,8 +345,8 @@ def zero_set(c: CostMatrix, p: DualPotentials) -> SupportGraph:
                     f"potentials are infeasible at cell ({i}, {j}): reduced cost {rc!r}"
                 )
             if rc <= eps:
-                edges.add((i, j))
-    return SupportGraph(c.m, c.n, frozenset(edges))
+                edges.append((i, j))
+    return SupportGraph(c.m, c.n, edges)
 
 
 def _feasible_bases(nodes, edges, supplies, eps, gap, budget) -> list:
@@ -502,7 +485,7 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
     """
     instance = _check_instance(mu, nu, c)
     m, n, eps_mass, gap = mu.size, nu.size, instance.eps_mass, instance.gap
-    potentials = _solve(mu, nu, c, instance).potentials
+    potentials = _solve(instance).potentials
     zero_edges = [(i, m + j) for i, j in sorted(zero_set(c, potentials).edges)]
 
     # Connected components of the zero-set subgraph over all m+n nodes.
@@ -516,9 +499,10 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
     for u, v in zero_edges:
         comp_edges[_root(parent, u)].append((u, v))
 
-    # Exact supplies are walked as ints, which keeps every sign and order;
-    # each component's options are divided back, if L is set, before they
-    # combine, each distinct entry once, as they share most entries.
+    # Supplies are walked in the scaled units, as ints on exact data, which
+    # keeps every sign and order; each component's options are divided back,
+    # if L is set, before they combine, each distinct entry once, as they
+    # share most entries.
     supplies = instance.mu + instance.nu
     budget = [ORACLE_MAX_BASES]
     per_component = []
@@ -536,8 +520,9 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
             )
         parts = sorted(options.values())
         if instance.L:
-            exact = {e: (e[0], e[1], Fraction(e[2], instance.L)) for e in set(chain.from_iterable(parts))}
-            parts = [[exact[e] for e in part] for part in parts]
+            L, unit = instance.L, instance.unit
+            back = {e: (e[0], e[1], unit(e[2], L)) for e in set(chain.from_iterable(parts))}
+            parts = [[back[e] for e in part] for part in parts]
         per_component.append(parts)
 
     count = math.prod(map(len, per_component))

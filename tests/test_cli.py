@@ -461,6 +461,14 @@ class TestCli:
         assert len(captured.err.strip().splitlines()) == 1
         assert not out.exists() and not dual_path.exists()
 
+    def test_finite_optimum_near_the_float_maximum_is_exit_0(self, tmp_path, capsys):
+        # A dual partial sum overflows, but the optimum value 1.625e308 does not.
+        path, out, dual_path = tmp_path / "p.json", tmp_path / "out.json", tmp_path / "d.json"
+        write_problem(path, [5e307, 1e308], [1.875e307, 5.625e307, 7.5e307], [[0.5, 2.0, 4.0], [0.0, 4.0, 0.5]])
+        assert main(["solve", str(path), "--out", str(out), "--duals", str(dual_path)]) == 0
+        assert "1.625e+308" in capsys.readouterr().out
+        assert json.loads(dual_path.read_text()) == {"q": [-2.0, 0.0], "r": [0.0, 4.0, 0.5], "value": 1.625e308}
+
     @pytest.mark.parametrize("extra", [[], ["--eps-mass", "1e-3"]])
     def test_usage_error_is_exit_1(self, tmp_path, capsys, extra):
         # argparse exits 2 on a usage error; here 2 means an infeasible instance.

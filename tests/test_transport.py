@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction as F
 from functools import reduce
 from operator import add, mul
@@ -275,18 +276,64 @@ class TestSolve:
         ones, c = DiscreteMarginal((1, 1)), CostMatrix(((0, 1), (1, 0)))
         instance = transport._check_instance(ones, ones, c)._replace(nu=[1, 3])
         with pytest.raises(LimbsysError, match=r"still carry 2, at column 1$"):
-            transport._solve(ones, ones, c, instance)
+            transport._solve(instance)
         # On float data, a root arc carrying only dust is not named.
         ones, c = DiscreteMarginal((1.0, 1.0)), CostMatrix(((0.0, 1.0), (1.0, 0.0)))
         instance = transport._check_instance(ones, ones, c)._replace(nu=[1.0 + 1e-14, 3.0])
         with pytest.raises(LimbsysError, match=r"still carry 2.0000000000000098, at column 1$"):
-            transport._solve(ones, ones, c, instance)
+            transport._solve(instance)
 
     def test_optimum_value_beyond_the_float_range_raises(self):
         # Each product 1e300 * 1e10 overflows to inf.
         big = DiscreteMarginal((1e300, 1e300))
         with pytest.raises(ValueError, match="optimum value .* float range: primal inf, dual inf"):
             solve(big, big, CostMatrix(((1e10, 1e10), (1e10, 1e10))))
+
+    def test_finite_optimum_with_overflowing_partial_sums(self):
+        # q[0] * mu[1] = -2e308 overflows, so the dual value is summed over
+        # masses scaled down; it is finite and equals the primal value.
+        mu, nu = DiscreteMarginal((5e307, 1e308)), DiscreteMarginal((1.875e307, 5.625e307, 7.5e307))
+        c = CostMatrix(((0.5, 2.0, 4.0), (0.0, 4.0, 0.5)))
+        report = solve(mu, nu, c)
+        assert report.coupling.entries == ((0, 1, 5e307), (1, 0, 1.875e307), (1, 1, 6.25e306), (1, 2, 7.5e307))
+        assert report.potentials == DualPotentials((-2.0, 0.0), (0.0, 4.0, 0.5))
+        assert report.primal_value == report.dual_value == 1.625e308
+        # The oracle walks the masses scaled down too, and reads them back.
+        assert enumerate_optimal_vertices(mu, nu, c) == [report.coupling]
+
+    @pytest.mark.parametrize(
+        "seed, count, top, cost",
+        [
+            # Family A: masses within a factor 4 of the float maximum.
+            (1, 1000, 1.7e308, lambda rng: rng.random()),
+            # Family B: products of up to 3e308 that cancel.
+            (2, 500, 1e300, lambda rng: rng.choice((-1, 1)) * rng.uniform(1e7, 3e8)),
+        ],
+    )
+    def test_optimum_values_raise_only_beyond_the_float_range(self, seed, count, top, cost):
+        # Against the Fraction solve of the same floats, with the float gap
+        # between the totals folded into the largest column weight.
+        rng, biggest, raised = random.Random(seed), F(sys.float_info.max), 0
+        for _ in range(count):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            mu = [rng.uniform(0.3, 1.0) for _ in range(m)]
+            nu = [rng.uniform(0.3, 1.0) for _ in range(n)]
+            nu = [w * sum(mu) / sum(nu) for w in nu]
+            peak = max(mu + nu)
+            mu, nu = ([w / peak * top for w in ws] for ws in (mu, nu))
+            c = CostMatrix([[cost(rng) for _ in range(n)] for _ in range(m)])
+            mu_f, nu_f = [F(w) for w in mu], [F(w) for w in nu]
+            nu_f[nu.index(max(nu))] += sum(mu_f) - sum(nu_f)
+            exact = solve(DiscreteMarginal(mu_f), DiscreteMarginal(nu_f), CostMatrix([map(F, row) for row in c.rows]))
+            try:
+                report = solve(DiscreteMarginal(mu), DiscreteMarginal(nu), c)
+            except ValueError:
+                raised += 1
+                assert abs(exact.primal_value) > biggest
+                continue
+            assert abs(exact.primal_value) <= biggest
+            assert abs(F(report.primal_value) - exact.primal_value) <= 1e-9 * top * max(map(abs, itertools.chain(*c.rows)))
+        assert 0 < raised < count
 
 
 def degenerate_instance(case, as_type):
@@ -522,6 +569,36 @@ class TestScaleInvariance:
                 b = rng.randint(max(-1000, -1000 - a), 60)
                 s, t = 2.0**a, 2.0**b
                 assert_scales(report, solve(*rescaled(mu, nu, c, s, t)), s, t)
+
+    def test_float_power_of_two_scalings_up_to_the_float_edge(self):
+        # Exponents run up to the largest that keeps every mass and cost a
+        # float, so the scaled solves run at the edge of the float range.
+        # Entries and potentials scale bit for bit after the same pivots, and
+        # so do the values when s * t * value is a float; else solve raises.
+        rng, raised = random.Random(2201), 0
+        for _ in range(40):
+            mu, nu, c = integer_instance(rng, rng.randint(2, 6), rng.randint(2, 6), float)
+            report = solve(mu, nu, c)
+            a_max = 1024 - math.frexp(max(mu.weights + nu.weights))[1]
+            b_max = 1024 - math.frexp(max(map(abs, itertools.chain(*c.rows))))[1]
+            for _ in range(6):
+                a = rng.choice((a_max, a_max - rng.randint(1, 12), rng.randint(-1000, a_max)))
+                b = rng.choice((b_max, b_max - rng.randint(1, 12), rng.randint(max(-1000, -1000 - a), b_max)))
+                scaled = rescaled(mu, nu, c, 2.0**a, 2.0**b)
+                try:
+                    values = [math.ldexp(v, a + b) for v in (report.primal_value, report.dual_value)]
+                    q, r = (tuple(math.ldexp(x, b) for x in xs) for xs in (report.potentials.q, report.potentials.r))
+                except OverflowError:
+                    raised += 1
+                    with pytest.raises(ValueError, match="float range"):
+                        solve(*scaled)
+                    continue
+                got = solve(*scaled)
+                assert got.coupling.entries == tuple((i, j, math.ldexp(w, a)) for i, j, w in report.coupling.entries)
+                assert (got.potentials.q, got.potentials.r) == (q, r)
+                assert [got.primal_value, got.dual_value] == values
+                assert (got.iterations, got.degenerate_pivots) == (report.iterations, report.degenerate_pivots)
+        assert 0 < raised < 240
 
     def test_exact_rational_scalings(self):
         rng = random.Random(1004)
