@@ -85,7 +85,7 @@ def exact_ints(*groups) -> tuple:
     None when every value is an ``int``, whose results stay ints."""
     L = math.lcm(*{v.denominator for group in groups for v in group})
     scaled = [[v.numerator * (L // v.denominator) for v in group] for group in groups]
-    fraction = L > 1 or any(isinstance(v, Fraction) for group in groups for v in group)
+    fraction = L > 1 or any(type(v) is not int and isinstance(v, Fraction) for group in groups for v in group)
     return scaled, L if fraction else None
 
 

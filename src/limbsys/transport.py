@@ -23,17 +23,17 @@ check is one comparison of the scaled totals.
 
 The optimal-vertex oracle lists the whole optimal face.  By complementary
 slackness every optimal dual cuts out the same face: the feasible couplings
-supported on the zero set of its reduced costs.  So the oracle takes the
-simplex's potentials, and one peel-and-branch walk per component of that
-zero set lists every spanning tree whose flow is nonnegative, pruning a
-branch at its first negative leaf mass or at a point the peel strands.  A
-tree counts only when the point left unpeeled in its component carries no
-net supply, so every vertex listed is a coupling on the zero set.  That
-proves the potentials: a feasible coupling on the zero set of feasible
-potentials has the dual value as its cost, so both are optimal (weak
-duality), and potentials that are not optimal leave some component with no
-tree and raise.  The oracle and the solver run on one checked instance, so
-the walk runs on ints too.
+supported on the zero set of its reduced costs.  So the oracle cuts that
+zero set with the simplex's potentials, in the scaled units, which change no
+comparison, reading nothing back, and one peel-and-branch walk per component
+lists every spanning tree whose flow is nonnegative, pruning a branch at its
+first negative leaf mass, at a point that has sent more than its mass
+allows, or at a point the peel strands.  A tree counts only when the point
+left unpeeled in its component carries no net supply, so every vertex listed
+is a coupling on the zero set.  That proves the potentials: a feasible
+coupling on the zero set of feasible potentials has the dual value as its
+cost, so both are optimal (weak duality), and potentials that are not
+optimal leave some component with no tree and raise.
 """
 
 from __future__ import annotations
@@ -176,11 +176,11 @@ def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveRep
     return _solve(_check_instance(mu, nu, c))
 
 
-def _solve(instance: _Instance) -> SolveReport:
-    """:func:`solve` on ``instance``, the checked form of its data.  Every
-    result is worked out in the scaled units and read back once: masses
-    divided by L, potentials by K and both objective values by L*K."""
-    mu_w, nu_w, c_rows, L, K, unit, eps_mass, pivot_tol, slack, gap, top = instance
+def _simplex(instance: _Instance) -> tuple:
+    """The pivots of :func:`solve` on ``instance``, the dust filter and the
+    stray-flow check: the sorted (i, j, mass) entries, q, r, the pivot count
+    and the degenerate pivots, in the scaled units of ``instance``."""
+    mu_w, nu_w, c_rows, _, _, _, eps_mass, pivot_tol, slack, gap, top = instance
     m, n = len(mu_w), len(nu_w)
 
     # Nodes: columns 0..n-1, rows n..n+m-1 and an artificial root m+n.  Arc
@@ -297,8 +297,16 @@ def _solve(instance: _Instance) -> SolveReport:
     entries.sort()
     q = [pi[0] - pi[n + i] for i in range(m)]
     r = [pi[j] - pi[0] for j in range(n)]
-    # Each value is one sum over the scaled data, divided back once.  Float
-    # sums whose terms could overflow run over masses scaled down by D.
+    return entries, q, r, iterations, degenerate
+
+
+def _solve(instance: _Instance) -> SolveReport:
+    """:func:`solve` on ``instance``: :func:`_simplex`, then each result read
+    back once, masses divided by L, potentials by K, both values by L*K."""
+    entries, q, r, iterations, degenerate = _simplex(instance)
+    mu_w, nu_w, c_rows, L, K, unit, _, _, _, _, top = instance
+    m, n = len(mu_w), len(nu_w)
+    # Float sums whose terms could overflow run over masses scaled down by D.
     exact, D = unit is Fraction, None
     costs, flows = [c_rows[i][j] for i, j, _ in entries], [w for _, _, w in entries]
     if not exact:
@@ -334,19 +342,24 @@ def zero_set(c: CostMatrix, p: DualPotentials) -> SupportGraph:
         raise ShapeMismatchError(
             f"potentials have sizes {len(p.q)} and {len(p.r)} but cost is {c.m}x{c.n}"
         )
-    _, eps = thresholds(costs=(p.q, p.r, *c.rows))
-    edges = []
-    for i, row in enumerate(c.rows):
-        qi = p.q[i]
-        for j in range(c.n):
-            rc = row[j] - qi - p.r[j]
+    return SupportGraph(c.m, c.n, _zero_cells(c.rows, p.q, p.r))
+
+
+def _zero_cells(rows, q, r) -> list:
+    """Row-major cells whose reduced cost rows[i][j] - q[i] - r[j] is within
+    the cost threshold of all three, 0 on exact data; one below minus it raises."""
+    _, eps = thresholds(costs=(q, r, *rows))
+    cells = []
+    for i, (row, qi) in enumerate(zip(rows, q)):
+        for j, (cost, rj) in enumerate(zip(row, r)):
+            rc = cost - qi - rj
             if rc < -eps:
                 raise DualInfeasibleError(
                     f"potentials are infeasible at cell ({i}, {j}): reduced cost {rc!r}"
                 )
             if rc <= eps:
-                edges.append((i, j))
-    return SupportGraph(c.m, c.n, edges)
+                cells.append((i, j))
+    return cells
 
 
 def _feasible_bases(nodes, edges, supplies, eps, gap, budget) -> list:
@@ -361,12 +374,15 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget) -> list:
     as the component has come apart.  Then the walk branches on the lowest
     undecided edge: keep it, unless it closes a cycle of kept edges, then
     delete it.  A finished tree counts when the one point left unpeeled has
-    at most ``len(nodes) * eps + gap`` net supply, none on exact data.
+    at most ``tol = len(nodes) * eps + gap`` net supply, none on exact data.
     ``gap`` bounds the gap between the instance's totals, which may sit in
-    any point of the component and so in any leaf's mass.  Points are
-    numbered 0..k-1 in the order of ``nodes``; state changes in place and
-    is undone on return; each walk state is charged to ``budget``.  A path
-    deciding over ``ORACLE_MAX_DEPTH`` edges, one frame each, is refused."""
+    any point of the component and so in any leaf's mass.  Clamped masses
+    are never negative, so a point's net supply only falls; one below
+    ``-tol <= -eps - gap`` can neither peel nor be left last, and prunes at
+    once, losing no tree.  Points are numbered 0..k-1 in the order of
+    ``nodes``; state changes in place and is undone on return; each walk
+    state is charged to ``budget``.  A path deciding over
+    ``ORACLE_MAX_DEPTH`` edges, one frame each, is refused."""
     k = len(nodes)
     local = {v: x for x, v in enumerate(nodes)}
     ends = [(local[u], local[v]) for u, v in edges]
@@ -377,7 +393,7 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget) -> list:
     degree = [len(pairs) for pairs in incident]
     net = [supplies[v] for v in nodes]
     alive = [True] * len(edges)  # neither deleted nor peeled
-    kept = list(range(k))  # union-find of kept edges
+    kept = list(range(k))  # union-find of kept edges, uncompressed: one reset undoes a union
     tree = []  # peeled (leaf, edge, other end, mass, other end's net before)
     floor, tol, last = -eps - gap, k * eps + gap, k - 1
     found = []
@@ -401,6 +417,8 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget) -> list:
                 degree[v] = 0
                 degree[u] -= 1
                 net[u] -= w
+                if net[u] < -tol:
+                    return False
                 if degree[u] == 1:
                     leaves.append(u)
                 elif degree[u] == 0 and len(tree) < last:
@@ -423,7 +441,11 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget) -> list:
         while not alive[e]:
             e += 1
         a, b = ends[e]
-        ra, rb = _root(kept, a), _root(kept, b)
+        ra, rb = a, b
+        while kept[ra] != ra:
+            ra = kept[ra]
+        while kept[rb] != rb:
+            rb = kept[rb]
         if ra != rb:
             kept[ra] = rb
             walk(e + 1, depth + 1)
@@ -432,7 +454,7 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget) -> list:
         alive[e] = False
         degree[a] -= 1
         degree[b] -= 1
-        if peel([a, b]):
+        if (degree[a] > 1 and degree[b] > 1) or peel([a, b]):
             walk(e + 1, depth + 1)
         while len(tree) > mark:
             v, f, u, _, old = tree.pop()
@@ -447,14 +469,6 @@ def _feasible_bases(nodes, edges, supplies, eps, gap, budget) -> list:
     return found
 
 
-def _root(parent, v):
-    """Union-find root of ``v``.  Paths are never compressed, so resetting
-    the one link a union set undoes it."""
-    while parent[v] != v:
-        v = parent[v]
-    return v
-
-
 # Desk-scale guards of the oracle: the most walk states it visits and cells
 # it lists; the most edges it decides on one path, well inside 1,000 frames.
 ORACLE_MAX_BASES = 200000
@@ -464,7 +478,7 @@ ORACLE_MAX_DEPTH = 500
 def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> list:
     """All optimal basic feasible solutions of the transportation problem.
 
-    The potentials of :func:`solve` pin down the zero set of reduced costs;
+    The potentials of the simplex pin down the zero set of reduced costs;
     by complementary slackness the optimal face consists of the feasible
     couplings supported inside the zero set of any optimal dual.
     Exhausting, component by component, the spanning trees of that
@@ -485,19 +499,21 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
     """
     instance = _check_instance(mu, nu, c)
     m, n, eps_mass, gap = mu.size, nu.size, instance.eps_mass, instance.gap
-    potentials = _solve(instance).potentials
-    zero_edges = [(i, m + j) for i, j in sorted(zero_set(c, potentials).edges)]
+    _, q, r, _, _ = _simplex(instance)
+    zero_edges = [(i, m + j) for i, j in _zero_cells(instance.rows, q, r)]
 
-    # Connected components of the zero-set subgraph over all m+n nodes.
-    parent = list(range(m + n))
+    # Connected components of the zero set over all m+n nodes, by relabelling.
+    label = list(range(m + n))
     for u, v in zero_edges:
-        parent[_root(parent, u)] = _root(parent, v)
+        if label[u] != label[v]:
+            old = label[u]
+            label = [label[v] if x == old else x for x in label]
     comp_nodes: dict = {}
     for v in range(m + n):
-        comp_nodes.setdefault(_root(parent, v), []).append(v)
+        comp_nodes.setdefault(label[v], []).append(v)
     comp_edges: dict = {root: [] for root in comp_nodes}
     for u, v in zero_edges:
-        comp_edges[_root(parent, u)].append((u, v))
+        comp_edges[label[u]].append((u, v))
 
     # Supplies are walked in the scaled units, as ints on exact data, which
     # keeps every sign and order; each component's options are divided back,

@@ -5,10 +5,10 @@ import itertools
 import math
 import random
 import sys
+from enum import IntEnum
 from fractions import Fraction as F
 from functools import reduce
 from operator import add, mul
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +42,17 @@ from limbsys import (
 from limbsys import measures, transport
 
 import oracles
+
+
+class WholeFraction(F):
+    """A Fraction subclass: exact data typed as a Fraction."""
+
+
+class Level(IntEnum):
+    """An int subclass: exact data typed as an int."""
+
+    LOW = 1
+    HIGH = 2
 
 
 def uniform(n):
@@ -165,6 +176,8 @@ class TestSolve:
             ((1, 0), (1, 0), ((1, F(1, 3)), (3, 4)), F(1)),
             ((F(0), F(0)), (F(0), F(0)), ((1, 2), (3, 4)), F(0)),
             ((0, 0), (0, 0), ((1, 2), (3, 4)), 0),
+            ((1, 2), (2, 1), ((WholeFraction(1), 2), (3, 4)), F(8)),
+            ((1, 2), (2, 1), ((Level.LOW, Level.HIGH), (3, 4)), 8),
         ],
         ids=[
             "int",
@@ -174,11 +187,14 @@ class TestSolve:
             "fraction-costs-off-the-support",
             "empty-support-fraction",
             "empty-support-int",
+            "fraction-subclass-cost",
+            "int-enum-costs",
         ],
     )
     def test_exact_values_are_typed_by_the_data(self, mu, nu, rows, value):
-        # Both values are Fractions when a mass or a cost is, whole ones
-        # and an empty support included, and ints on int data.
+        # Both values are Fractions when a mass or a cost is, whole ones,
+        # subclasses and an empty support included, and ints on int data,
+        # int subclasses included.
         report = solve(DiscreteMarginal(mu), DiscreteMarginal(nu), CostMatrix(rows))
         assert type(report.primal_value) is type(report.dual_value) is type(value)
         assert report.primal_value == report.dual_value == value
@@ -812,6 +828,52 @@ class TestEnumerateOptimalVertices:
             counts.append(len(found))
         assert max(counts) > 1 and counts[-1] == 1
 
+    @pytest.mark.parametrize("extra", [4, 5, 6, 7, 8])
+    def test_planted_ties_match_the_reference_that_prunes_nothing(self, extra):
+        # The walk prunes a branch as soon as a point has sent more than
+        # its mass; the reference peels every spanning tree to the end.
+        rng = random.Random(3030 + extra)
+        for _ in range(2):
+            mu, nu, c = oracles.planted_tie_instance(rng, 6, 6, extra)
+            found = enumerate_optimal_vertices(mu, nu, c)
+            expected = oracles.optimal_vertices_by_backtracking(mu, nu, c)
+            assert [g.entries for g in found] == [g.entries for g in expected]
+
+    def test_float_planted_ties_with_total_gaps_keep_the_reference_supports(self):
+        # Float copies of planted faces whose totals differ by up to the
+        # slack the instance check allows.  The gap may leave any point
+        # that much short, so a prune at a spent supply below -eps, not
+        # below -tol, would lose vertices.
+        rng = random.Random(4040)
+        for trial in range(24):
+            mu, nu, c = oracles.planted_tie_instance(rng, 6, 6, 4 + trial % 3)
+            expected = oracles.optimal_vertices_by_backtracking(mu, nu, c)
+            fmu, fnu = [float(w) for w in mu.weights], [float(w) for w in nu.weights]
+            side = fnu if trial % 2 else fmu
+            slack = (6 + 6) * 1e-12 * max(fmu + fnu)
+            side[rng.randrange(6)] += rng.choice((-1, 1)) * rng.uniform(0.5, 0.99) * slack
+            floats = (
+                DiscreteMarginal(tuple(fmu)),
+                DiscreteMarginal(tuple(fnu)),
+                CostMatrix(tuple(tuple(map(float, row)) for row in c.rows)),
+            )
+            by_support = {tuple(sorted(g.cells())): g for g in enumerate_optimal_vertices(*floats)}
+            assert sorted(by_support) == sorted(tuple(sorted(g.cells())) for g in expected), trial
+            for g in expected:
+                near = by_support[tuple(sorted(g.cells()))]
+                for (_, _, w), (_, _, x) in zip(g.entries, near.entries):
+                    assert abs(x - w) <= 1e-9 * w
+
+    @pytest.mark.parametrize("spent, count", [(3, 1), (4, 1), (5, 0)])
+    def test_spent_supply_prunes_only_past_the_balance_allowance(self, spent, count):
+        # A path of three points, walked with eps = gap = 1: the middle
+        # point sends ``spent`` on to the end point left unpeeled, which
+        # has no mass of its own.  A leaf may send down to -2 (eps + gap),
+        # but the last point may end anywhere down to -4 (3 eps + gap), so
+        # a point spent below -2 is pruned only below -4.
+        bases = transport._feasible_bases([0, 1, 2], [(0, 1), (1, 2)], [0, spent, 0], 1, 1, [10])
+        assert len(bases) == count
+
     def test_matches_the_shortest_path_reference_where_the_zero_sets_differ(self):
         # Every optimal dual cuts out the same face, so the zero sets of the
         # simplex's and of the shortest-path duals, which may differ, must
@@ -841,8 +903,7 @@ class TestEnumerateOptimalVertices:
         ones, c = DiscreteMarginal((1, 1)), CostMatrix(((1, 2), (2, 1)))
 
         def enumerate_with(q, r):
-            fake = SimpleNamespace(potentials=DualPotentials(q, r))
-            monkeypatch.setattr(transport, "_solve", lambda *_: fake)
+            monkeypatch.setattr(transport, "_simplex", lambda *_: ((), q, r, 0, 0))
             return enumerate_optimal_vertices(ones, ones, c)
 
         # Row 0 has no zero-set cell in either: its component is row 0 alone.
@@ -856,6 +917,17 @@ class TestEnumerateOptimalVertices:
         with pytest.raises(DualInfeasibleError):
             enumerate_with((2, 0), (0, 0))
         assert [g.entries for g in enumerate_with((1, 0), (0, 1))] == [((0, 0, 1), (1, 1, 1))]
+
+    def test_face_whose_optimum_value_overflows(self):
+        # Each product 1e300 * 1e10 overflows, so solve refuses the value,
+        # but every vertex of the flat face is finite and is listed.
+        big = DiscreteMarginal((1e300, 1e300))
+        c = CostMatrix(((1e10, 1e10), (1e10, 1e10)))
+        assert [g.entries for g in enumerate_optimal_vertices(big, big, c)] == [
+            ((0, 0, 1e300), (1, 1, 1e300)),
+            ((0, 1, 1e300), (1, 0, 1e300)),
+        ]
+        assert not is_unique_optimum(big, big, c)
 
     def test_components_are_walked_one_by_one(self):
         # Two flat 4x4 blocks: each component is a Birkhoff face of 24
@@ -966,25 +1038,25 @@ class TestEnumerateOptimalVertices:
         assert [g.entries for g in found] == sorted(
             tuple((i, p[i], F(1, 4)) for i in range(4)) for p in itertools.permutations(range(4))
         )
-        # The README's 12,119 walk states: that budget suffices, one less does not.
-        monkeypatch.setattr(transport, "ORACLE_MAX_BASES", 12119)
+        # The README's 11,666 walk states: that budget suffices, one less does not.
+        monkeypatch.setattr(transport, "ORACLE_MAX_BASES", 11666)
         assert enumerate_optimal_vertices(uniform(4), uniform(4), flat) == found
-        for budget in (12118, 100):
+        for budget in (11665, 100):
             monkeypatch.setattr(transport, "ORACLE_MAX_BASES", budget)
             with pytest.raises(SizeLimitError):
                 enumerate_optimal_vertices(uniform(4), uniform(4), flat)
 
     def test_tied_face_walk_states(self, monkeypatch):
         # README Scale's tied 6x6 face with 6 zero cells beyond a spanning
-        # tree: 1,195 walk states suffice, one less does not.  Any change
+        # tree: 753 walk states suffice, one less does not.  Any change
         # to the walk's branch order or pruning moves this count.
         rng = random.Random(606)
         oracles.planted_tie_instance(rng, 6, 6, 4)
         mu, nu, c = oracles.planted_tie_instance(rng, 6, 6, 6)
         found = enumerate_optimal_vertices(mu, nu, c)
-        monkeypatch.setattr(transport, "ORACLE_MAX_BASES", 1195)
+        monkeypatch.setattr(transport, "ORACLE_MAX_BASES", 753)
         assert enumerate_optimal_vertices(mu, nu, c) == found
-        monkeypatch.setattr(transport, "ORACLE_MAX_BASES", 1194)
+        monkeypatch.setattr(transport, "ORACLE_MAX_BASES", 752)
         with pytest.raises(SizeLimitError):
             enumerate_optimal_vertices(mu, nu, c)
 
