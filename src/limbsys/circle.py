@@ -121,12 +121,7 @@ def build_circle_cost(grid: CircleGrid) -> CostMatrix:
     """c[i][j] = 1 - cos(angle_i - angle_j): symmetric, zero on the diagonal,
     maximal (2) between antipodal points."""
     angles = grid.angles
-    return CostMatrix(
-        tuple(
-            tuple(1.0 - math.cos(angles[i] - angles[j]) for j in range(grid.n))
-            for i in range(grid.n)
-        )
-    )
+    return CostMatrix([[1.0 - math.cos(a - b) for b in angles] for a in angles])
 
 
 def build_peaked_density(grid: CircleGrid, center: float, kappa: float) -> DiscreteMarginal:
@@ -144,7 +139,7 @@ def build_peaked_density(grid: CircleGrid, center: float, kappa: float) -> Discr
         total = math.inf
     if not 0 < total < math.inf:
         raise ValueError(f"concentration {kappa!r} is too large: the weights overflow a float")
-    return DiscreteMarginal(tuple(w / total for w in raw))
+    return DiscreteMarginal([w / total for w in raw])
 
 
 def subtwist_check(c: CostMatrix, periodic: bool = True) -> SubtwistReport:
@@ -268,8 +263,8 @@ def rational_demo_instance(cfg: DemoConfig):
     nu_w[0] += gap
     if nu_w[0] <= 0:
         raise LimbsysError("snapping denominator too coarse to keep densities positive")
-    rows = tuple(tuple(snap(v) for v in row) for row in cost.rows)
-    return DiscreteMarginal(tuple(mu_w)), DiscreteMarginal(tuple(nu_w)), CostMatrix(rows)
+    rows = [[snap(v) for v in row] for row in cost.rows]
+    return DiscreteMarginal(mu_w), DiscreteMarginal(nu_w), CostMatrix(rows)
 
 
 def run_demo(cfg: DemoConfig) -> DemoReport:

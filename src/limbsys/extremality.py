@@ -18,7 +18,7 @@ from operator import index, itemgetter
 from typing import Optional
 
 from .errors import CycleError, SizeLimitError
-from .measures import Coupling, thresholds
+from .measures import Coupling, _set_dimensions, thresholds
 
 __all__ = [
     "SupportGraph",
@@ -43,13 +43,9 @@ class SupportGraph:
     edges: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "m", index(self.m))
-        object.__setattr__(self, "n", index(self.n))
+        m, n = _set_dimensions(self, "support graph")
         edges = frozenset([(index(i), index(j)) for i, j in self.edges])
         object.__setattr__(self, "edges", edges)
-        m, n = self.m, self.n
-        if m <= 0 or n <= 0:
-            raise ValueError("support graph dimensions must be positive")
         for i, j in edges:
             if not (0 <= i < m and 0 <= j < n):
                 i, j = min(e for e in edges if not (0 <= e[0] < m and 0 <= e[1] < n))

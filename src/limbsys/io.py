@@ -133,9 +133,10 @@ def _refuse_booleans(data):
 def _load(path, rational: bool, build):
     """Parse a JSON file and build a value from it.  Text that does not
     parse (malformed, nested too deep, a number too long), a layout that
-    does not fit (a missing key, a short entry), data the value rejects (a
-    negative mass) and a JSON true or false, which would pass for 1 or 0,
-    raise ValueError naming the file.  A boolean mass keeps its value's message."""
+    does not fit (a missing key, an entry of the wrong length), data the
+    value rejects (a negative mass) and a JSON true or false, which would
+    pass for 1 or 0, raise ValueError naming the file.  A boolean mass
+    keeps its value's message."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -155,31 +156,29 @@ def _load(path, rational: bool, build):
         return value
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
-    except (TypeError, IndexError) as exc:
+    except TypeError as exc:
         raise ValueError(f"{path}: unexpected layout: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def _problem(data):
-    mu = DiscreteMarginal(tuple(data["mu"]))
-    nu = DiscreteMarginal(tuple(data["nu"]))
-    cost = CostMatrix(tuple(tuple(row) for row in data["cost"])) if "cost" in data else None
-    return mu, nu, cost
+    mu, nu = DiscreteMarginal(data["mu"]), DiscreteMarginal(data["nu"])
+    return mu, nu, CostMatrix(data["cost"]) if "cost" in data else None
 
 
 def _coupling(data):
-    return Coupling.from_entries(data["m"], data["n"], [(e[0], e[1], e[2]) for e in data["entries"]])
+    return Coupling.from_entries(data["m"], data["n"], data["entries"])
 
 
 def _system(data):
     limbs = []
     for item in data["limbs"]:
-        limb = Limb(item["k"], tuple((p[0], p[1]) for p in item["map"]))
+        limb = Limb(item["k"], item["map"])
         if item["kind"] != limb.kind:
             raise ValueError(f"limb {limb.k} must have kind {limb.kind!r}, not {item['kind']!r}")
         limbs.append(limb)
-    return NumberedLimbSystem(data["m"], data["n"], limbs, tuple(data["I_odd"]), tuple(data["I_even"]))
+    return NumberedLimbSystem(data["m"], data["n"], limbs, data["I_odd"], data["I_even"])
 
 
 def load_problem(path, rational: bool = False):

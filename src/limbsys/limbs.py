@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import CyclicSupportError, InvalidSystemError, ShapeMismatchError
 from .extremality import SupportGraph, _peel
-from .measures import Coupling, DiscreteMarginal, exact_ints, float_range, thresholds
+from .measures import Coupling, DiscreteMarginal, _set_dimensions, exact_ints, float_range, thresholds
 
 __all__ = [
     "Limb",
@@ -86,14 +86,11 @@ class NumberedLimbSystem:
     y_levels: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "m", index(self.m))
-        object.__setattr__(self, "n", index(self.n))
+        m, n = _set_dimensions(self, "system")
         object.__setattr__(self, "limbs", tuple(self.limbs))
         object.__setattr__(self, "x_levels", tuple(map(index, self.x_levels)))
         object.__setattr__(self, "y_levels", tuple(map(index, self.y_levels)))
-        if self.m <= 0 or self.n <= 0:
-            raise ValueError("system dimensions must be positive")
-        if len(self.x_levels) != self.m or len(self.y_levels) != self.n:
+        if len(self.x_levels) != m or len(self.y_levels) != n:
             raise ValueError("level arrays must assign every row and column point")
         for i, lv in enumerate(self.x_levels):
             if lv < 1 or lv % 2 == 0:
@@ -197,8 +194,8 @@ def decompose(support: SupportGraph) -> NumberedLimbSystem:
             d = level[v] = level[u] + 1
             limb_pairs.setdefault(d, []).append((v, u - m) if v < m else (v - m, u))
 
-    limbs = tuple(Limb(k, tuple(limb_pairs[k])) for k in sorted(limb_pairs))
-    return NumberedLimbSystem(m, n, limbs, tuple(level[:m]), tuple(level[m:]))
+    limbs = [Limb(k, limb_pairs[k]) for k in sorted(limb_pairs)]
+    return NumberedLimbSystem(m, n, limbs, level[:m], level[m:])
 
 
 def reconstruct(

@@ -32,6 +32,17 @@ __all__ = [
 ]
 
 
+def _set_dimensions(grid, what: str) -> tuple:
+    """Store ``grid.m`` and ``grid.n`` as ints, by ``operator.index``, and
+    return them; ValueError names ``what`` unless both are positive."""
+    m, n = index(grid.m), index(grid.n)
+    if m <= 0 or n <= 0:
+        raise ValueError(f"{what} dimensions must be positive")
+    object.__setattr__(grid, "m", m)
+    object.__setattr__(grid, "n", n)
+    return m, n
+
+
 def _is_finite_number(x) -> bool:
     if isinstance(x, float):
         return math.isfinite(x)
@@ -194,11 +205,7 @@ class Coupling:
     entries: tuple = ()
 
     def __post_init__(self):
-        m, n = index(self.m), index(self.n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        if m <= 0 or n <= 0:
-            raise ValueError("coupling dimensions must be positive")
+        m, n = _set_dimensions(self, "coupling")
         entries = tuple([(index(i), index(j), w) for i, j, w in self.entries])
         object.__setattr__(self, "entries", entries)
         inf, pi, pj = math.inf, -1, -1

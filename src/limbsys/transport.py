@@ -164,18 +164,6 @@ def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -
     return _Instance(mu_w, nu_w, rows, L, K, unit, eps_mass, eps_cost, slack, gap, top)
 
 
-def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveReport:
-    """Minimize sum of c[i][j] * mass(i, j) over couplings of (mu, nu).
-
-    Returns a basic optimal solution (forest support), dual potentials with
-    r[0] = 0 satisfying complementary slackness on the support, and both
-    objective values.  Unbalanced or mismatched inputs raise; they are never
-    repaired behind the caller's back, and an optimum value or potentials
-    beyond the float range raise ValueError.
-    """
-    return _solve(_check_instance(mu, nu, c))
-
-
 def _simplex(instance: _Instance) -> tuple:
     """The pivots of :func:`solve` on ``instance``, the dust filter and the
     stray-flow check: the sorted (i, j, mass) entries, q, r, the pivot count
@@ -300,9 +288,17 @@ def _simplex(instance: _Instance) -> tuple:
     return entries, q, r, iterations, degenerate
 
 
-def _solve(instance: _Instance) -> SolveReport:
-    """:func:`solve` on ``instance``: :func:`_simplex`, then each result read
-    back once, masses divided by L, potentials by K, both values by L*K."""
+def solve(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> SolveReport:
+    """Minimize sum of c[i][j] * mass(i, j) over couplings of (mu, nu).
+
+    Returns a basic optimal solution (forest support), dual potentials with
+    r[0] = 0 satisfying complementary slackness on the support, and both
+    objective values.  Unbalanced or mismatched inputs raise; they are never
+    repaired behind the caller's back, and an optimum value or potentials
+    beyond the float range raise ValueError.  The pivots run on the checked
+    instance; masses, potentials and both values are divided back once each.
+    """
+    instance = _check_instance(mu, nu, c)
     entries, q, r, iterations, degenerate = _simplex(instance)
     mu_w, nu_w, c_rows, L, K, unit, _, _, _, _, top = instance
     m, n = len(mu_w), len(nu_w)
@@ -475,6 +471,47 @@ ORACLE_MAX_BASES = 200000
 ORACLE_MAX_DEPTH = 500
 
 
+def _face_components(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> tuple:
+    """The checked instance and, per zero-set component in label order, its
+    options: each vertex of the face on it, once per support, as sorted
+    entries in the scaled units; the options sorted."""
+    instance = _check_instance(mu, nu, c)
+    m, eps_mass, gap = mu.size, instance.eps_mass, instance.gap
+    _, q, r, _, _ = _simplex(instance)
+    zero_edges = [(i, m + j) for i, j in _zero_cells(instance.rows, q, r)]
+
+    # Zero-set components over all m+n nodes, by relabelling: one (nodes, edges) each.
+    label = list(range(m + nu.size))
+    for u, v in zero_edges:
+        if label[u] != label[v]:
+            old = label[u]
+            label = [label[v] if x == old else x for x in label]
+    components: dict = {}
+    for v, x in enumerate(label):
+        components.setdefault(x, ([], []))[0].append(v)
+    for u, v in zero_edges:
+        components[label[u]][1].append((u, v))
+
+    # Supplies stay in the scaled units, ints on exact data, which keep every sign and order.
+    supplies = instance.mu + instance.nu
+    budget = [ORACLE_MAX_BASES]
+    per_component = []
+    for _, (nodes, edges) in sorted(components.items()):
+        # A vertex is fixed by its support, a forest; keyed by support, float
+        # copies of one vertex that differ in the last digits count once.
+        options = {}
+        for masses in _feasible_bases(nodes, edges, supplies, eps_mass, gap, budget):
+            entries = tuple(sorted((u, v - m, w) for (u, v), w in masses if w > eps_mass + gap))
+            options.setdefault(tuple(cell[:2] for cell in entries), entries)
+        if not options:
+            points = ", ".join(f"row {v}" if v < m else f"column {v - m}" for v in nodes)
+            raise SuboptimalPotentialsError(
+                f"potentials are not optimal: no flow on their zero set meets the masses of {points}"
+            )
+        per_component.append(sorted(options.values()))
+    return instance, per_component
+
+
 def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> list:
     """All optimal basic feasible solutions of the transportation problem.
 
@@ -482,9 +519,10 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
     by complementary slackness the optimal face consists of the feasible
     couplings supported inside the zero set of any optimal dual.
     Exhausting, component by component, the spanning trees of that
-    subgraph whose flow is nonnegative and meets every supply lists every
-    vertex of the face.  Such a flow proves the potentials optimal, by weak
-    duality; were they not, some component would have no such tree and
+    subgraph whose flow is nonnegative and meets every supply lists the
+    options of each component, whose products are the face's vertices.
+    Such a flow proves the potentials optimal, by weak duality; were they
+    not, some component would have no such tree and
     :class:`SuboptimalPotentialsError` names its points.  On float data the
     totals may differ by up to the slack the instance check allows, and the
     gap between them can ride on any edge of a tree, so masses at or below
@@ -497,63 +535,26 @@ def enumerate_optimal_vertices(mu: DiscreteMarginal, nu: DiscreteMarginal, c: Co
     ``ORACLE_MAX_DEPTH`` edges on one path, or whose vertices times m + n - 1
     cells each pass ``ORACLE_MAX_BASES``.
     """
-    instance = _check_instance(mu, nu, c)
-    m, n, eps_mass, gap = mu.size, nu.size, instance.eps_mass, instance.gap
-    _, q, r, _, _ = _simplex(instance)
-    zero_edges = [(i, m + j) for i, j in _zero_cells(instance.rows, q, r)]
-
-    # Connected components of the zero set over all m+n nodes, by relabelling.
-    label = list(range(m + n))
-    for u, v in zero_edges:
-        if label[u] != label[v]:
-            old = label[u]
-            label = [label[v] if x == old else x for x in label]
-    comp_nodes: dict = {}
-    for v in range(m + n):
-        comp_nodes.setdefault(label[v], []).append(v)
-    comp_edges: dict = {root: [] for root in comp_nodes}
-    for u, v in zero_edges:
-        comp_edges[label[u]].append((u, v))
-
-    # Supplies are walked in the scaled units, as ints on exact data, which
-    # keeps every sign and order; each component's options are divided back,
-    # if L is set, before they combine, each distinct entry once, as they
-    # share most entries.
-    supplies = instance.mu + instance.nu
-    budget = [ORACLE_MAX_BASES]
-    per_component = []
-    for root, nodes in sorted(comp_nodes.items()):
-        # A vertex is fixed by its support, a forest; keyed by support, float
-        # copies of one vertex that differ in the last digits count once.
-        options = {}
-        for masses in _feasible_bases(nodes, comp_edges[root], supplies, eps_mass, gap, budget):
-            entries = tuple(sorted((u, v - m, w) for (u, v), w in masses if w > eps_mass + gap))
-            options.setdefault(tuple(cell[:2] for cell in entries), entries)
-        if not options:
-            points = ", ".join(f"row {v}" if v < m else f"column {v - m}" for v in nodes)
-            raise SuboptimalPotentialsError(
-                f"potentials are not optimal: no flow on their zero set meets the masses of {points}"
-            )
-        parts = sorted(options.values())
-        if instance.L:
-            L, unit = instance.L, instance.unit
-            back = {e: (e[0], e[1], unit(e[2], L)) for e in set(chain.from_iterable(parts))}
-            parts = [[back[e] for e in part] for part in parts]
-        per_component.append(parts)
-
+    instance, per_component = _face_components(mu, nu, c)
+    m, n, L, unit = mu.size, nu.size, instance.L, instance.unit
     count = math.prod(map(len, per_component))
     if count * (m + n - 1) > ORACLE_MAX_BASES:
         raise SizeLimitError(f"{count} optimal vertices of up to {m + n - 1} cells are too many to list")
+    if L:
+        # A component's options share most entries: each is divided back once.
+        back = {e: (e[0], e[1], unit(e[2], L)) for parts in per_component for e in set(chain(*parts))}
+        per_component = [[[back[e] for e in part] for part in parts] for parts in per_component]
     # Components hold disjoint cells, so a merged vertex sorts by cell alone.
     vertices = sorted(sorted(chain.from_iterable(combo)) for combo in product(*per_component))
     return [Coupling(m, n, tuple(entries)) for entries in vertices]
 
 
 def is_unique_optimum(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> bool:
-    """True iff the optimal face is a single point.
+    """True iff the optimal face is a single point: each zero-set component
+    has one option.  Nothing is listed, so only the walk's guards refuse.
 
     The face is a bounded polytope, hence the convex hull of its vertices:
     one vertex means the face is that vertex, two or more mean a whole
     segment of optima.
     """
-    return len(enumerate_optimal_vertices(mu, nu, c)) == 1
+    return all(len(parts) == 1 for parts in _face_components(mu, nu, c)[1])

@@ -425,6 +425,47 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
         assert "bad.json" in err
 
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("rational", [False, True])
+    @pytest.mark.parametrize(
+        "verb, flag, content",
+        [
+            (verb, flag, json.dumps({"m": 2, "n": 2, "entries": entries}))
+            for entries in (
+                [[0, 0, 0.25, 7], [0, 1, 0.25], [1, 0, 0.25], [1, 1, 0.25]],
+                [[0, 0, 0.25], [0, 1], [1, 0, 0.25], [1, 1, 0.25]],
+            )
+            for verb, flag in (("check-extremal", None), ("check-extremal", "--witness"), ("decompose", "--out"))
+        ]
+        + [("reconstruct", "--out", one_limb_system(pair=pair)) for pair in ([0], [0, 0, 1])],
+        ids=[
+            f"{size}-entry-{verb}" for size in ("long", "short") for verb in ("check", "witness", "decompose")
+        ]
+        + ["short-map-pair", "long-map-pair"],
+    )
+    def test_entries_of_the_wrong_length_are_exit_1_writing_nothing(
+        self, tmp_path, capsys, verb, flag, content, rational, existing
+    ):
+        # A coupling entry holds exactly three numbers and a map pair two:
+        # an extra number is refused, not dropped, and no output is opened.
+        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+        bad.write_text(content)
+        argv = [verb, str(bad)]
+        if verb == "reconstruct":
+            write_problem(tmp_path / "p.json", [1], [1])
+            argv.append(str(tmp_path / "p.json"))
+        if flag:
+            argv += [flag, str(out)]
+        if rational:
+            argv.append("--rational")
+        if existing:
+            out.write_text("kept\n")
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1
+        assert out.read_text() == "kept\n" if existing else not out.exists()
+
     def test_totals_overflowing_to_inf_are_exit_2(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         cost = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]

@@ -285,19 +285,22 @@ class TestSolve:
         with pytest.raises(ValueError, match="potentials"):
             solve(mu, nu, CostMatrix(((-1e308, 1.7e308, 1.0, 0.5),)))
 
-    def test_stray_flow_on_the_artificial_arcs_names_its_points(self):
+    def test_stray_flow_on_the_artificial_arcs_names_its_points(self, monkeypatch):
         # An instance whose totals differ past the check leaves mass on the
         # root arcs: a LimbsysError, which the command line reports, names
         # the points that still carry it.
+        check = transport._check_instance
         ones, c = DiscreteMarginal((1, 1)), CostMatrix(((0, 1), (1, 0)))
-        instance = transport._check_instance(ones, ones, c)._replace(nu=[1, 3])
+        monkeypatch.setattr(transport, "_check_instance", lambda *data: check(*data)._replace(nu=[1, 3]))
         with pytest.raises(LimbsysError, match=r"still carry 2, at column 1$"):
-            transport._solve(instance)
+            solve(ones, ones, c)
         # On float data, a root arc carrying only dust is not named.
         ones, c = DiscreteMarginal((1.0, 1.0)), CostMatrix(((0.0, 1.0), (1.0, 0.0)))
-        instance = transport._check_instance(ones, ones, c)._replace(nu=[1.0 + 1e-14, 3.0])
+        monkeypatch.setattr(
+            transport, "_check_instance", lambda *data: check(*data)._replace(nu=[1.0 + 1e-14, 3.0])
+        )
         with pytest.raises(LimbsysError, match=r"still carry 2.0000000000000098, at column 1$"):
-            transport._solve(instance)
+            solve(ones, ones, c)
 
     def test_optimum_value_beyond_the_float_range_raises(self):
         # Each product 1e300 * 1e10 overflows to inf.
@@ -874,6 +877,17 @@ class TestEnumerateOptimalVertices:
         bases = transport._feasible_bases([0, 1, 2], [(0, 1), (1, 2)], [0, spent, 0], 1, 1, [10])
         assert len(bases) == count
 
+    def test_a_negative_leaf_mass_prunes_past_the_floor_only(self):
+        # The path 0-1-2-3 walked with eps = 1, gap = 0: the leaf 3 sends
+        # its supply to 2, which is left with 1 - 2.5 = -1.5, above the
+        # spent-supply bound -4 (4 eps) but below the leaf floor -1 (eps),
+        # so peeling 2 prunes the one tree.  At 1 - 1.5 = -0.5 the leaf
+        # mass is clamped to 0 and the tree is found.
+        path = [(0, 1), (1, 2), (2, 3)]
+        assert transport._feasible_bases([0, 1, 2, 3], path, [1, 1, 1, 2.5], 1.0, 0.0, [10]) == []
+        found = transport._feasible_bases([0, 1, 2, 3], path, [1, 1, 1, 1.5], 1.0, 0.0, [10])
+        assert found == [[((2, 3), 1.5), ((1, 2), 0), ((0, 1), 1)]]
+
     def test_matches_the_shortest_path_reference_where_the_zero_sets_differ(self):
         # Every optimal dual cuts out the same face, so the zero sets of the
         # simplex's and of the shortest-path duals, which may differ, must
@@ -1077,6 +1091,23 @@ class TestEnumerateOptimalVertices:
         monkeypatch.setattr(transport, "product", refuse)
         with pytest.raises(SizeLimitError, match="^64 optimal vertices of up to 23 cells are too many to list$"):
             enumerate_optimal_vertices(unit, unit, c)
+
+    def test_uniqueness_reads_the_counts_past_the_listing_guard(self, monkeypatch):
+        # The n = 16 exact demo with both peaks turned 0.3 rad: the walk
+        # takes 6,238 states and finds 256 vertices of up to 31 cells,
+        # 7,936 cells to list.  A budget of 7,000 lets the walk finish and
+        # refuses the listing, but the verdict needs no list.
+        config = DemoConfig(n=16, mu_center=math.pi / 2 + 0.3, nu_center=3 * math.pi / 2 + 0.3)
+        data = rational_demo_instance(config)
+        monkeypatch.setattr(transport, "ORACLE_MAX_BASES", 7000)
+        with pytest.raises(SizeLimitError, match="^256 optimal vertices of up to 31 cells are too many to list$"):
+            enumerate_optimal_vertices(*data)
+        assert not is_unique_optimum(*data)
+        # The walk's own guard still refuses both.
+        monkeypatch.setattr(transport, "ORACLE_MAX_BASES", 6237)
+        for verb in (enumerate_optimal_vertices, is_unique_optimum):
+            with pytest.raises(SizeLimitError, match="^optimal face has too many spanning-forest bases"):
+                verb(*data)
 
     def test_depth_guard(self, monkeypatch):
         # The walk recurses once per edge it decides on a path.  The flat
