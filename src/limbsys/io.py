@@ -95,13 +95,17 @@ def _fraction(literal):
     no such limit; there CPython's default, 4300, holds.  A mantissa of
     more digits than that limit takes Fraction's own parse, which reads its
     whole and fraction digits apart."""
-    mantissa, exponent = literal, 0
-    if "e" in literal or "E" in literal:
-        mantissa, _, exp = literal.lower().partition("e")
-        exponent = int(exp)
-        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
-        if limit and abs(exponent) > limit:
-            raise ValueError(f"a number's exponent exceeds the limit ({limit}) for integer literals")
+    if "e" not in literal and "E" not in literal:
+        whole, _, digits = literal.partition(".")
+        try:
+            return Fraction(int(whole + digits), 10 ** len(digits))
+        except ValueError:
+            return Fraction(literal)
+    mantissa, _, exp = literal.lower().partition("e")
+    exponent = int(exp)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+    if limit and abs(exponent) > limit:
+        raise ValueError(f"a number's exponent exceeds the limit ({limit}) for integer literals")
     whole, _, digits = mantissa.partition(".")
     shift = exponent - len(digits)
     try:
@@ -167,14 +171,32 @@ def _problem(data):
     return mu, nu, CostMatrix(data["cost"]) if "cost" in data else None
 
 
+def _refuse_wrong_lengths(where, rows, size):
+    """Raise ValueError at the first array in ``rows`` not of ``size``
+    numbers, named as ``entries[0]``.  Called once a build has failed, so a
+    file that loads never pays for it."""
+    for k, row in enumerate(rows):
+        if type(row) is list and len(row) != size:
+            raise ValueError(f"{where}[{k}] holds {len(row)} number{'s' * (len(row) != 1)}, not {size}")
+
+
 def _coupling(data):
-    return Coupling.from_entries(data["m"], data["n"], data["entries"])
+    entries = data["entries"]
+    try:
+        return Coupling.from_entries(data["m"], data["n"], entries)
+    except ValueError:
+        _refuse_wrong_lengths("entries", entries, 3)
+        raise
 
 
 def _system(data):
     limbs = []
-    for item in data["limbs"]:
-        limb = Limb(item["k"], item["map"])
+    for at, item in enumerate(data["limbs"]):
+        try:
+            limb = Limb(item["k"], item["map"])
+        except ValueError:
+            _refuse_wrong_lengths(f"limbs[{at}].map", item["map"], 2)
+            raise
         if item["kind"] != limb.kind:
             raise ValueError(f"limb {limb.k} must have kind {limb.kind!r}, not {item['kind']!r}")
         limbs.append(limb)
@@ -192,11 +214,11 @@ def load_coupling(path, rational: bool = False) -> Coupling:
 
 
 def coupling_payload(gamma: Coupling) -> dict:
-    return {"m": gamma.m, "n": gamma.n, "entries": [[i, j, w] for i, j, w in gamma.entries]}
+    return {"m": gamma.m, "n": gamma.n, "entries": gamma.entries}
 
 
 def duals_payload(p: DualPotentials, value) -> dict:
-    return {"q": list(p.q), "r": list(p.r), "value": value}
+    return {"q": p.q, "r": p.r, "value": value}
 
 
 def load_system(path, rational: bool = False) -> NumberedLimbSystem:
@@ -207,18 +229,15 @@ def system_payload(system: NumberedLimbSystem) -> dict:
     return {
         "m": system.m,
         "n": system.n,
-        "limbs": [
-            {"k": limb.k, "kind": limb.kind, "map": [[s, d] for s, d in limb.pairs]}
-            for limb in system.limbs
-        ],
-        "I_odd": list(system.x_levels),
-        "I_even": list(system.y_levels),
+        "limbs": [{"k": limb.k, "kind": limb.kind, "map": limb.pairs} for limb in system.limbs],
+        "I_odd": system.x_levels,
+        "I_even": system.y_levels,
     }
 
 
 def witness_payload(cycle, gamma0: Coupling, gamma1: Coupling) -> dict:
     return {
-        "cycle": [[i, j] for i, j in cycle.edges],
+        "cycle": cycle.edges,
         "gamma0": coupling_payload(gamma0),
         "gamma1": coupling_payload(gamma1),
     }

@@ -18,6 +18,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import index
 
 from .errors import ShapeMismatchError
@@ -94,6 +95,8 @@ def exact_ints(*groups) -> tuple:
     denominators (1 for ints), and the divisor of results worked out on
     those ints: L when any value is a ``Fraction``, whole ones included,
     None when every value is an ``int``, whose results stay ints."""
+    if {int}.issuperset(map(type, chain(*groups))):
+        return [list(group) for group in groups], None
     L = math.lcm(*{v.denominator for group in groups for v in group})
     scaled = [[v.numerator * (L // v.denominator) for v in group] for group in groups]
     fraction = L > 1 or any(type(v) is not int and isinstance(v, Fraction) for group in groups for v in group)
@@ -225,7 +228,16 @@ class Coupling:
     @classmethod
     def from_entries(cls, m: int, n: int, entries) -> "Coupling":
         """Canonicalize arbitrary triplets: sort row-major, merge duplicate cells,
-        drop exact zeros.  Construction rejects negative and non-finite masses."""
+        drop exact zeros.  Construction rejects negative and non-finite masses.
+
+        Canonical triplets, as every written file holds, are checked in one
+        pass and kept as they come; any others, and every error, take the
+        merge below, which returns the same coupling for canonical ones."""
+        entries = list(entries)
+        try:
+            return cls(m, n, entries)
+        except (TypeError, ValueError):
+            pass
         acc: dict = {}
         for i, j, w in entries:
             key = (index(i), index(j))

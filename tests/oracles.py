@@ -15,7 +15,9 @@ marginal through a graph or antigraph and the c-transform of a potential
 are written out from their definitions, as references for couplings built
 from pieces and for the simplex's potentials.  The backward recursion of
 ``reconstruct``, swept in the weights' own arithmetic, is the reference for
-the package's sweep over exact data scaled to ints.
+the package's sweep over exact data scaled to ints.  Triplets merged cell by
+cell and sorted are the reference for ``Coupling.from_entries``, which keeps
+canonical input as it comes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from operator import mul, ne, sub
+from operator import index, mul, ne, sub
 
 import networkx as nx
 import numpy as np
@@ -510,6 +512,22 @@ def split_witness_by_entries(gamma: Coupling, cycle) -> tuple:
         if b:
             minus.append((i, j, b))
     return Coupling(gamma.m, gamma.n, tuple(plus)), Coupling(gamma.m, gamma.n, tuple(minus))
+
+
+def coupling_by_merging(m, n, entries) -> Coupling:
+    """Reference for ``Coupling.from_entries``: every triplet merged into
+    its cell, the cells sorted and exact zeros dropped, canonical input
+    included, before the constructor checks the result."""
+    merged = {}
+    for i, j, w in entries:
+        cell = (index(i), index(j))
+        if cell in merged:
+            with float_range((merged[cell], w)):
+                merged[cell] = merged[cell] + w
+        else:
+            merged[cell] = w
+    # Zeros are falsy; a falsy non-number (None, "") is kept for the check to reject.
+    return Coupling(m, n, tuple((i, j, w) for (i, j), w in sorted(merged.items()) if w or w != 0))
 
 
 # ---------------------------------------------------------------------------

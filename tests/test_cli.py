@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -15,19 +16,23 @@ from hypothesis import strategies as st
 
 import limbsys
 from limbsys import Coupling, DemoConfig, circle, cli, extremality, is_extremal, run_demo, solve, transport
-from limbsys import tv_distance
+from limbsys import CostMatrix, decompose, marginals_of, support_graph, tv_distance
 from limbsys.circle import SubtwistReport
 from limbsys.cli import main
 from limbsys.io import (
     _fraction,
     canonical_json,
     coupling_payload,
+    duals_payload,
     load_coupling,
     load_problem,
     load_system,
     system_payload,
+    witness_payload,
     write_json,
 )
+
+import oracles
 
 
 # Input fixtures are written with the stock json module: they stand in for
@@ -148,6 +153,55 @@ class TestFileFormats:
         path = tmp_path / "s.json"
         write_json([(path, system_payload(system))])
         assert load_system(path) == system
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(2, 6), st.integers(2, 6), st.booleans())
+    def test_payloads_render_as_their_list_copies(self, seed, m, n, exact):
+        # The payloads hand their values' own tuples to the writer, which
+        # must render them byte for byte as the lists they once copied.
+        def unit(p, q):
+            return F(p, q) if exact else p / q
+
+        rng = random.Random(seed)
+        cells = sorted(oracles.random_forest_cells(rng, m, n))
+        gamma = Coupling(m, n, tuple((i, j, unit(rng.randint(1, 99), 7)) for i, j in cells))
+        full = Coupling(m, n, tuple((i, j, unit(rng.randint(1, 99), 7)) for i in range(m) for j in range(n)))
+        cycle = is_extremal(full).cycle
+        gamma0, gamma1 = extremality.split_witness(full, cycle)
+        system = decompose(support_graph(gamma))
+        mu, nu = marginals_of(gamma)
+        cost = CostMatrix(tuple(tuple(unit(rng.randint(-9, 9), 4) for _ in range(n)) for _ in range(m)))
+        report = solve(mu, nu, cost)
+
+        def listed(g):
+            return {"m": g.m, "n": g.n, "entries": [[i, j, w] for i, j, w in g.entries]}
+
+        pairs = [
+            (coupling_payload(gamma), listed(gamma)),
+            (
+                system_payload(system),
+                {
+                    "m": system.m,
+                    "n": system.n,
+                    "limbs": [
+                        {"k": limb.k, "kind": limb.kind, "map": [[s, d] for s, d in limb.pairs]}
+                        for limb in system.limbs
+                    ],
+                    "I_odd": list(system.x_levels),
+                    "I_even": list(system.y_levels),
+                },
+            ),
+            (
+                witness_payload(cycle, gamma0, gamma1),
+                {"cycle": [[i, j] for i, j in cycle.edges], "gamma0": listed(gamma0), "gamma1": listed(gamma1)},
+            ),
+            (
+                duals_payload(report.potentials, report.primal_value),
+                {"q": list(report.potentials.q), "r": list(report.potentials.r), "value": report.primal_value},
+            ),
+        ]
+        for payload, copied in pairs:
+            assert canonical_json(payload) == canonical_json(copied)
 
 
 @pytest.fixture
@@ -465,6 +519,52 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1
         assert out.read_text() == "kept\n" if existing else not out.exists()
+
+    @pytest.mark.parametrize("rational", [False, True])
+    @pytest.mark.parametrize(
+        "verb, content, named",
+        [
+            (
+                "check-extremal",
+                json.dumps({"m": 2, "n": 2, "entries": [[0, 0, 0.25], [0, 1, 0.25, 7], [1, 0, 0.5]]}),
+                "entries[1] holds 4 numbers, not 3",
+            ),
+            (
+                "decompose",
+                json.dumps({"m": 2, "n": 2, "entries": [[1, 1, -0.5], [0, 0, 0.5], [0, 1]]}),
+                "entries[2] holds 2 numbers, not 3",
+            ),
+            (
+                "reconstruct",
+                json.dumps({
+                    "m": 2,
+                    "n": 2,
+                    "limbs": [
+                        {"k": 1, "kind": "graph", "map": [[0, 0], [1, 0]]},
+                        {"k": 2, "kind": "antigraph", "map": [[1, 1, 0]]},
+                    ],
+                    "I_odd": [1, 1],
+                    "I_even": [0, 2],
+                }),
+                "limbs[1].map[0] holds 3 numbers, not 2",
+            ),
+            ("reconstruct", one_limb_system(pair=[0]), "limbs[0].map[0] holds 1 number, not 2"),
+        ],
+        ids=["long-entry", "short-entry", "long-map-pair", "short-map-pair"],
+    )
+    def test_an_entry_of_the_wrong_length_is_named(self, tmp_path, capsys, verb, content, named, rational):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        argv = [verb, str(bad)]
+        if verb == "reconstruct":
+            write_problem(tmp_path / "p.json", [1] * 2, [1] * 2)
+            argv.append(str(tmp_path / "p.json"))
+        if verb != "check-extremal":
+            argv += ["--out", str(tmp_path / "out.json")]
+        if rational:
+            argv.append("--rational")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {named}\n"
 
     def test_totals_overflowing_to_inf_are_exit_2(self, tmp_path, capsys):
         path = tmp_path / "p.json"

@@ -464,3 +464,83 @@ def test_tv_is_a_metric(a, b, c):
     assert tv_distance(a, b) == tv_distance(b, a)
     assert (tv_distance(a, b) == 0) == (a == b)
     assert tv_distance(a, c) <= tv_distance(a, b) + tv_distance(b, c)
+
+
+# Every kind of zero, and positive ints, floats and Fractions, in one coupling.
+mixed_masses = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, F(0)]),
+    st.integers(1, 5),
+    st.floats(0.25, 4.0),
+    st.fractions(F(1, 4), 4, max_denominator=6),
+)
+# Indices as Python ints or numpy ints.
+grid_indices = st.builds(lambda k, wrap: np.int64(k) if wrap else k, st.integers(0, 2), st.booleans())
+
+
+@st.composite
+def triplet_lists(draw):
+    """(m, n, entries): entries on a grid of at most 3x3, sorted, shuffled,
+    or shuffled with some triplets repeated."""
+    cell = st.tuples(grid_indices, grid_indices)
+    cells = sorted(draw(st.lists(cell, max_size=9, unique_by=lambda c: (int(c[0]), int(c[1])))))
+    entries = [(i, j, draw(mixed_masses)) for i, j in cells]
+    order = draw(st.sampled_from(["sorted", "shuffled", "duplicated"]))
+    if order == "duplicated" and entries:
+        entries += draw(st.lists(st.sampled_from(entries), min_size=1, max_size=4))
+    if order != "sorted":
+        entries = draw(st.permutations(entries))
+    return 3, 3, list(entries)
+
+
+def built(build, *args):
+    """The entries ``build`` returns, with their types, or the type and
+    message of what it raises."""
+    try:
+        return "built", repr(build(*args).entries)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(triplet_lists())
+def test_from_entries_equals_merging_every_triplet(case):
+    # Canonical input takes the one-pass check, the rest the merge: both
+    # must give the reference's entries, each mass keeping its type.
+    m, n, entries = case
+    expected = built(oracles.coupling_by_merging, m, n, entries)
+    assert expected[0] == "built"
+    assert built(Coupling.from_entries, m, n, entries) == expected
+    assert built(Coupling.from_entries, m, n, iter(entries)) == expected
+
+
+# Faults for from_entries to meet, each at some place among the triplets.
+FAULTS = {
+    "long": (0, 0, 1, 7),
+    "short": (0, 0),
+    "float-index": (0.0, 1, 1),
+    "str-index": (0, "1", 1),
+    "negative": (1, 1, -100.0),  # below any sum of the other masses
+    "nan": (2, 0, math.nan),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    triplet_lists(),
+    st.lists(
+        st.tuples(st.sampled_from([*FAULTS, "m=0", "m=1.5", "m=2"]), st.integers(0, 8)), min_size=1, max_size=3
+    ),
+)
+def test_from_entries_fails_as_merging_does(case, faults):
+    # One fault or several: whichever the merge meets first is raised.
+    m, n, entries = case
+    for fault, at in faults:
+        if fault in FAULTS:
+            entries.insert(at % (len(entries) + 1), FAULTS[fault])
+        else:
+            m = {"m=0": 0, "m=1.5": 1.5, "m=2": 2}[fault]
+            if m == 2:
+                entries.insert(at % (len(entries) + 1), (2, 2, 1))  # outside the 2x3 grid
+    expected = built(oracles.coupling_by_merging, m, n, entries)
+    assert expected[0] in (TypeError, ValueError)
+    assert built(Coupling.from_entries, m, n, entries) == expected
