@@ -95,17 +95,13 @@ def _fraction(literal):
     no such limit; there CPython's default, 4300, holds.  A mantissa of
     more digits than that limit takes Fraction's own parse, which reads its
     whole and fraction digits apart."""
-    if "e" not in literal and "E" not in literal:
-        whole, _, digits = literal.partition(".")
-        try:
-            return Fraction(int(whole + digits), 10 ** len(digits))
-        except ValueError:
-            return Fraction(literal)
-    mantissa, _, exp = literal.lower().partition("e")
-    exponent = int(exp)
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
-    if limit and abs(exponent) > limit:
-        raise ValueError(f"a number's exponent exceeds the limit ({limit}) for integer literals")
+    mantissa, exponent = literal, 0
+    if "e" in literal or "E" in literal:
+        mantissa, _, exp = literal.lower().partition("e")
+        exponent = int(exp)
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+        if limit and abs(exponent) > limit:
+            raise ValueError(f"a number's exponent exceeds the limit ({limit}) for integer literals")
     whole, _, digits = mantissa.partition(".")
     shift = exponent - len(digits)
     try:

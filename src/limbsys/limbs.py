@@ -49,11 +49,10 @@ class Limb:
 
     def __post_init__(self):
         object.__setattr__(self, "k", index(self.k))
+        pairs = tuple(sorted((index(s), index(d)) for s, d in self.pairs))
+        object.__setattr__(self, "pairs", pairs)
         if self.k < 1:
             raise ValueError("limb indices start at 1")
-        pairs = [(index(s), index(d)) for s, d in self.pairs]
-        pairs.sort()
-        object.__setattr__(self, "pairs", tuple(pairs))
         sources = [s for s, _ in pairs]
         if len(set(sources)) != len(sources):
             raise ValueError(f"limb {self.k} map is not single-valued")

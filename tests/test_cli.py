@@ -549,8 +549,10 @@ class TestCli:
                 "limbs[1].map[0] holds 3 numbers, not 2",
             ),
             ("reconstruct", one_limb_system(pair=[0]), "limbs[0].map[0] holds 1 number, not 2"),
+            # A limb unpacks its map before it checks k, so the pair is the fault named.
+            ("reconstruct", one_limb_system(k=0, pair=[0, 0, 1]), "limbs[0].map[0] holds 3 numbers, not 2"),
         ],
-        ids=["long-entry", "short-entry", "long-map-pair", "short-map-pair"],
+        ids=["long-entry", "short-entry", "long-map-pair", "short-map-pair", "limb-0-long-map-pair"],
     )
     def test_an_entry_of_the_wrong_length_is_named(self, tmp_path, capsys, verb, content, named, rational):
         bad = tmp_path / "bad.json"

@@ -55,6 +55,11 @@ class TestLimbType:
         with pytest.raises(ValueError, match="limb indices start at 1"):
             Limb(0, ())
 
+    def test_the_map_is_unpacked_before_k_is_checked(self):
+        # A loader names a wrong-length pair only when the unpacking raised.
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            Limb(0, ((0, 0, 1),))
+
     def test_single_valuedness(self):
         with pytest.raises(ValueError, match="single-valued"):
             Limb(1, ((0, 0), (0, 1)))
