@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -99,6 +100,34 @@ class TestCircleCost:
             for i in range(n):
                 for j in range(n):
                     assert abs(c.at(i, j) - c.at((i + k) % n, (j + k) % n)) <= 1e-12
+
+    # Every size up to 130, and 255-1024 around the powers of two the
+    # README times.
+    TABLE_SIZES = (*range(3, 131), 255, 256, 512, 1024)
+
+    def test_table_is_the_cell_formula_to_the_bit(self):
+        for n in self.TABLE_SIZES:
+            angles = CircleGrid(n).angles
+            rows = [[v.hex() for v in row] for row in build_circle_cost(CircleGrid(n)).rows]
+            assert rows == [[(1.0 - math.cos(a - b)).hex() for b in angles] for a in angles], n
+            assert rows == [list(column) for column in zip(*rows)], n
+
+    def test_equal_costs_are_one_object(self):
+        for n in (5, 32, 256, 1024):
+            cells = [v for row in build_circle_cost(CircleGrid(n)).rows for v in row]
+            assert len(set(map(id, cells))) == len(set(cells)), n
+        assert len(set(cells)) == 2509  # at n = 1024
+
+    def test_table_memory(self):
+        # 8.4 MB when every cell held its own float.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            c = build_circle_cost(CircleGrid(512))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert c.m == 512 and held < 3e6
 
 
 class TestPeakedDensity:
@@ -408,6 +437,20 @@ class TestDemo:
         assert mu.total() == nu.total()
         assert all(isinstance(w, F) and w > 0 for w in mu.weights + nu.weights)
         assert all(isinstance(v, F) for row in cost.rows for v in row)
+
+    def test_rational_costs_are_every_cell_snapped(self):
+        # Each distinct float cost is snapped once, and its cells share the
+        # Fraction.
+        turned = dict(mu_center=math.pi / 2 + 0.3, nu_center=3 * math.pi / 2 + 0.3)
+        for n in range(3, 41):
+            floats = build_circle_cost(CircleGrid(n)).rows
+            snapped = tuple(tuple(F(round(v * circle.SNAP_DENOMINATOR), circle.SNAP_DENOMINATOR) for v in row)
+                            for row in floats)
+            for cfg in (DemoConfig(n=n), DemoConfig(n=n, **turned)):
+                rows = rational_demo_instance(cfg)[2].rows
+                assert repr(rows) == repr(snapped), cfg
+                pairs = {(v, id(q)) for row, qs in zip(floats, rows) for v, q in zip(row, qs)}
+                assert len(pairs) == len({v for row in floats for v in row}), cfg
 
     def test_rational_snapping_too_coarse_raises(self):
         # The sharp second peak snaps its point 0 to mass 0, and the snapped
