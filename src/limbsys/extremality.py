@@ -104,10 +104,8 @@ def support_graph(gamma: Coupling) -> SupportGraph:
     exact masses every stored cell is support, kept without a comparison."""
     masses = [w for _, _, w in gamma.entries]
     eps, _ = thresholds(masses=(masses,))
-    if eps and min(masses) <= eps:
-        edges = [(i, j) for i, j, w in gamma.entries if w > eps]
-    else:
-        edges = map(itemgetter(0, 1), gamma.entries)
+    # Lazy either way: SupportGraph builds the one list of cells it keeps.
+    edges = ((i, j) for i, j, w in gamma.entries if w > eps) if eps else map(itemgetter(0, 1), gamma.entries)
     return SupportGraph(gamma.m, gamma.n, edges)
 
 

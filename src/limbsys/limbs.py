@@ -211,8 +211,8 @@ def reconstruct(
 
     and pushes it through its map, so eta_k is the coupling's mass on limb
     k's cells, read on Dom f_k.  In a valid system only limb k+1 sends
-    mass into I_k, so one sweep over the pairs suffices: ``sent_to_row`` and
-    ``sent_to_col`` hold the mass each point got from the limb above it,
+    mass into I_k, so one sweep over the pairs suffices: ``sent`` holds the
+    mass each point, rows 0..m-1 then columns m..m+n-1, got from the limb above,
     added in the entry order of gamma_{k+1}, and a point of Dom f_k then
     takes its marginal, (marginal - sent) + sent, so the sweep ends with
     the coupling's marginals.  A negative eta entry below minus the mass
@@ -240,32 +240,28 @@ def reconstruct(
     L = None
     if not isinstance(eps, float):
         (marginals,), L = exact_ints(marginals)
-    row_base, col_base = marginals[:m], marginals[m:]
-    sent_to_row, sent_to_col = [0] * m, [0] * n
+    sent = [0] * (m + n)
     entries = []
     failure: Optional[str] = None
 
     # Sums of exact masses may leave the float range where they meet floats.
-    with float_range(sent_to_row, sent_to_col):
+    with float_range(sent):
         for limb in reversed(system.limbs):  # highest k first; indices strictly increase
             graph = limb.kind == "graph"
-            if graph:
-                base, sent_src, sent_dst = row_base, sent_to_row, sent_to_col
-            else:
-                base, sent_src, sent_dst = col_base, sent_to_col, sent_to_row
+            src, dst = (0, m) if graph else (m, 0)
             for s, d in limb.pairs:
-                w = base[s] - sent_src[s]
-                sent_src[s] = base[s]
+                p = src + s
+                w = marginals[p] - sent[p]
+                sent[p] = marginals[p]
                 if w > 0:
                     entries.append((s, d, w) if graph else (d, s, w))
-                    sent_dst[d] = sent_dst[d] + w
+                    sent[dst + d] += w
                 elif w < -eps and failure is None:
                     w = Fraction(w, L) if L else w
                     failure = (
                         f"limb {limb.k} needs mass {w!r} at point {s}; "
                         "the marginals cannot feed this system"
                     )
-        sent = sent_to_row + sent_to_col
         if failure is None and any(abs(a - b) > eps for a, b in zip(sent, marginals)):
             failure = "reconstructed coupling does not reproduce the requested marginals"
     # The system is valid, so its cells are distinct and every mass kept is

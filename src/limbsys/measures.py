@@ -290,9 +290,7 @@ def validate_coupling(gamma: Coupling, mu: DiscreteMarginal, nu: DiscreteMargina
     row, col = marginals_of(gamma)
     eps, _ = thresholds(masses=(row.weights, mu.weights, nu.weights))
     with float_range(row.weights, col.weights, mu.weights, nu.weights):
-        return all(abs(a - b) <= eps for a, b in zip(row.weights, mu.weights)) and all(
-            abs(a - b) <= eps for a, b in zip(col.weights, nu.weights)
-        )
+        return all(abs(a - b) <= eps for a, b in zip(row.weights + col.weights, mu.weights + nu.weights))
 
 
 def tv_distance(a: Coupling, b: Coupling):

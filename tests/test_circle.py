@@ -15,6 +15,7 @@ from limbsys import (
     CostMatrix,
     Coupling,
     DemoConfig,
+    DiscreteMarginal,
     LimbsysError,
     build_circle_cost,
     build_peaked_density,
@@ -29,6 +30,7 @@ from limbsys import (
     support_graph,
     support_rows,
     validate_coupling,
+    zero_set,
 )
 from limbsys import circle
 from limbsys.circle import SubtwistReport
@@ -390,6 +392,32 @@ class TestDemo:
         assert limb_count(report.system) == limbs
         beyond = sum(report.limb_mass) - mass_on_limb(report, 1) - mass_on_limb(report, 2)
         assert beyond > 0.7 * sum(report.limb_mass)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_a_quarter_step_turn_fixes_the_value_and_the_zero_set(self, n):
+        # The limb counts pinned above count the vertex that the pivot path
+        # reaches: relabelling the points reaches other optimal vertices, with
+        # 10 or 11 limbs at n = 32 and 18 to 20 at n = 64.  What the data fix
+        # is the optimal value and the zero set of the optimal potentials,
+        # which holds the support of every optimum.
+        turn = 2 * math.pi / (4 * n)
+        cfg = DemoConfig(n=n, mu_center=math.pi / 2 + turn, nu_center=3 * math.pi / 2 + turn)
+        mu, nu, cost = rational_demo_instance(cfg)
+        base = solve(mu, nu, cost)
+        zeros = zero_set(cost, base.potentials).edges
+        same, back = list(range(n)), list(range(n - 1, -1, -1))
+        turned = [(i + n // 3) % n for i in range(n)]
+        for rows, cols in ((same, same), (back, back), (turned, turned), (back, turned)):
+            # Point i of the relabelled instance is point rows[i] or cols[i].
+            report = solve(
+                DiscreteMarginal([mu.weights[r] for r in rows]),
+                DiscreteMarginal([nu.weights[c] for c in cols]),
+                CostMatrix([[cost.rows[r][c] for c in cols] for r in rows]),
+            )
+            gamma = Coupling.from_entries(n, n, [(rows[i], cols[j], w) for i, j, w in report.coupling.entries])
+            assert report.primal_value == base.primal_value
+            assert validate_coupling(gamma, mu, nu)
+            assert gamma.cells() <= zeros
 
     def test_limb_mass_is_indexed_by_limb_number(self):
         # The quarter-step system at n = 63 has limbs 2-18 and no limb 1, so

@@ -411,12 +411,12 @@ class TestReconstruct:
 
 
 @st.composite
-def exact_reconstructions(draw):
+def reconstructions(draw, kinds):
     """A limb system decomposed from a random forest on a grid of at most
-    6 x 6, and exact marginals with int weights, Fraction weights or both.
-    A third of them are the marginals of a coupling on the forest, which
-    the system can feed; a third have one weight moved; a third are drawn
-    at random."""
+    6 x 6, and marginals whose weights are of one of ``kinds``: "int",
+    "fraction", "mixed" (ints and Fractions) or "float".  A third of them
+    are the marginals of a coupling on the forest, which the system can
+    feed; a third have one weight moved; a third are drawn at random."""
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     # Each point joins at most one earlier point of the other side: a forest.
     order = draw(st.permutations(range(m + n)))
@@ -427,9 +427,12 @@ def exact_reconstructions(draw):
             u = draw(st.sampled_from(earlier))
             cells.append((min(u, v), max(u, v) - m))
     system = decompose(SupportGraph(m, n, frozenset(cells)))
-    kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
+    kind = draw(st.sampled_from(kinds))
     ints, fractions = st.integers(1, 6), st.builds(F, st.integers(1, 12), st.integers(1, 6))
-    mass = {"int": ints, "fraction": fractions, "mixed": ints | fractions}[kind]
+    # Floats at the scale of the mass threshold as well, so that dust and
+    # clamped round-off occur.
+    floats = st.floats(1e-3, 6.0) | st.floats(1e-16, 1e-11)
+    mass = {"int": ints, "fraction": fractions, "mixed": ints | fractions, "float": floats}[kind]
     gamma = Coupling.from_entries(m, n, [(i, j, draw(mass)) for i, j in cells])
     shape = draw(st.sampled_from(["fit", "moved", "random"]))
     if shape == "random":
@@ -440,9 +443,13 @@ def exact_reconstructions(draw):
         if shape == "moved":
             p = draw(st.integers(0, m + n - 1))
             weights[p] = abs(weights[p] - draw(mass))
-    if kind == "fraction":  # a bare point's weight is the int 0
-        weights = [F(w) for w in weights]
+    if kind in ("fraction", "float"):  # a bare point's weight is the int 0
+        weights = list(map(F if kind == "fraction" else float, weights))
     return system, DiscreteMarginal(tuple(weights[:m])), DiscreteMarginal(tuple(weights[m:]))
+
+
+def exact_reconstructions():
+    return reconstructions(["int", "fraction", "mixed"])
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -467,6 +474,19 @@ def test_reconstruct_matches_the_unscaled_sweep(case):
     assert {type(w) for _, _, w in report.coupling.entries} <= {kind}
     assert report.message == message
     assert report.feasible == (message is None)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(reconstructions(["float"]))
+def test_float_reconstruct_matches_the_unscaled_sweep(case):
+    # Float marginals are swept as given, so the reference's coupling and
+    # message come out bit for bit, round-off, clamping and dust included.
+    system, mu, nu = case
+    report = reconstruct(system, mu, nu)
+    coupling, message = oracles.reconstruct_unscaled(system, mu, nu)
+    assert report.coupling == coupling
+    assert {type(w) for _, _, w in report.coupling.entries} <= {float}
+    assert report.message == message
 
 
 class TestGapInLimbIndices:
