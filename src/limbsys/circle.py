@@ -13,7 +13,6 @@ support, with the mass each limb carries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from operator import or_, sub
@@ -21,7 +20,7 @@ from operator import or_, sub
 from .errors import LimbsysError
 from .extremality import support_graph
 from .limbs import NumberedLimbSystem, decompose, limb_count
-from .measures import CostMatrix, DiscreteMarginal, edge_scaled, magnitudes, thresholds_of
+from .measures import CostMatrix, DiscreteMarginal, Record, edge_scaled, magnitudes, thresholds_of
 from .transport import SolveReport, solve
 
 __all__ = [
@@ -41,44 +40,36 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CircleGrid:
+class CircleGrid(Record):
     """n equally spaced angles on the circle, starting at 0."""
 
-    n: int
-
-    def __post_init__(self):
-        if self.n < 3:
+    def __init__(self, n: int):
+        if n < 3:
             raise ValueError("a circle grid needs at least 3 points")
+        self._store(n=n)
 
     @property
     def angles(self) -> tuple:
         return tuple(TWO_PI * i / self.n for i in range(self.n))
 
 
-@dataclass(frozen=True)
-class DemoConfig:
+class DemoConfig(Record):
     """Grid size and the two density peaks for the demo run.
 
     Defaults put the first peak at the top of the circle and the second at
     the bottom, sharp enough that some mass has to cross town.
     """
 
-    n: int = 64
-    mu_center: float = math.pi / 2
-    mu_kappa: float = 4.0
-    nu_center: float = 3 * math.pi / 2
-    nu_kappa: float = 4.0
-
-    def __post_init__(self):
-        if not (self.mu_kappa >= 0 and self.nu_kappa >= 0):
+    def __init__(self, n: int = 64, mu_center: float = math.pi / 2, mu_kappa: float = 4.0,
+                 nu_center: float = 3 * math.pi / 2, nu_kappa: float = 4.0):
+        if not (mu_kappa >= 0 and nu_kappa >= 0):
             raise ValueError("concentrations must be nonnegative numbers")
-        if not (0 <= self.mu_center < TWO_PI and 0 <= self.nu_center < TWO_PI):
+        if not (0 <= mu_center < TWO_PI and 0 <= nu_center < TWO_PI):
             raise ValueError("peak centers must lie in [0, 2*pi)")
+        self._store(n=n, mu_center=mu_center, mu_kappa=mu_kappa, nu_center=nu_center, nu_kappa=nu_kappa)
 
 
-@dataclass(frozen=True)
-class SubtwistReport:
+class SubtwistReport(Record):
     """Verdict of the column-pair sign-change scan.
 
     ``violations`` lists column pairs whose difference has the wrong number
@@ -87,25 +78,23 @@ class SubtwistReport:
     is derived: the scan passes exactly when no pair violates.
     """
 
-    violations: tuple
-    degenerate: tuple
+    def __init__(self, violations: tuple, degenerate: tuple):
+        self._store(violations=violations, degenerate=degenerate)
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class DemoReport:
+class DemoReport(Record):
     """``system`` is the fewest-limb system of the optimal support.
 
     The optimum is extremal: its support decomposed into limbs, which only
     an acyclic support does, so the report holds no certificate.
     """
 
-    config: DemoConfig
-    solve_report: SolveReport
-    system: NumberedLimbSystem
+    def __init__(self, config: DemoConfig, solve_report: SolveReport, system: NumberedLimbSystem):
+        self._store(config=config, solve_report=solve_report, system=system)
 
     @property
     def limb_mass(self) -> tuple:

@@ -8,7 +8,6 @@ required), 4 infeasible reconstruction.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 
@@ -77,7 +76,7 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_demo_circle(args):
-    cfg = DemoConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(DemoConfig)})
+    cfg = DemoConfig(**{name: getattr(args, name) for name in vars(DemoConfig())})
     # run_demo returns only optima whose support decomposed, so the verdict
     # is always "extremal".
     report = run_demo(cfg)
@@ -87,7 +86,7 @@ def _cmd_demo_circle(args):
     )
     outputs = []
     if args.out:
-        outputs.append((args.out, dataclasses.asdict(cfg) | {
+        outputs.append((args.out, vars(cfg) | {
             "value": report.solve_report.primal_value,
             "iterations": report.solve_report.iterations,
             "degenerate_pivots": report.solve_report.degenerate_pivots,
@@ -142,9 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_reconstruct)
 
     p = sub.add_parser("demo-circle", help="run the circular town example")
-    for field in dataclasses.fields(DemoConfig):
-        flag = "--" + field.name.replace("_", "-")
-        p.add_argument(flag, type=type(field.default), default=field.default)
+    for name, default in vars(DemoConfig()).items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--out", help="write the demo report here")
     p.add_argument("--plot", help="write plot-ready support rows here")
     p.set_defaults(fn=_cmd_demo_circle)

@@ -13,12 +13,10 @@ on demand, into an explicit convex split of the coupling.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import index, itemgetter
-from typing import Optional
 
 from .errors import CycleError, SizeLimitError
-from .measures import Coupling, _set_dimensions, thresholds
+from .measures import Coupling, Record, _dimensions, thresholds
 
 __all__ = [
     "SupportGraph",
@@ -32,46 +30,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SupportGraph:
+class SupportGraph(Record):
     """Bipartite graph on m row nodes and n column nodes, one edge per
     occupied cell of a product grid.  ``edges`` may be any iterable of
     cells; it is checked and stored as a frozenset in one pass."""
 
-    m: int
-    n: int
-    edges: frozenset
-
-    def __post_init__(self):
-        m, n = _set_dimensions(self, "support graph")
-        edges = frozenset([(index(i), index(j)) for i, j in self.edges])
-        object.__setattr__(self, "edges", edges)
+    def __init__(self, m: int, n: int, edges: frozenset):
+        m, n = _dimensions(m, n, "support graph")
+        edges = frozenset([(index(i), index(j)) for i, j in edges])
         for i, j in edges:
             if not (0 <= i < m and 0 <= j < n):
                 i, j = min(e for e in edges if not (0 <= e[0] < m and 0 <= e[1] < n))
                 raise ValueError(f"edge ({i}, {j}) outside the {m}x{n} grid")
+        self._store(m=m, n=n, edges=edges)
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(Record):
     """Alternating cycle through k >= 2 distinct rows and k distinct columns:
     row ``rows[t]`` meets columns ``cols[t-1]`` and ``cols[t]``.  ``edges``
     lists its 2k support cells in walk order, consecutive cells sharing a
     row then a column, wrapping around at the end."""
 
-    rows: tuple
-    cols: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(map(index, self.rows)))
-        object.__setattr__(self, "cols", tuple(map(index, self.cols)))
-        k = len(self.rows)
-        if k < 2 or len(self.cols) != k:
-            raise ValueError(f"a cycle witness needs k >= 2 rows and k columns, not {k} and {len(self.cols)}")
-        for name, points in (("row", self.rows), ("column", self.cols)):
+    def __init__(self, rows: tuple, cols: tuple):
+        rows, cols = tuple(map(index, rows)), tuple(map(index, cols))
+        k = len(rows)
+        if k < 2 or len(cols) != k:
+            raise ValueError(f"a cycle witness needs k >= 2 rows and k columns, not {k} and {len(cols)}")
+        for name, points in (("row", rows), ("column", cols)):
             if len(set(points)) != k:
                 repeated = next(p for t, p in enumerate(points) if p in points[:t])
                 raise ValueError(f"cycle witness visits {name} {repeated} twice")
+        self._store(rows=rows, cols=cols)
 
     @property
     def edges(self) -> tuple:
@@ -81,12 +70,12 @@ class CycleWitness:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class ExtremalityCertificate:
+class ExtremalityCertificate(Record):
     """A cycle in the support when the coupling is not extremal, None when
     it is; :func:`split_witness` builds the convex split from the cycle."""
 
-    cycle: Optional[CycleWitness] = None
+    def __init__(self, cycle: CycleWitness | None = None):
+        self._store(cycle=cycle)
 
     @property
     def extremal(self) -> bool:
@@ -165,7 +154,7 @@ def _peel(graph: SupportGraph):
     return above, order, CycleWitness(loop[0::2], [v - m for v in loop[1::2]])
 
 
-def is_acyclic(graph: SupportGraph) -> tuple[bool, Optional[CycleWitness]]:
+def is_acyclic(graph: SupportGraph) -> tuple[bool, CycleWitness | None]:
     """Decide whether the bipartite support graph is a forest.
 
     Leaves are peeled in rounds (:func:`_peel`); the graph is a forest

@@ -12,14 +12,12 @@ recovered here by the backward recursion over limbs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
-from typing import Optional
 
 from .errors import CyclicSupportError, InvalidSystemError, ShapeMismatchError
 from .extremality import SupportGraph, _peel
-from .measures import Coupling, DiscreteMarginal, _set_dimensions, exact_ints, float_range, thresholds
+from .measures import Coupling, DiscreteMarginal, Record, _dimensions, exact_ints, float_range, thresholds
 
 __all__ = [
     "Limb",
@@ -35,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Limb:
+class Limb(Record):
     """One limb: index k and the map as (source, image) pairs.
 
     Odd k is a graph limb (map on row points), even k an antigraph limb
@@ -44,18 +41,15 @@ class Limb:
     must be single-valued on its domain.
     """
 
-    k: int
-    pairs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", index(self.k))
-        pairs = tuple(sorted((index(s), index(d)) for s, d in self.pairs))
-        object.__setattr__(self, "pairs", pairs)
-        if self.k < 1:
+    def __init__(self, k: int, pairs: tuple):
+        k = index(k)
+        pairs = tuple(sorted((index(s), index(d)) for s, d in pairs))
+        if k < 1:
             raise ValueError("limb indices start at 1")
         sources = [s for s, _ in pairs]
         if len(set(sources)) != len(sources):
-            raise ValueError(f"limb {self.k} map is not single-valued")
+            raise ValueError(f"limb {k} map is not single-valued")
+        self._store(k=k, pairs=pairs)
 
     @property
     def kind(self) -> str:
@@ -68,8 +62,7 @@ class Limb:
         return frozenset((d, s) for s, d in self.pairs)
 
 
-@dataclass(frozen=True)
-class NumberedLimbSystem:
+class NumberedLimbSystem(Record):
     """Limbs with strictly increasing indices plus the index-set partition.
 
     ``x_levels[i]`` is the odd index of the I-set holding row point i,
@@ -79,28 +72,22 @@ class NumberedLimbSystem:
     reports rather than raises so that invalid systems can be described.
     """
 
-    m: int
-    n: int
-    limbs: tuple
-    x_levels: tuple
-    y_levels: tuple
-
-    def __post_init__(self):
-        m, n = _set_dimensions(self, "system")
-        object.__setattr__(self, "limbs", tuple(self.limbs))
-        object.__setattr__(self, "x_levels", tuple(map(index, self.x_levels)))
-        object.__setattr__(self, "y_levels", tuple(map(index, self.y_levels)))
-        if len(self.x_levels) != m or len(self.y_levels) != n:
+    def __init__(self, m: int, n: int, limbs: tuple, x_levels: tuple, y_levels: tuple):
+        m, n = _dimensions(m, n, "system")
+        limbs = tuple(limbs)
+        x_levels, y_levels = tuple(map(index, x_levels)), tuple(map(index, y_levels))
+        if len(x_levels) != m or len(y_levels) != n:
             raise ValueError("level arrays must assign every row and column point")
-        for i, lv in enumerate(self.x_levels):
+        for i, lv in enumerate(x_levels):
             if lv < 1 or lv % 2 == 0:
                 raise ValueError(f"row point {i} must sit in an odd index set, got {lv}")
-        for j, lv in enumerate(self.y_levels):
+        for j, lv in enumerate(y_levels):
             if lv < 0 or lv % 2 == 1:
                 raise ValueError(f"column point {j} must sit in an even index set, got {lv}")
-        ks = [limb.k for limb in self.limbs]
+        ks = [limb.k for limb in limbs]
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("limb indices must be strictly increasing")
+        self._store(m=m, n=n, limbs=limbs, x_levels=x_levels, y_levels=y_levels)
 
     def limb_of(self, i: int, j: int) -> int:
         """The limb holding support cell (i, j): a pair of limb k has its
@@ -108,8 +95,7 @@ class NumberedLimbSystem:
         return max(self.x_levels[i], self.y_levels[j])
 
 
-@dataclass(frozen=True)
-class ReconstructionReport:
+class ReconstructionReport(Record):
     """Outcome of the backward recursion: the candidate coupling and, when
     it fails, a message naming the failure.
 
@@ -118,8 +104,8 @@ class ReconstructionReport:
     cells, read on Dom f_k, so it is not stored.
     """
 
-    coupling: Coupling
-    message: Optional[str] = None
+    def __init__(self, coupling: Coupling, message: str | None = None):
+        self._store(coupling=coupling, message=message)
 
     @property
     def feasible(self) -> bool:
@@ -242,7 +228,7 @@ def reconstruct(
         (marginals,), L = exact_ints(marginals)
     sent = [0] * (m + n)
     entries = []
-    failure: Optional[str] = None
+    failure: str | None = None
 
     # Sums of exact masses may leave the float range where they meet floats.
     with float_range(sent):

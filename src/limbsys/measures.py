@@ -1,6 +1,6 @@
 """Discrete marginals, cost matrices, and sparse couplings.
 
-Everything in this module is a plain value: frozen dataclasses validated on
+Everything in this module is a plain value: immutable records validated on
 construction, and pure functions over them.  Masses and costs may be ``int``,
 ``float``, or ``fractions.Fraction``; arithmetic never mixes in divisions, so
 exact inputs produce exact outputs.  This is what the rest of the package
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import index
@@ -33,14 +32,40 @@ __all__ = [
 ]
 
 
-def _set_dimensions(grid, what: str) -> tuple:
-    """Store ``grid.m`` and ``grid.n`` as ints, by ``operator.index``, and
-    return them; ValueError names ``what`` unless both are positive."""
-    m, n = index(grid.m), index(grid.n)
+class Record:
+    """Base of the package's value types.  A subclass's ``__init__`` checks
+    its arguments and stores the normalised fields once, in order, through
+    ``_store``; ``vars(x)`` lists them.  Fields cannot be assigned or
+    deleted; equality (between instances of one class), hashing and
+    ``repr`` read the fields in order."""
+
+    def _store(self, **fields):
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+def _dimensions(m, n, what: str) -> tuple:
+    """``m`` and ``n`` as ints, by ``operator.index``; ValueError names
+    ``what`` unless both are positive."""
+    m, n = index(m), index(n)
     if m <= 0 or n <= 0:
         raise ValueError(f"{what} dimensions must be positive")
-    object.__setattr__(grid, "m", m)
-    object.__setattr__(grid, "n", n)
     return m, n
 
 
@@ -133,8 +158,7 @@ def float_range(*groups):
         raise ValueError(f"value {top!r} is beyond the float range of the data it meets") from None
 
 
-@dataclass(frozen=True)
-class DiscreteMarginal:
+class DiscreteMarginal(Record):
     """Nonnegative weights on an indexed finite point set.
 
     ``weights[i]`` is the mass sitting at point ``i``.  Weights need not sum
@@ -142,17 +166,16 @@ class DiscreteMarginal:
     renormalizes silently.
     """
 
-    weights: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if len(self.weights) == 0:
+    def __init__(self, weights: tuple):
+        weights = tuple(weights)
+        if len(weights) == 0:
             raise ValueError("a marginal needs at least one point")
-        for i, w in enumerate(self.weights):
+        for i, w in enumerate(weights):
             if not _is_finite_number(w):
                 raise ValueError(f"weight at index {i} is not a finite number: {w!r}")
             if (w.numerator if type(w) is Fraction else w) < 0:  # as in Coupling
                 raise ValueError(f"negative weight at index {i}: {w!r}")
+        self._store(weights=weights)
 
     @property
     def size(self) -> int:
@@ -163,15 +186,11 @@ class DiscreteMarginal:
             return sum(self.weights)
 
 
-@dataclass(frozen=True)
-class CostMatrix:
+class CostMatrix(Record):
     """Dense m-by-n matrix of finite transport costs ``rows[i][j]``."""
 
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple):
+        rows = tuple(tuple(r) for r in rows)
         if len(rows) == 0 or len(rows[0]) == 0:
             raise ValueError("cost matrix must have positive dimensions")
         width = len(rows[0])
@@ -181,6 +200,7 @@ class CostMatrix:
             for j, c in enumerate(r):
                 if not _is_finite_number(c):
                     raise ValueError(f"cost at ({i}, {j}) is not a finite number: {c!r}")
+        self._store(rows=rows)
 
     @property
     def m(self) -> int:
@@ -194,8 +214,7 @@ class CostMatrix:
         return self.rows[i][j]
 
 
-@dataclass(frozen=True)
-class Coupling:
+class Coupling(Record):
     """Sparse nonnegative measure on the m-by-n product grid.
 
     ``entries`` is a tuple of ``(i, j, mass)`` triplets with strictly positive
@@ -203,14 +222,9 @@ class Coupling:
     :meth:`from_entries` unless the input is already canonical.
     """
 
-    m: int
-    n: int
-    entries: tuple = ()
-
-    def __post_init__(self):
-        m, n = _set_dimensions(self, "coupling")
-        entries = tuple([(index(i), index(j), w) for i, j, w in self.entries])
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, m: int, n: int, entries: tuple = ()):
+        m, n = _dimensions(m, n, "coupling")
+        entries = tuple([(index(i), index(j), w) for i, j, w in entries])
         inf, pi, pj = math.inf, -1, -1
         for i, j, w in entries:
             if not (0 <= i < m and 0 <= j < n):
@@ -224,6 +238,7 @@ class Coupling:
             if i < pi or i == pi and j <= pj:
                 raise ValueError("entries must be strictly row-major sorted without duplicates")
             pi, pj = i, j
+        self._store(m=m, n=n, entries=entries)
 
     @classmethod
     def from_entries(cls, m: int, n: int, entries) -> "Coupling":

@@ -39,11 +39,10 @@ optimal leave some component with no tree and raise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, product
 from operator import mul, sub, truediv
-from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     DualInfeasibleError,
@@ -54,7 +53,7 @@ from .errors import (
     SuboptimalPotentialsError,
 )
 from .extremality import SupportGraph
-from .measures import Coupling, CostMatrix, DiscreteMarginal, _is_finite_number, edge_scaled, exact_ints
+from .measures import Coupling, CostMatrix, DiscreteMarginal, Record, _is_finite_number, edge_scaled, exact_ints
 from .measures import magnitudes, thresholds, thresholds_of
 
 __all__ = [
@@ -67,8 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DualPotentials:
+class DualPotentials(Record):
     """Kantorovich dual pair: q per row point, r per column point.
 
     Feasible when c[i][j] - q[i] - r[j] is nonnegative, within the cost
@@ -76,12 +74,8 @@ class DualPotentials:
     freedom by r[0] = 0.
     """
 
-    q: tuple
-    r: tuple
-
-    def __post_init__(self):
-        for name in ("q", "r"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+    def __init__(self, q: tuple, r: tuple):
+        self._store(q=_finite("q", q), r=_finite("r", r))
 
 
 def _finite(name, values) -> tuple:
@@ -94,23 +88,20 @@ def _finite(name, values) -> tuple:
     return values
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     """An optimal coupling, its potentials and both objective values.
 
     ``iterations`` counts the simplex pivots and ``degenerate_pivots`` those
     of them that moved no mass.
     """
 
-    coupling: Coupling
-    potentials: DualPotentials
-    primal_value: object
-    dual_value: object
-    iterations: int
-    degenerate_pivots: int
+    def __init__(self, coupling: Coupling, potentials: DualPotentials, primal_value, dual_value,
+                 iterations: int, degenerate_pivots: int):
+        self._store(coupling=coupling, potentials=potentials, primal_value=primal_value,
+                    dual_value=dual_value, iterations=iterations, degenerate_pivots=degenerate_pivots)
 
 
-class _Instance(NamedTuple):
+class _Instance(namedtuple("_Instance", "mu nu rows L K unit eps_mass eps_cost slack gap top")):
     """A checked instance as the loops run it: the masses and the costs
     multiplied by ``L`` and ``K``, ints times the lcms of their denominators
     on exact data (``measures.exact_ints``), floats times powers of two on
@@ -120,17 +111,7 @@ class _Instance(NamedTuple):
     allowed between the totals, and the gap between them; the largest |cost|
     of ``rows``.  All but ``unit`` are in the scaled units."""
 
-    mu: Sequence
-    nu: Sequence
-    rows: Sequence
-    L: object
-    K: object
-    unit: Callable
-    eps_mass: object
-    eps_cost: object
-    slack: object
-    gap: object
-    top: object
+    __slots__ = ()
 
 
 def _check_instance(mu: DiscreteMarginal, nu: DiscreteMarginal, c: CostMatrix) -> _Instance:

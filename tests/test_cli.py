@@ -1,6 +1,5 @@
 """File formats and the command-line front end."""
 
-import dataclasses
 import json
 import math
 import os
@@ -727,6 +726,7 @@ class TestCli:
         assert code == 0
         payload = json.loads(report.read_text())
         assert payload["n"] == 12
+        assert {name: payload[name] for name in vars(DemoConfig(n=12))} == vars(DemoConfig(n=12))
         assert payload["verdict"] == "extremal"
         limbs = payload["system"]["limbs"]
         assert len(payload["limb_mass"]) == len(limbs)
@@ -740,7 +740,7 @@ class TestCli:
     def test_demo_flags_are_the_config_fields(self):
         parser = cli.build_parser()
         defaults = vars(parser.parse_args(["demo-circle"]))
-        fields = {field.name: field.default for field in dataclasses.fields(DemoConfig)}
+        fields = vars(DemoConfig())
         assert set(defaults) - {"verb", "fn", "out", "plot"} == set(fields)
         for name, default in fields.items():
             assert defaults[name] == default

@@ -1,28 +1,42 @@
 """Marginal, coupling, and push-forward behavior of the measure layer."""
 
+import copy
 import math
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import limbsys
 from limbsys import (
+    CircleGrid,
     Coupling,
     CostMatrix,
     CycleWitness,
+    DemoConfig,
     DiscreteMarginal,
+    ExtremalityCertificate,
     InfeasibleError,
     Limb,
     NumberedLimbSystem,
+    ReconstructionReport,
     ShapeMismatchError,
     SupportGraph,
+    build_circle_cost,
+    decompose,
     is_extremal,
     marginals_of,
     reconstruct,
+    run_demo,
     solve,
+    subtwist_check,
     support_graph,
     tv_distance,
     validate_coupling,
@@ -544,3 +558,83 @@ def test_from_entries_fails_as_merging_does(case, faults):
     expected = built(oracles.coupling_by_merging, m, n, entries)
     assert expected[0] in (TypeError, ValueError)
     assert built(Coupling.from_entries, m, n, entries) == expected
+
+
+def one_value_of_each_type():
+    """One value of each of the package's 15 value types, built afresh."""
+    mu = DiscreteMarginal((F(1, 2), F(1, 2)))
+    cost = CostMatrix(((0, 1), (1, 0)))
+    report = solve(mu, mu, cost)
+    support = support_graph(report.coupling)
+    system = decompose(support)
+    square = Coupling(2, 2, ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)))
+    demo = run_demo(DemoConfig(n=8))
+    return [
+        mu, cost, report.coupling, support, is_extremal(square).cycle, is_extremal(square),
+        report.potentials, report, system.limbs[0], system, reconstruct(system, mu, mu),
+        CircleGrid(8), demo.config, subtwist_check(build_circle_cost(CircleGrid(8))), demo,
+    ]
+
+
+class TestRecord:
+    def test_there_is_one_value_of_each_type(self):
+        assert len({type(v) for v in one_value_of_each_type()}) == 15
+
+    def test_equal_fields_give_equal_values_and_hashes(self):
+        for a, b in zip(one_value_of_each_type(), one_value_of_each_type()):
+            assert a is not b and a == b and not a != b
+            assert hash(a) == hash(b) == hash(tuple(vars(a).values()))
+
+    def test_values_of_two_types_are_never_equal(self):
+        values = one_value_of_each_type()
+        for a in values:
+            assert a != tuple(vars(a).values())
+            for b in values:
+                assert (a == b) == (a is b)
+        assert Coupling(2, 2) != SupportGraph(2, 2, ())
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        for value in one_value_of_each_type():
+            before = repr(value)
+            for name in vars(value):
+                with pytest.raises(AttributeError):
+                    setattr(value, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+            with pytest.raises(AttributeError):
+                value.extra = 1
+            assert repr(value) == before
+
+    @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))])
+    def test_copies_and_pickles_are_equal(self, round_trip):
+        for value in one_value_of_each_type():
+            twin = round_trip(value)
+            assert twin == value and type(twin) is type(value) and repr(twin) == repr(value)
+
+    def test_keywords_and_defaults(self):
+        assert Coupling(m=2, n=2) == Coupling(2, 2, ())
+        assert ExtremalityCertificate().cycle is None and ExtremalityCertificate().extremal
+        report = ReconstructionReport(Coupling(2, 2))
+        assert report.message is None and report.feasible
+        assert DemoConfig() == DemoConfig(64) and vars(DemoConfig(n=12))["n"] == 12
+
+    def test_repr_lists_the_fields_in_order(self):
+        assert repr(DemoConfig(n=8)) == (
+            "DemoConfig(n=8, mu_center=1.5707963267948966, mu_kappa=4.0, "
+            "nu_center=4.71238898038469, nu_kappa=4.0)"
+        )
+        assert repr(ReconstructionReport(Coupling(m=2, n=2))) == (
+            "ReconstructionReport(coupling=Coupling(m=2, n=2, entries=()), message=None)"
+        )
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # -S -E: no site packages and no PYTHONPATH, so only limbsys can load them.
+    src = str(Path(limbsys.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import limbsys, limbsys.cli, limbsys.io; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
